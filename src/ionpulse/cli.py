@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -136,7 +136,7 @@ _DEFAULTS = {
         "omega_x_hz": "3.07e6",
         "ion_mass_kg": "2.838e-25",
         "charge_c": "1.602176634e-19",
-        "raman_wavevector_per_m": "",  # empty -> 2 * (2 pi / 355 nm)
+        "raman_wavevector_per_m": "",  # empty -> 2 pi / 355 nm
     },
     "pulse": {
         "shape": "A",
@@ -467,10 +467,16 @@ def cmd_optimize(cfg, out_dir, recompute):
     modes = _load_or_build_modes(cfg, out_dir, recompute, inputs)
     problem = _make_problem(cfg, modes)
     trace = []
+    exhausted = None
     t0 = time.perf_counter()
-    schedule = optimize(
-        problem, callback=lambda n, c, _x: trace.append((n, c))
-    )
+    try:
+        schedule = optimize(
+            problem, callback=lambda n, c, _x: trace.append((n, c))
+        )
+    except BudgetExhausted as exc:
+        # keep the best point: write it like a converged result, then fail
+        exhausted = exc
+        schedule = replace(problem.base_schedule, fm_points=exc.best_fm_points)
     t1 = time.perf_counter()
     report = build_gate_report(
         schedule, modes, cfg.ion_i, cfg.ion_j,
@@ -489,8 +495,9 @@ def cmd_optimize(cfg, out_dir, recompute):
     wave_path = _artifact(out_dir, f"waveform_{cfg.shape_kind}.csv")
     save_waveform_csv(schedule, wave_path, samples=cfg.waveform_samples)
 
+    final_cost = min(c for _, c in trace)
     print(f"optimize[{cfg.shape_kind}]: {len(trace)} evaluations, "
-          f"final cost {trace[-1][1]:.3e}, motional error {report.motional_error:.3e}, "
+          f"final cost {final_cost:.3e}, motional error {report.motional_error:.3e}, "
           f"omega_max {report.omega_max / (2 * np.pi) / 1e3:.1f} kHz")
     _write_manifest(
         out_dir, "optimize", cfg, inputs, [sched_path, trace_path, wave_path],
@@ -499,14 +506,17 @@ def cmd_optimize(cfg, out_dir, recompute):
             "pair": [cfg.ion_i, cfg.ion_j],
             "target_modes": list(resolve_target_modes(problem)),
             "evaluations": len(trace),
-            "final_cost": trace[-1][1],
+            "final_cost": final_cost,
             "motional_error": report.motional_error,
             "beta_rad": report.beta,
             "omega_max_hz": report.omega_max / (2 * np.pi),
             "seed": cfg.seed,
+            "budget_exhausted": exhausted is not None,
         },
         {"optimize": t1 - t0, "report": t2 - t1},
     )
+    if exhausted is not None:
+        raise exhausted
     return 0
 
 

@@ -84,6 +84,7 @@ def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     first = (out / "schedule_A.json").read_bytes()
     manifest = json.loads((out / "optimize_manifest.json").read_text())
     assert manifest["parameters"]["motional_error"] < 1e-3
+    assert manifest["parameters"]["budget_exhausted"] is False
     assert (out / "optimize_trace_A.csv").exists()
     assert (out / "waveform_A.csv").exists()
 
@@ -106,6 +107,22 @@ def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     map_rows = (out / "powermap_A.csv").read_text().strip().splitlines()
     assert map_rows[0] == "ion_i,ion_j,omega_max_hz"
     assert len(map_rows) == 1 + 12 * 11 // 2
+
+
+def test_budget_exhausted_keeps_best_schedule(small_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "tiny.ini"
+    path.write_text(SMALL_CONFIG.replace("max_evals = 40000", "max_evals = 3"))
+    assert run(["-c", str(path), "-o", str(out), "optimize", "--recompute"]) == 2
+    assert "error:" in capsys.readouterr().err
+    rows = (out / "optimize_trace_A.csv").read_text().strip().splitlines()
+    assert rows[0] == "eval,cost" and len(rows) == 4
+    costs = [float(r.split(",")[1]) for r in rows[1:]]
+    manifest = json.loads((out / "optimize_manifest.json").read_text())
+    assert manifest["parameters"]["budget_exhausted"] is True
+    assert manifest["parameters"]["final_cost"] == min(costs)
+    schedule = json.loads((out / "schedule_A.json").read_text())
+    assert any(v != 0.0 for v in schedule["fm_points_hz"])
 
 
 def test_powermap_pair_subset(small_config, tmp_path):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +29,7 @@ from ionpulse import (
     with_amplitude,
 )
 from ionpulse.modes import most_uniform_mode
-from ionpulse.optimizer import REFERENCE_RABI, resolve_target_modes
+from ionpulse.optimizer import REFERENCE_RABI, _Objective, phase_basis, resolve_target_modes
 from ionpulse.pulse import amplitude, drive_frequency
 from ionpulse.quadrature import cumulative_simpson, simpson
 
@@ -108,6 +114,33 @@ def test_cost_time_reversal_invariant(mode_data, base_schedule_a):
     assert cost(problem, fm) == pytest.approx(total, rel=1e-7)
 
 
+def test_phase_basis_reproduces_drive_phase(base_schedule_a):
+    t = np.linspace(0.0, base_schedule_a.gate_time, 20001)
+    dx = t[1] - t[0]
+    basis = phase_basis(base_schedule_a, t)
+    reference = cumulative_simpson(np.full(t.shape, base_schedule_a.mu_ref), dx)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        fm = rng.uniform(-2 * np.pi * 5e3, 2 * np.pi * 5e3, 8)
+        sched = replace(base_schedule_a, fm_points=fm)
+        direct = cumulative_simpson(drive_frequency(t, sched), dx)
+        assert np.abs(reference + fm @ basis - direct).max() <= 1e-8
+
+
+def test_jacobian_matches_finite_difference(mode_data, base_schedule_a):
+    objective = _Objective(make_problem(mode_data, base_schedule_a))
+    rng = np.random.default_rng(12)
+    fm = rng.uniform(-2 * np.pi * 2e3, 2 * np.pi * 2e3, 8)
+    _, jac = objective(fm)
+    h = 2 * np.pi * 0.01
+    numeric = np.empty_like(jac)
+    for d in range(8):
+        bump = np.zeros(8)
+        bump[d] = h
+        numeric[:, d] = (objective(fm + bump)[0] - objective(fm - bump)[0]) / (2 * h)
+    assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(jac).max()
+
+
 def test_optimization_reduces_cost(mode_data, base_schedule_a, optimized_a):
     problem = make_problem(mode_data, base_schedule_a)
     before = cost(problem, np.zeros(8))
@@ -121,6 +154,28 @@ def test_optimizer_determinism(mode_data):
     a = optimize(toy)
     b = optimize(toy)
     np.testing.assert_array_equal(a.fm_points, b.fm_points)
+
+
+def test_optimizer_blas_threads_invariant():
+    # turning points must not depend on how many threads BLAS reductions use
+    root = Path(__file__).resolve().parent
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root.parent / 'src')!r}, {str(root)!r}]\n"
+        "from test_optimizer import toy_problem\n"
+        "from ionpulse import optimize\n"
+        "sys.stdout.write(optimize(toy_problem()).fm_points.tobytes().hex())\n"
+    )
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True, timeout=300,
+        )
+        results.append(proc.stdout)
+    assert results[0] and results[0] == results[1]
 
 
 def toy_problem(seed=3):
@@ -158,8 +213,8 @@ def test_toy_single_mode_closes_trajectory():
 
 def test_optimized_fm_amplitude_small(optimized_a, optimized_b):
     # the reported oscillation amplitude scale is ~2 kHz; the seed-1 smooth
-    # pulse lands at 2.2 kHz. The stepped pulse's best basin sits higher
-    # (5.1 kHz) with this plateau geometry, still well under the 10 kHz cap
+    # pulse lands at 2.45 kHz. The stepped pulse's best basin sits higher
+    # (4.0 kHz) with this plateau geometry, still well under the 10 kHz cap
     # and the 16 kHz sideband splitting
     assert np.abs(optimized_a.fm_points).max() <= 2 * np.pi * 2.5e3
     assert np.abs(optimized_b.fm_points).max() <= 2 * np.pi * 6e3
@@ -206,9 +261,12 @@ def test_budget_exhausted(mode_data, base_schedule_a):
         base_schedule=base_schedule_a, modes=mode_data,
         ion_pair=DEFAULT_PAIR, max_evals=40, seed=0, n_starts=1,
     )
+    seen = []
     with pytest.raises(BudgetExhausted) as info:
-        optimize(problem)
+        optimize(problem, callback=lambda _n, c, _x: seen.append(c))
     assert info.value.best_fm_points is not None
+    assert len(seen) == 40
+    assert info.value.best_cost == min(seen)
 
 
 def test_calibrate_power_amplitude_invariant(mode_data, optimized_a):
