@@ -18,8 +18,9 @@ from .optimizer import DEGENERATE_BETA
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
     DEFAULT_BETA_INTERVALS,
+    endpoint_errors,
     mode_angle_integrals,
-    motional_error,
+    mode_displacement_integrals,
 )
 
 ERROR_FLOOR = 1e-12  # extra error below this is quadrature noise
@@ -116,35 +117,26 @@ def offset_sweep(sched, modes, pair, offsets=None, *, both_ions=True,
     """Evaluate the gate error across constant drive-frequency offsets.
 
     The baseline error is taken at zero offset; each sweep point shifts the
-    whole pattern mu(t) by the offset. Points may be evaluated in parallel.
+    whole pattern mu(t) by the offset. All points and the baseline come from
+    one mode_displacement_integrals call, so each equals motional_error with
+    that frequency_offset exactly. threads is accepted for interface
+    compatibility and does not affect the sweep.
     """
     ion_i, ion_j = pair
     if offsets is None:
         offsets = default_offsets()
     offsets = np.asarray(offsets, dtype=float)
-    baseline = motional_error(
-        sched, modes, ion_i, ion_j, both_ions=both_ions, n_intervals=n_intervals
-    )
+    endpoints = mode_displacement_integrals(sched, modes.frequencies, n_intervals, [0.0, *offsets])
+    errors = endpoint_errors(endpoints, modes, ion_i, ion_j, both_ions)
+    baseline, errors = float(errors[0]), errors[1:]
 
-    def one(offset):
-        return motional_error(
-            sched, modes, ion_i, ion_j, both_ions=both_ions,
-            n_intervals=n_intervals, frequency_offset=offset,
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            errors = np.array(list(pool.map(one, offsets)))
-    else:
-        errors = np.array([one(d) for d in offsets])
-
-    sweep = RobustnessSweep(offsets=offsets, errors=errors, baseline=float(baseline))
+    sweep = RobustnessSweep(offsets=offsets, errors=errors, baseline=baseline)
     extra = errors - baseline
     valid = _fit_window(offsets, extra, baseline)
     if np.count_nonzero(valid) >= 5:
         slope, stderr = _loglog_fit(offsets[valid], extra[valid])
         sweep = RobustnessSweep(
-            offsets=offsets, errors=errors, baseline=float(baseline),
+            offsets=offsets, errors=errors, baseline=baseline,
             fitted_slope=slope, slope_stderr=stderr,
         )
     return sweep

@@ -394,8 +394,10 @@ def _load_or_build_schedule(cfg, out_dir, recompute, inputs):
         if not recompute:
             _require(path, "optimize")
         modes = _load_or_build_modes(cfg, out_dir, recompute, inputs)
-        problem = _make_problem(cfg, modes)
-        return optimize(problem), modes
+        schedule, _, _, exhausted = _optimize_and_save(cfg, out_dir, _make_problem(cfg, modes))
+        if exhausted is not None:
+            raise exhausted
+        return schedule, modes
     inputs.append(path)
     modes = _load_or_build_modes(cfg, out_dir, recompute, inputs)
     return load_schedule(path), modes
@@ -412,6 +414,33 @@ def _make_problem(cfg, modes):
         n_starts=cfg.n_starts,
         n_intervals=cfg.alpha_intervals,
     )
+
+
+def _optimize_and_save(cfg, out_dir, problem):
+    """Optimize, then write the schedule, its eval/cost trace and its waveform.
+
+    A spent budget keeps the best point seen: it is written like a converged
+    result, and the BudgetExhausted comes back for the caller to raise (exit
+    code 2) once its own outputs are written. Returns (schedule, trace,
+    written paths, BudgetExhausted or None).
+    """
+    trace = []
+    exhausted = None
+    try:
+        schedule = optimize(problem, callback=lambda n, c, _x: trace.append((n, c)))
+    except BudgetExhausted as exc:
+        exhausted = exc
+        schedule = replace(problem.base_schedule, fm_points=exc.best_fm_points)
+    sched_path = _artifact(out_dir, _schedule_name(cfg))
+    save_schedule(schedule, sched_path)
+    trace_path = _artifact(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
+    with open(trace_path, "w", newline="") as fh:
+        fh.write("eval,cost\n")
+        for n, c in trace:
+            fh.write(f"{n},{c!r}\n")
+    wave_path = _artifact(out_dir, f"waveform_{cfg.shape_kind}.csv")
+    save_waveform_csv(schedule, wave_path, samples=cfg.waveform_samples)
+    return schedule, trace, [sched_path, trace_path, wave_path], exhausted
 
 
 def cmd_crystal(cfg, out_dir, recompute):
@@ -466,17 +495,8 @@ def cmd_optimize(cfg, out_dir, recompute):
     inputs = []
     modes = _load_or_build_modes(cfg, out_dir, recompute, inputs)
     problem = _make_problem(cfg, modes)
-    trace = []
-    exhausted = None
     t0 = time.perf_counter()
-    try:
-        schedule = optimize(
-            problem, callback=lambda n, c, _x: trace.append((n, c))
-        )
-    except BudgetExhausted as exc:
-        # keep the best point: write it like a converged result, then fail
-        exhausted = exc
-        schedule = replace(problem.base_schedule, fm_points=exc.best_fm_points)
+    schedule, trace, outputs, exhausted = _optimize_and_save(cfg, out_dir, problem)
     t1 = time.perf_counter()
     report = build_gate_report(
         schedule, modes, cfg.ion_i, cfg.ion_j,
@@ -485,22 +505,12 @@ def cmd_optimize(cfg, out_dir, recompute):
     )
     t2 = time.perf_counter()
 
-    sched_path = _artifact(out_dir, _schedule_name(cfg))
-    save_schedule(schedule, sched_path)
-    trace_path = _artifact(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
-    with open(trace_path, "w", newline="") as fh:
-        fh.write("eval,cost\n")
-        for n, c in trace:
-            fh.write(f"{n},{c!r}\n")
-    wave_path = _artifact(out_dir, f"waveform_{cfg.shape_kind}.csv")
-    save_waveform_csv(schedule, wave_path, samples=cfg.waveform_samples)
-
     final_cost = min(c for _, c in trace)
     print(f"optimize[{cfg.shape_kind}]: {len(trace)} evaluations, "
           f"final cost {final_cost:.3e}, motional error {report.motional_error:.3e}, "
           f"omega_max {report.omega_max / (2 * np.pi) / 1e3:.1f} kHz")
     _write_manifest(
-        out_dir, "optimize", cfg, inputs, [sched_path, trace_path, wave_path],
+        out_dir, "optimize", cfg, inputs, outputs,
         {
             "shape": cfg.shape_kind,
             "pair": [cfg.ion_i, cfg.ion_j],

@@ -18,13 +18,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulse import PulseSchedule, amplitude, fm_offset, with_amplitude
+from .pulse import PulseSchedule, amplitude, drive_frequency, fm_offset, with_amplitude
 from .quadrature import cumulative_simpson, simpson_weights
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
     DEFAULT_BETA_INTERVALS,
     entangling_angle,
-    integrate_alpha,
+    integrate_sampled,
     motional_error,
 )
 
@@ -315,13 +315,14 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
     )
     trajectories = ()
     if include_trajectories:
+        # integrate_alpha per mode, with the schedule sampled once for all modes
+        t = np.linspace(0.0, calibrated.gate_time, alpha_intervals + 1)
+        omega = amplitude(t, calibrated)
+        mu = drive_frequency(t, calibrated)
         trajectories = tuple(
-            integrate_alpha(
-                calibrated,
-                modes.eta[ion_i - 1, k],
-                modes.frequencies[k],
-                n_intervals=alpha_intervals,
-                mode=k + 1,
+            integrate_sampled(
+                omega, mu - modes.frequencies[k], t[1] - t[0],
+                eta_ik=modes.eta[ion_i - 1, k], times=t, mode=k + 1,
             )
             for k in range(modes.n_modes)
         )

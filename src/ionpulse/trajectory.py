@@ -10,6 +10,11 @@ All integrals run on fixed uniform grids: 20,000 Simpson intervals for
 displacements and a downsampled 2,000-interval grid for the double integral
 (quadratic in grid size when evaluated naively; here the inner integral is
 accumulated once so the cost stays linear without changing the quadrature).
+
+One kernel, mode_displacement_integrals, gives every mode's gate-end
+displacement: e^{i theta_k} = e^{i Theta_mu} e^{-i omega_k t}, and a constant
+drive offset only changes Theta_mu, so the ramps e^{-i omega_k t} are built
+once and each offset costs one matrix-vector product.
 """
 
 import csv
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pulse import amplitude, drive_frequency
+from .pulse import amplitude, drive_frequency, with_frequency_offset
 from .quadrature import cumulative_simpson, simpson, simpson_weights
 
 DEFAULT_ALPHA_INTERVALS = 20_000
@@ -84,13 +89,14 @@ def accumulate_phase(sched, omega_k, t, n_intervals=DEFAULT_ALPHA_INTERVALS):
     if np.any(t_arr < 0.0) or np.any(t_arr > tau):
         raise ValueError(f"time outside [0, {tau}]")
     idx = np.minimum((t_arr / dx).astype(int), n_intervals)
-    out = theta[idx].copy()
-    for pos, (j, tq) in enumerate(zip(idx, t_arr)):
-        rest = tq - grid[j]
-        if rest > 0.0:
-            sub = np.array([grid[j], grid[j] + rest / 2.0, tq])
-            d_sub = drive_frequency(sub, sched) - omega_k
-            out[pos] += simpson(d_sub, rest / 2.0)
+    out = theta[idx]
+    half = (t_arr - grid[idx]) / 2.0
+    off = half > 0.0
+    # one drive_frequency call on the (node, midpoint, query) triples of all off-grid queries
+    node = grid[idx[off]]
+    sub = np.stack([node, node + half[off], t_arr[off]], axis=-1)
+    d_sub = drive_frequency(sub.ravel(), sched).reshape(sub.shape) - omega_k
+    out[off] += simpson(d_sub, half[off])
     return out if np.ndim(t) else float(out[0])
 
 
@@ -124,27 +130,32 @@ def time_averaged_displacement(traj):
     return complex(simpson(traj.alpha, dx) / tau)
 
 
-def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, phase_ramps=None):
-    """Endpoint and time average of I_k(t) = int_0^t Omega e^{i theta_k} for many modes.
+def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, offsets=(0.0,)):
+    """Gate-end displacements I_k(tau) = int_0^tau Omega e^{i theta_k} of many modes.
 
-    Returns (endpoints, averages), each complex of len(omega_ks). eta factors
-    are NOT included; multiply per ion as needed. The time average uses the
-    order swap (1/tau) int I_k(t) dt = int Omega(t') e^{i theta_k(t')}
-    (1 - t'/tau) dt', which avoids per-mode cumulative sums.
-
-    phase_ramps may carry precomputed exp(-1j * omega_k * t) rows matching
-    omega_ks (a pure cache; values are unchanged).
+    Returns a complex array (len(omega_ks) x len(offsets)): column c drives
+    with mu(t) shifted by the constant offsets[c] (rad/s). eta factors are
+    NOT included; multiply per ion as needed. A column does not depend on the
+    other offsets, so it is bitwise what a single-offset call returns.
     """
-    tau = sched.gate_time
-    t, dx = _uniform_grid(tau, n_intervals)
-    w_end = simpson_weights(len(t), dx)
-    w_avg = w_end * (1.0 - t / tau)
-    mu_phase = cumulative_simpson(drive_frequency(t, sched), dx)
-    base = amplitude(t, sched) * np.exp(1j * mu_phase)
-    if phase_ramps is None:
-        phase_ramps = np.exp(-1j * np.outer(np.asarray(omega_ks, dtype=float), t))
-    g = phase_ramps * base[None, :]
-    return g @ w_end, g @ w_avg
+    t, dx = _uniform_grid(sched.gate_time, n_intervals)
+    weighted_amplitude = simpson_weights(len(t), dx) * amplitude(t, sched)
+    ramps = -1j * np.outer(np.asarray(omega_ks, dtype=float), t)
+    np.exp(ramps, out=ramps)
+    endpoints = np.empty((len(ramps), len(offsets)), dtype=complex)
+    for col, offset in enumerate(offsets):
+        mu = drive_frequency(t, with_frequency_offset(sched, offset))
+        mu_phase = cumulative_simpson(mu, dx)
+        endpoints[:, col] = ramps @ (weighted_amplitude * np.exp(1j * mu_phase))
+    return endpoints
+
+
+def endpoint_errors(endpoints, modes, ion_i, ion_j, both_ions=True):
+    """Motional error sum_k eta_k^2 |I_k|^2 of each column of mode_displacement_integrals."""
+    weights = modes.eta[ion_i - 1] ** 2
+    if both_ions:
+        weights = weights + modes.eta[ion_j - 1] ** 2
+    return np.array([np.sum(weights * np.abs(col) ** 2) for col in endpoints.T])
 
 
 def motional_error(sched, modes, ion_i, ion_j, *, both_ions=True,
@@ -156,15 +167,8 @@ def motional_error(sched, modes, ion_i, ion_j, *, both_ions=True,
     both_ions=False for the single-ion variant. frequency_offset shifts the
     whole drive pattern mu(t) by a constant (rad/s).
     """
-    from .pulse import with_frequency_offset
-
-    if frequency_offset:
-        sched = with_frequency_offset(sched, frequency_offset)
-    endpoints, _ = mode_displacement_integrals(sched, modes.frequencies, n_intervals)
-    weights = modes.eta[ion_i - 1] ** 2
-    if both_ions:
-        weights = weights + modes.eta[ion_j - 1] ** 2
-    return float(np.sum(weights * np.abs(endpoints) ** 2))
+    endpoints = mode_displacement_integrals(sched, modes.frequencies, n_intervals, (frequency_offset,))
+    return float(endpoint_errors(endpoints, modes, ion_i, ion_j, both_ions)[0])
 
 
 def mode_angle_integrals(sched, omega_ks, n_intervals=DEFAULT_BETA_INTERVALS):

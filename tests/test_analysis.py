@@ -75,6 +75,8 @@ def test_offset_zero_equals_baseline(mode_data, optimized_a):
         optimized_a, mode_data, *DEFAULT_PAIR, frequency_offset=0.0
     )
     assert shifted == baseline
+    sweep = offset_sweep(optimized_a, mode_data, DEFAULT_PAIR, default_offsets(4))
+    assert sweep.baseline == baseline
 
 
 def test_sweep_continuity(mode_data, optimized_a):

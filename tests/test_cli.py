@@ -125,6 +125,21 @@ def test_budget_exhausted_keeps_best_schedule(small_config, tmp_path, capsys):
     assert any(v != 0.0 for v in schedule["fm_points_hz"])
 
 
+def test_recompute_budget_exhausted_keeps_best_schedule(tmp_path, capsys):
+    # a stage that optimizes in-process under --recompute keeps the best point too
+    out = tmp_path / "out"
+    path = tmp_path / "tiny.ini"
+    path.write_text(SMALL_CONFIG.replace("max_evals = 40000", "max_evals = 3"))
+    assert run(["-c", str(path), "-o", str(out), "report", "--recompute"]) == 2
+    assert "error:" in capsys.readouterr().err
+    rows = (out / "optimize_trace_A.csv").read_text().strip().splitlines()
+    assert rows[0] == "eval,cost" and len(rows) == 4
+    schedule = json.loads((out / "schedule_A.json").read_text())
+    assert any(v != 0.0 for v in schedule["fm_points_hz"])
+    assert (out / "waveform_A.csv").exists()
+    assert not (out / "report_A.json").exists()
+
+
 def test_powermap_pair_subset(small_config, tmp_path):
     out = tmp_path / "out"
     assert run(

@@ -303,6 +303,15 @@ def test_gate_report(mode_data, optimized_a):
         with_amplitude(optimized_a, report.omega_max), mode_data, *DEFAULT_PAIR
     )
     assert report.motional_error == pytest.approx(recomputed, rel=1e-12)
+    calibrated = with_amplitude(optimized_a, report.omega_max)
+    for k, traj in enumerate(report.trajectories):
+        alone = integrate_alpha(
+            calibrated, mode_data.eta[DEFAULT_PAIR[0] - 1, k], mode_data.frequencies[k],
+            mode=k + 1,
+        )
+        assert traj.mode == alone.mode
+        for name in ("times", "alpha", "phase"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
 
 
 def test_problem_validation(mode_data, base_schedule_a):
