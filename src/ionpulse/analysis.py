@@ -5,11 +5,11 @@ an optimized schedule the extra gate error grows as a high power of the
 offset (quartic or steeper), which the sweep quantifies through a log-log
 linear fit. The power map calibrates the peak Rabi frequency needed to
 entangle every ion pair; the per-mode double integrals are shared across
-pairs, so the full 1225-pair map costs little more than a single pair.
+pairs and all pair angles come from one matrix product, so the full
+1225-pair map costs little more than a single pair.
 """
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,36 +165,28 @@ def all_pairs(n):
 def power_map(sched, modes, pairs=None, n_intervals=DEFAULT_BETA_INTERVALS, threads=1):
     """Calibrated peak Rabi frequency for every requested pair.
 
-    The per-mode angle integrals depend only on the schedule, so they are
-    computed once and every pair reduces to an eta-weighted sum; results are
-    identical to calling calibrate_power per pair. Degenerate pairs are
-    flagged rather than aborting the map.
+    The per-mode angle integrals d depend only on the schedule, so they are
+    computed once and every pair's beta is an entry of the one product
+    2 (eta d) eta^T; results equal calling calibrate_power per pair up to
+    rounding. Degenerate pairs are flagged rather than aborting the map.
+    threads is accepted for interface compatibility and ignored.
     """
     n = modes.n_modes
     if pairs is None:
         pairs = all_pairs(n)
-
-    if threads > 1:
-        freq_chunks = np.array_split(np.arange(n), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                lambda idx: mode_angle_integrals(sched, modes.frequencies[idx], n_intervals),
-                [c for c in freq_chunks if len(c)],
-            ))
-        d = np.concatenate(parts)
-    else:
-        d = mode_angle_integrals(sched, modes.frequencies, n_intervals)
-
+    d = mode_angle_integrals(sched, modes.frequencies, n_intervals)
+    beta = 2.0 * (modes.eta * d) @ modes.eta.T
+    requested = np.array(pairs, dtype=int).reshape(-1, 2) - 1
+    lo, hi = np.sort(requested, axis=1).T  # one orientation, so the map stays symmetric
+    abs_beta = np.abs(beta[lo, hi])
+    degenerate = abs_beta < DEGENERATE_BETA
+    held = ~degenerate
     matrix = np.full((n, n), np.nan)
-    degenerate = []
-    for i, j in pairs:
-        beta = 2.0 * float(np.sum(modes.eta[i - 1] * modes.eta[j - 1] * d))
-        if abs(beta) < DEGENERATE_BETA:
-            degenerate.append((i, j))
-            continue
-        value = sched.amp_scale * np.sqrt((np.pi / 4.0) / abs(beta))
-        matrix[i - 1, j - 1] = matrix[j - 1, i - 1] = value
-    return PowerMap(omega_max=matrix, degenerate_pairs=tuple(degenerate))
+    matrix[lo[held], hi[held]] = matrix[hi[held], lo[held]] = (
+        sched.amp_scale * np.sqrt((np.pi / 4.0) / abs_beta[held])
+    )
+    degenerate_pairs = tuple((int(a) + 1, int(b) + 1) for a, b in requested[degenerate])
+    return PowerMap(omega_max=matrix, degenerate_pairs=degenerate_pairs)
 
 
 def save_sweep_csv(sweep, csv_path):

@@ -674,7 +674,7 @@ def build_parser():
     parser.add_argument("--config", "-c", help="INI config file (defaults used when omitted)")
     parser.add_argument("--output-dir", "-o", help="output directory override")
     parser.add_argument("--seed", type=int, help="optimizer seed override")
-    parser.add_argument("--threads", type=int, help="worker thread bound override")
+    parser.add_argument("--threads", type=int, help="accepted for compatibility; ignored")
     parser.add_argument("--shape", choices=["A", "B"], help="pulse shape override")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,6 +13,7 @@ adaptive step.
 """
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -104,6 +105,30 @@ class IonCrystal:
         return np.diff(self.positions)
 
 
+class _CutLogTrap:
+    """Constants of the cut log trap of one TrapConfig, shared by its potential and field."""
+
+    def __init__(self, cfg):
+        L = cfg.half_length
+        self.l_sq = L * L
+        self.z_cut = cfg.cutoff_s * L
+        self.pref = cfg.scale_r * cfg.coulomb_k * cfg.linear_density
+        self.v_wall = self.pref * np.log(self.l_sq / (self.l_sq - self.z_cut * self.z_cut))
+        self.slope = self.pref * 2.0 * self.z_cut / (self.l_sq - self.z_cut * self.z_cut)
+        self.field_pref = -self.pref * 2.0
+
+    def potential(self, z):
+        az = np.abs(z)
+        inside = az < self.z_cut
+        z_in = np.where(inside, z, 0.0)
+        v_in = self.pref * np.log(self.l_sq / (self.l_sq - z_in * z_in))
+        return np.where(inside, v_in, self.v_wall + self.slope * (az - self.z_cut))
+
+    def field(self, z):
+        z_eff = np.clip(z, -self.z_cut, self.z_cut)
+        return self.field_pref * z_eff / (self.l_sq - z_eff * z_eff)
+
+
 def trap_potential(z, cfg):
     """Axial trap potential in volts at position(s) z.
 
@@ -111,27 +136,13 @@ def trap_potential(z, cfg):
     cutoff it continues with the boundary slope, so the potential is C1 and
     the field bounded. Even in z and exactly zero at the center.
     """
-    z = np.asarray(z, dtype=float)
-    L = cfg.half_length
-    z_cut = cfg.cutoff_s * L
-    pref = cfg.scale_r * cfg.coulomb_k * cfg.linear_density
-    az = np.abs(z)
-    z_in = np.where(az < z_cut, z, 0.0)
-    v_in = pref * np.log(L * L / (L * L - z_in * z_in))
-    v_wall = pref * np.log(L * L / (L * L - z_cut * z_cut))
-    slope = pref * 2.0 * z_cut / (L * L - z_cut * z_cut)
-    out = np.where(az < z_cut, v_in, v_wall + slope * (az - z_cut))
+    out = _CutLogTrap(cfg).potential(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
 
 def trap_field(z, cfg):
     """Axial electric field -dV/dz in V/m, clamped to its boundary value beyond s*L."""
-    z = np.asarray(z, dtype=float)
-    L = cfg.half_length
-    z_cut = cfg.cutoff_s * L
-    pref = cfg.scale_r * cfg.coulomb_k * cfg.linear_density
-    z_eff = np.clip(z, -z_cut, z_cut)
-    out = -pref * 2.0 * z_eff / (L * L - z_eff * z_eff)
+    out = _CutLogTrap(cfg).field(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -159,14 +170,22 @@ def trap_depth(cfg):
     return cfg.charge * trap_potential(cfg.cutoff_s * cfg.half_length, cfg)
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_indices(n):
+    """Read-only (i, j) index arrays of every pair i < j among n ions."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def chain_energy(positions, cfg, potential=None):
     """Total electrostatic energy in joules of ions at the given axial positions."""
     z = np.asarray(positions, dtype=float)
     v = trap_potential(z, cfg) if potential is None else potential(z)
-    energy = cfg.charge * np.sum(v)
-    iu, ju = np.triu_indices(len(z), k=1)
-    energy += cfg.coulomb_k * cfg.charge**2 * np.sum(1.0 / np.abs(z[iu] - z[ju]))
-    return float(energy)
+    iu, ju = _pair_indices(len(z))
+    coulomb = np.sum(1.0 / np.abs(z[iu] - z[ju]))
+    return float(cfg.charge * np.sum(v) + cfg.coulomb_k * cfg.charge**2 * coulomb)
 
 
 def chain_forces(positions, cfg, field=None):
@@ -221,6 +240,9 @@ def solve_equilibrium(
     z = (np.arange(n) - (n - 1) / 2.0) * init_spacing
     z_cut = cfg.cutoff_s * cfg.half_length
     check_escape = potential is None
+    if check_escape:
+        trap = _CutLogTrap(cfg)
+        potential, field = trap.potential, trap.field
 
     if n == 1:
         # single ion rests at the center of the even potential

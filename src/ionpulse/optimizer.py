@@ -316,7 +316,9 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
     trajectories = ()
     if include_trajectories:
         # integrate_alpha per mode, with the schedule sampled once for all modes
-        t = np.linspace(0.0, calibrated.gate_time, alpha_intervals + 1)
+        # one read-only grid that owns its data, so every Trajectory keeps it uncopied
+        t = np.linspace(0.0, calibrated.gate_time, alpha_intervals + 1).copy()
+        t.setflags(write=False)
         omega = amplitude(t, calibrated)
         mu = drive_frequency(t, calibrated)
         trajectories = tuple(

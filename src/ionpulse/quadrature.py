@@ -47,6 +47,10 @@ def cumulative_simpson(y, dx):
     out[..., 0] = 0.0
     seg = np.empty_like(out[..., 1:])
     seg[..., 0] = (dx / 12.0) * (5.0 * y[..., 0] + 8.0 * y[..., 1] - y[..., 2])
-    seg[..., 1:] = (dx / 12.0) * (-y[..., :-2] + 8.0 * y[..., 1:-1] + 5.0 * y[..., 2:])
+    interior = seg[..., 1:]  # (-y[j-2] + 8 y[j-1] + 5 y[j]) dx/12, built in place
+    np.multiply(y[..., 1:-1], 8.0, out=interior)
+    interior -= y[..., :-2]
+    interior += 5.0 * y[..., 2:]
+    interior *= dx / 12.0
     np.cumsum(seg, axis=-1, out=out[..., 1:])
     return out

@@ -40,9 +40,13 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("times", "alpha", "phase"):
-            arr = np.array(getattr(self, name))  # copy: freezing must not leak
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            arr = getattr(self, name)
+            # an array that is read-only and owns its data is already frozen, so
+            # trajectories can share one time grid; anything else is copied
+            if not (isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable):
+                arr = np.array(arr)
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @property
     def endpoint(self):
@@ -182,9 +186,12 @@ def mode_angle_integrals(sched, omega_ks, n_intervals=DEFAULT_BETA_INTERVALS):
     omega = amplitude(t, sched)
     mu = drive_frequency(t, sched)
     out = np.empty(len(omega_ks))
+    g = np.empty(len(t), dtype=complex)  # Omega e^{i theta_k}, rewritten for every mode
     for pos, omega_k in enumerate(np.asarray(omega_ks, dtype=float)):
         theta = cumulative_simpson(mu - omega_k, dx)
-        g = omega * np.exp(1j * theta)
+        np.cos(theta, out=g.real)
+        np.sin(theta, out=g.imag)
+        g *= omega
         running = cumulative_simpson(g, dx)
         out[pos] = float(np.imag((g * np.conj(running)) @ w_end))
     return out

@@ -2,17 +2,26 @@ import numpy as np
 import pytest
 
 from ionpulse import (
+    DegeneratePair,
     InsufficientPoints,
+    ModeData,
+    PulseSchedule,
     RobustnessSweep,
+    ShapeA,
+    TrapConfig,
     all_pairs,
+    build_transverse_matrix,
     calibrate_power,
     default_offsets,
     fit_slope,
     motional_error,
     offset_sweep,
     power_map,
+    solve_equilibrium,
+    solve_modes,
     with_frequency_offset,
 )
+from ionpulse.modes import most_uniform_mode
 from ionpulse.analysis import (
     load_power_map_csv,
     load_sweep_csv,
@@ -146,6 +155,42 @@ def test_power_map_matches_calibrate_power(mode_data, optimized_a):
         assert pmap.omega_max[pair[0] - 1, pair[1] - 1] == pytest.approx(
             direct, rel=1e-9
         )
+
+
+@pytest.fixture(scope="module")
+def chain_12():
+    """Modes of a 12-ion chain and a flat FM schedule just below its most uniform mode."""
+    cfg = TrapConfig(n_ions=12)
+    modes = solve_modes(build_transverse_matrix(solve_equilibrium(cfg), cfg), cfg)
+    sched = PulseSchedule(
+        gate_time=500e-6, amp_shape=ShapeA(), amp_scale=2 * np.pi * 100e3,
+        mu_ref=modes.frequencies[most_uniform_mode(modes) - 1] - 2 * np.pi * 3.7e3,
+        fm_points=np.zeros(8),
+    )
+    return modes, sched
+
+
+def test_power_map_matches_calibrate_power_on_every_pair(chain_12):
+    modes, sched = chain_12
+    pmap = power_map(sched, modes)
+    assert not pmap.degenerate_pairs
+    for i, j in all_pairs(12):
+        direct = calibrate_power(sched, modes, i, j)
+        assert pmap.omega_max[i - 1, j - 1] == pytest.approx(direct, rel=1e-12)
+        assert pmap.omega_max[j - 1, i - 1] == pmap.omega_max[i - 1, j - 1]
+
+
+def test_power_map_flags_degenerate_pair(chain_12):
+    modes, sched = chain_12
+    eta = modes.eta.copy()
+    eta[11] = 0.0  # ion 12 no longer couples to any mode
+    uncoupled = ModeData(frequencies=modes.frequencies, vectors=modes.vectors, eta=eta)
+    pmap = power_map(sched, uncoupled, pairs=[(2, 5), (3, 12)])
+    assert pmap.degenerate_pairs == ((3, 12),)
+    assert np.isnan(pmap.omega_max[2, 11]) and np.isnan(pmap.omega_max[11, 2])
+    assert pmap.omega_max[1, 4] == pytest.approx(calibrate_power(sched, uncoupled, 2, 5), rel=1e-12)
+    with pytest.raises(DegeneratePair):
+        calibrate_power(sched, uncoupled, 3, 12)
 
 
 def test_power_map_threads_equivalent(mode_data, optimized_a):

@@ -7,6 +7,7 @@ from ionpulse import (
     NonConvergence,
     TrapConfig,
     chain_energy,
+    chain_forces,
     edge_field,
     edge_field_asymptote,
     solve_equilibrium,
@@ -195,3 +196,54 @@ def test_chain_energy_additivity(cfg):
         + cfg.coulomb_k * cfg.charge**2 / 20e-6
     )
     assert chain_energy(z, cfg) == pytest.approx(expected, rel=1e-12)
+
+
+def seed_descent(cfg, callback):
+    """The descent loop as first written, on the public chain_energy/chain_forces."""
+    n = cfg.n_ions
+    z = (np.arange(n) - (n - 1) / 2.0) * (0.95 * cfg.delta_z)
+    z_cut = cfg.cutoff_s * cfg.half_length
+    energy = chain_energy(z, cfg)
+    forces = chain_forces(z, cfg)
+    step = 1e-9
+    for iteration in range(1_000_000):
+        f_max = float(np.abs(forces).max())
+        if f_max < 1e-20:
+            return np.sort(z), f_max, iteration
+        trial = z + step * (forces / f_max)
+        trial_energy = chain_energy(trial, cfg)
+        if trial_energy <= energy:
+            z, energy = trial, trial_energy
+            if np.abs(z).max() >= z_cut:
+                raise IonEscape(
+                    f"ion reached |z| >= {z_cut:.3e} m after {iteration} iterations; "
+                    "the trap cannot hold this configuration"
+                )
+            forces = chain_forces(z, cfg)
+            step *= 1.1
+            callback(iteration, energy, float(np.abs(forces).max()))
+        else:
+            step *= 0.5
+    raise NonConvergence("seed descent did not converge")
+
+
+@pytest.mark.parametrize("n_ions", [2, 12, 50])
+def test_descent_matches_seed_loop(n_ions):
+    # the solver may be made faster, but it must take the seed loop's every step
+    cfg = TrapConfig(n_ions=n_ions)
+    steps, seed_steps = [], []
+    crystal = solve_equilibrium(cfg, callback=lambda *step: steps.append(step))
+    positions, residual, iterations = seed_descent(cfg, lambda *step: seed_steps.append(step))
+    np.testing.assert_array_equal(crystal.positions, positions)
+    assert crystal.iterations == iterations
+    assert crystal.residual_force == residual
+    assert steps == seed_steps
+
+
+def test_descent_escape_matches_seed_loop():
+    cfg = TrapConfig(n_ions=60, cutoff_s=0.97)
+    with pytest.raises(IonEscape) as seed:
+        seed_descent(cfg, lambda *step: None)
+    with pytest.raises(IonEscape) as solved:
+        solve_equilibrium(cfg)
+    assert str(solved.value) == str(seed.value)

@@ -304,6 +304,9 @@ def test_gate_report(mode_data, optimized_a):
     )
     assert report.motional_error == pytest.approx(recomputed, rel=1e-12)
     calibrated = with_amplitude(optimized_a, report.omega_max)
+    times = report.trajectories[0].times
+    assert not times.flags.writeable
+    assert all(traj.times is times for traj in report.trajectories)
     for k, traj in enumerate(report.trajectories):
         alone = integrate_alpha(
             calibrated, mode_data.eta[DEFAULT_PAIR[0] - 1, k], mode_data.frequencies[k],

@@ -4,6 +4,7 @@ import pytest
 from ionpulse import (
     PulseSchedule,
     ShapeA,
+    Trajectory,
     accumulate_phase,
     entangling_angle,
     entangling_angle_sampled,
@@ -12,8 +13,8 @@ from ionpulse import (
     motional_error,
     time_averaged_displacement,
 )
-from ionpulse.trajectory import mode_displacement_integrals
-from ionpulse.pulse import drive_frequency
+from ionpulse.trajectory import mode_angle_integrals, mode_displacement_integrals
+from ionpulse.pulse import amplitude, drive_frequency
 from ionpulse.quadrature import cumulative_simpson, simpson
 
 TAU = 500e-6
@@ -204,6 +205,17 @@ def test_beta_grid_self_convergence(mode_data):
     assert fine == pytest.approx(coarse, rel=5e-4)
 
 
+def test_mode_angle_integrals_match_sampled_angle(mode_data):
+    # entangling_angle_sampled is the per-mode oracle: with eta_i * eta_j = 1/2 it returns d_k
+    for sched in (schedule(), random_fm_schedule(8)):
+        t = np.linspace(0.0, TAU, 2001)
+        omega, mu = amplitude(t, sched), drive_frequency(t, sched)
+        got = mode_angle_integrals(sched, mode_data.frequencies, n_intervals=2000)
+        for k, omega_k in enumerate(mode_data.frequencies):
+            expected = entangling_angle_sampled(omega, mu - omega_k, t[1] - t[0], 1.0, 0.5)
+            assert got[k] == pytest.approx(expected, rel=1e-12)
+
+
 def test_motional_error_zero_amplitude(mode_data):
     assert motional_error(schedule(amp=0.0), mode_data, 25, 26) == 0.0
 
@@ -299,3 +311,23 @@ def test_trajectory_csv(tmp_path):
     last = rows[-1].split(",")
     assert float(last[0]) == pytest.approx(TAU, rel=1e-12)
     assert float(last[1]) == pytest.approx(traj.endpoint.real, rel=1e-12)
+
+
+def test_trajectory_copies_writable_arrays():
+    times, alpha, phase = np.linspace(0.0, 1.0, 5), np.zeros(5, complex), np.zeros(5)
+    traj = Trajectory(mode=1, times=times, alpha=alpha, phase=phase)
+    times[:] = 7.0
+    alpha[:] = 7.0
+    assert traj.times[-1] == 1.0 and traj.endpoint == 0.0
+    for name in ("times", "alpha", "phase"):
+        assert not getattr(traj, name).flags.writeable
+
+
+def test_trajectory_keeps_frozen_arrays():
+    times = np.arange(5.0)
+    times.setflags(write=False)
+    view = times[:3]  # read-only, but does not own its data
+    first = Trajectory(mode=1, times=times, alpha=np.zeros(5, complex), phase=times)
+    second = Trajectory(mode=2, times=times, alpha=np.zeros(3, complex), phase=view)
+    assert first.times is times and second.times is times
+    assert second.phase is not view and not second.phase.flags.writeable
