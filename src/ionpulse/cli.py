@@ -7,8 +7,9 @@ ordinary frequencies in Hz; the library converts to rad/s internally.
 
 Subcommands: crystal, modes, optimize, report, sweep, powermap. Each command
 expects its upstream artifacts in the output directory and exits with code 3
-when they are missing; pass --recompute to rebuild prerequisites in-process.
-Validation and solver failures exit with code 2.
+when they are missing or were built for another ion count; pass --recompute to
+rebuild prerequisites in-process. Validation and solver failures exit with
+code 2.
 
 The output directory resolves in order: --output-dir flag, IONPULSE_OUTPUT_DIR
 environment variable, [output] dir config key, ./ionpulse_out.
@@ -22,6 +23,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from . import __version__
 from .analysis import (
     all_pairs,
     default_offsets,
-    fit_slope,
     offset_sweep,
     power_map,
     save_power_map_csv,
@@ -83,7 +84,7 @@ class ConfigError(Exception):
 
 
 class MissingPrerequisite(Exception):
-    """An upstream artifact file is absent."""
+    """An upstream artifact file is absent or does not match the config."""
 
 
 @dataclass
@@ -108,14 +109,13 @@ class RunConfig:
     sweep_points: int
     sweep_min: float  # rad/s
     sweep_max: float  # rad/s
-    powermap_pairs: str
+    powermap_pairs: object  # seeded sample size, or None for all pairs
     alpha_intervals: int
     beta_intervals: int
     waveform_samples: int
     trajectory_samples: int
     trajectory_modes: str
     output_dir: str
-    threads: int
     config_text: str = field(default="", repr=False)
 
     def amp_shape(self):
@@ -203,6 +203,17 @@ def load_config(path=None, overrides=None):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
+    def get_count(section, key, word):
+        """An integer >= 1, or None for `word`."""
+        raw = get(section, key, str).strip().lower()
+        try:
+            count = None if raw == word else int(raw)
+        except ValueError:
+            count = 0
+        if count is not None and count < 1:
+            raise ConfigError(f"{key} must be {word!r} or an integer >= 1, got {raw!r}")
+        return count
+
     two_pi = 2 * np.pi
     raman = get("trap", "raman_wavevector_per_m", str).strip()
     try:
@@ -222,37 +233,16 @@ def load_config(path=None, overrides=None):
     shape_kind = get("pulse", "shape", str).strip().upper()
     if shape_kind not in ("A", "B"):
         raise ConfigError(f"pulse shape must be A or B, got {shape_kind!r}")
-    mu_mode_raw = get("pulse", "mu_mode", str).strip().lower()
-    if mu_mode_raw == "uniform":
-        mu_mode = None
-    else:
-        try:
-            mu_mode = int(mu_mode_raw)
-        except ValueError:
-            raise ConfigError(
-                f"mu_mode must be a mode index or 'uniform', got {mu_mode_raw!r}"
-            ) from None
-    levels = tuple(
-        float(v) for v in get("pulse", "shape_b_levels", str).split(",")
-    )
+    mu_mode = get_count("pulse", "mu_mode", "uniform")
+    levels = get("pulse", "shape_b_levels", lambda s: tuple(float(v) for v in s.split(",")))
     targets_raw = get("optimize", "target_modes", str).strip()
     targets = tuple(int(v) for v in targets_raw.split(",")) if targets_raw else ()
-    ppairs = get("analysis", "powermap_pairs", str).strip().lower()
-    if ppairs != "all":
-        try:
-            int(ppairs)
-        except ValueError:
-            raise ConfigError(
-                f"powermap_pairs must be 'all' or a pair count, got {ppairs!r}"
-            ) from None
     traj_modes = get("analysis", "trajectory_modes", str).strip().lower()
     if traj_modes not in ("targets", "all", "none"):
         raise ConfigError(
             f"trajectory_modes must be targets, all or none, got {traj_modes!r}"
         )
-    threads = get("output", "threads", int)
-    if threads <= 0:
-        threads = os.cpu_count() or 1
+    get("output", "threads", int)  # accepted for compatibility and ignored, but must parse
 
     n = trap.n_ions
     ion_i, ion_j = get("optimize", "ion_i", int), get("optimize", "ion_j", int)
@@ -285,20 +275,15 @@ def load_config(path=None, overrides=None):
         sweep_points=get("analysis", "sweep_points", int),
         sweep_min=two_pi * get("analysis", "sweep_min_hz", float),
         sweep_max=two_pi * get("analysis", "sweep_max_hz", float),
-        powermap_pairs=ppairs,
+        powermap_pairs=get_count("analysis", "powermap_pairs", "all"),
         alpha_intervals=get("analysis", "alpha_intervals", int),
         beta_intervals=get("analysis", "beta_intervals", int),
         waveform_samples=get("analysis", "waveform_samples", int),
         trajectory_samples=get("analysis", "trajectory_samples", int),
         trajectory_modes=traj_modes,
         output_dir=get("output", "dir", str),
-        threads=threads,
         config_text=text,
     )
-
-
-def _sha256_text(text):
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _sha256_file(path):
@@ -320,92 +305,68 @@ def _check_writable(out_dir):
         raise ConfigError(f"output directory {out_dir!r} is not writable: {exc}") from exc
 
 
-def _write_manifest(out_dir, command, cfg, inputs, outputs, parameters, timings):
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config_sha256": _sha256_text(cfg.config_text),
-        "inputs": {os.path.basename(p): _sha256_file(p) for p in inputs},
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-        "parameters": parameters,
-        "timings_s": timings,
-    }
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+def _require(out_dir, names, stage, inputs):
+    """Check that the files `stage` writes all exist; record and return their paths."""
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in paths:
+        if not os.path.exists(path):
+            raise MissingPrerequisite(
+                f"missing prerequisite {os.path.basename(path)!r}; run `ionpulse {stage}` "
+                "first or pass --recompute"
+            )
+    inputs.extend(paths)
+    return paths
 
 
-def _artifact(out_dir, name):
-    return os.path.join(out_dir, name)
-
-
-def _require(path, hint):
-    if not os.path.exists(path):
+def _check_ion_count(count, name, stage, cfg):
+    if count != cfg.trap.n_ions:
         raise MissingPrerequisite(
-            f"missing prerequisite {os.path.basename(path)!r}; run `ionpulse {hint}` "
-            "first or pass --recompute"
+            f"stale prerequisite {name!r} holds {count} ions but [trap] n_ions is "
+            f"{cfg.trap.n_ions}; rerun `ionpulse {stage}` or pass --recompute"
         )
-    return path
 
 
-def _load_or_build_crystal(cfg, out_dir, recompute, inputs):
-    csv_path = _artifact(out_dir, "positions.csv")
-    json_path = _artifact(out_dir, "crystal.json")
-    if recompute or not (os.path.exists(csv_path) and os.path.exists(json_path)):
-        if not recompute:
-            _require(csv_path, "crystal")
+def _load_crystal(cfg, out_dir, recompute, inputs):
+    if recompute:
         return solve_equilibrium(cfg.trap)
-    inputs.extend([csv_path, json_path])
-    return load_crystal(csv_path, json_path)
+    crystal = load_crystal(*_require(out_dir, ["positions.csv", "crystal.json"], "crystal", inputs))
+    _check_ion_count(crystal.n_ions, "crystal.json", "crystal", cfg)
+    return crystal
 
 
-def _load_or_build_modes(cfg, out_dir, recompute, inputs):
-    path = _artifact(out_dir, "modes.json")
-    if recompute or not os.path.exists(path):
-        if not recompute:
-            _require(path, "modes")
-        crystal = _load_or_build_crystal(cfg, out_dir, recompute, inputs)
+def _load_modes(cfg, out_dir, recompute, inputs):
+    if recompute:
+        crystal = _load_crystal(cfg, out_dir, recompute, inputs)
         return solve_modes(build_transverse_matrix(crystal, cfg.trap), cfg.trap)
-    inputs.append(path)
-    return load_modes(path)
+    modes = load_modes(*_require(out_dir, ["modes.json"], "modes", inputs))
+    _check_ion_count(modes.n_modes, "modes.json", "modes", cfg)
+    return modes
 
 
-def _schedule_name(cfg):
-    return f"schedule_{cfg.shape_kind}.json"
-
-
-def _base_schedule(cfg, modes):
-    mu_ref = default_mu_ref(modes, mode=cfg.mu_mode, offset=cfg.mu_offset)
-    return PulseSchedule(
-        gate_time=cfg.gate_time,
-        amp_shape=cfg.amp_shape(),
-        amp_scale=cfg.amp_scale,
-        mu_ref=mu_ref,
-        fm_points=np.zeros(cfg.n_oscillations),
-        n_oscillations=cfg.n_oscillations,
-    )
-
-
-def _load_or_build_schedule(cfg, out_dir, recompute, inputs):
-    path = _artifact(out_dir, _schedule_name(cfg))
-    if recompute or not os.path.exists(path):
-        if not recompute:
-            _require(path, "optimize")
-        modes = _load_or_build_modes(cfg, out_dir, recompute, inputs)
+def _load_schedule(cfg, out_dir, recompute, inputs):
+    """Returns (schedule, modes); under --recompute the schedule is optimized and saved."""
+    if recompute:
+        modes = _load_modes(cfg, out_dir, recompute, inputs)
         schedule, _, _, exhausted = _optimize_and_save(cfg, out_dir, _make_problem(cfg, modes))
         if exhausted is not None:
             raise exhausted
         return schedule, modes
-    inputs.append(path)
-    modes = _load_or_build_modes(cfg, out_dir, recompute, inputs)
-    return load_schedule(path), modes
+    name = f"schedule_{cfg.shape_kind}.json"
+    schedule = load_schedule(*_require(out_dir, [name], "optimize", inputs))
+    return schedule, _load_modes(cfg, out_dir, recompute, inputs)
 
 
 def _make_problem(cfg, modes):
+    base = PulseSchedule(
+        gate_time=cfg.gate_time,
+        amp_shape=cfg.amp_shape(),
+        amp_scale=cfg.amp_scale,
+        mu_ref=default_mu_ref(modes, mode=cfg.mu_mode, offset=cfg.mu_offset),
+        fm_points=np.zeros(cfg.n_oscillations),
+        n_oscillations=cfg.n_oscillations,
+    )
     return OptimizationProblem(
-        base_schedule=_base_schedule(cfg, modes),
+        base_schedule=base,
         modes=modes,
         ion_pair=(cfg.ion_i, cfg.ion_j),
         target_modes=cfg.target_modes or None,
@@ -431,32 +392,42 @@ def _optimize_and_save(cfg, out_dir, problem):
     except BudgetExhausted as exc:
         exhausted = exc
         schedule = replace(problem.base_schedule, fm_points=exc.best_fm_points)
-    sched_path = _artifact(out_dir, _schedule_name(cfg))
+    sched_path = os.path.join(out_dir, f"schedule_{cfg.shape_kind}.json")
     save_schedule(schedule, sched_path)
-    trace_path = _artifact(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
+    trace_path = os.path.join(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
     with open(trace_path, "w", newline="") as fh:
         fh.write("eval,cost\n")
         for n, c in trace:
             fh.write(f"{n},{c!r}\n")
-    wave_path = _artifact(out_dir, f"waveform_{cfg.shape_kind}.csv")
+    wave_path = os.path.join(out_dir, f"waveform_{cfg.shape_kind}.csv")
     save_waveform_csv(schedule, wave_path, samples=cfg.waveform_samples)
     return schedule, trace, [sched_path, trace_path, wave_path], exhausted
 
 
-def cmd_crystal(cfg, out_dir, recompute):
+class StageResult(NamedTuple):
+    """What a stage hands back to run_stage."""
+
+    line: str  # the one stdout summary line
+    outputs: list
+    parameters: dict
+    timings: dict
+    deferred: Exception = None  # raised once the manifest is written
+
+
+def cmd_crystal(cfg, out_dir, recompute, inputs):
     t0 = time.perf_counter()
     crystal = solve_equilibrium(cfg.trap)
     t1 = time.perf_counter()
-    csv_path = _artifact(out_dir, "positions.csv")
-    json_path = _artifact(out_dir, "crystal.json")
+    csv_path = os.path.join(out_dir, "positions.csv")
+    json_path = os.path.join(out_dir, "crystal.json")
     save_crystal(crystal, csv_path, json_path)
     spacing = crystal.spacings
     mean_um = spacing.mean() * 1e6
     variation = (spacing.max() - spacing.min()) / spacing.mean() * 100.0
-    print(f"crystal: {crystal.n_ions} ions, mean spacing {mean_um:.3f} um, "
-          f"variation {variation:.2f} %, {crystal.iterations} iterations")
-    _write_manifest(
-        out_dir, "crystal", cfg, [], [csv_path, json_path],
+    return StageResult(
+        f"crystal: {crystal.n_ions} ions, mean spacing {mean_um:.3f} um, "
+        f"variation {variation:.2f} %, {crystal.iterations} iterations",
+        [csv_path, json_path],
         {
             "n_ions": crystal.n_ions,
             "mean_spacing_um": mean_um,
@@ -466,34 +437,29 @@ def cmd_crystal(cfg, out_dir, recompute):
         },
         {"solve": t1 - t0},
     )
-    return 0
 
 
-def cmd_modes(cfg, out_dir, recompute):
-    inputs = []
+def cmd_modes(cfg, out_dir, recompute, inputs):
     t0 = time.perf_counter()
-    crystal = _load_or_build_crystal(cfg, out_dir, recompute, inputs)
+    crystal = _load_crystal(cfg, out_dir, recompute, inputs)
     modes = solve_modes(build_transverse_matrix(crystal, cfg.trap), cfg.trap)
     t1 = time.perf_counter()
-    json_path = _artifact(out_dir, "modes.json")
-    csv_path = _artifact(out_dir, "spectrum.csv")
+    json_path = os.path.join(out_dir, "modes.json")
+    csv_path = os.path.join(out_dir, "spectrum.csv")
     save_modes(modes, json_path)
     save_spectrum_csv(modes, csv_path)
     lo = modes.frequencies[0] / (2 * np.pi)
     hi = modes.frequencies[-1] / (2 * np.pi)
-    print(f"modes: {modes.n_modes} transverse modes, "
-          f"{lo / 1e6:.4f} to {hi / 1e6:.4f} MHz")
-    _write_manifest(
-        out_dir, "modes", cfg, inputs, [json_path, csv_path],
+    return StageResult(
+        f"modes: {modes.n_modes} transverse modes, {lo / 1e6:.4f} to {hi / 1e6:.4f} MHz",
+        [json_path, csv_path],
         {"lowest_hz": lo, "highest_hz": hi},
         {"solve": t1 - t0},
     )
-    return 0
 
 
-def cmd_optimize(cfg, out_dir, recompute):
-    inputs = []
-    modes = _load_or_build_modes(cfg, out_dir, recompute, inputs)
+def cmd_optimize(cfg, out_dir, recompute, inputs):
+    modes = _load_modes(cfg, out_dir, recompute, inputs)
     problem = _make_problem(cfg, modes)
     t0 = time.perf_counter()
     schedule, trace, outputs, exhausted = _optimize_and_save(cfg, out_dir, problem)
@@ -504,13 +470,13 @@ def cmd_optimize(cfg, out_dir, recompute):
         include_trajectories=False,
     )
     t2 = time.perf_counter()
-
     final_cost = min(c for _, c in trace)
-    print(f"optimize[{cfg.shape_kind}]: {len(trace)} evaluations, "
-          f"final cost {final_cost:.3e}, motional error {report.motional_error:.3e}, "
-          f"omega_max {report.omega_max / (2 * np.pi) / 1e3:.1f} kHz")
-    _write_manifest(
-        out_dir, "optimize", cfg, inputs, outputs,
+    omega_max_hz = report.omega_max / (2 * np.pi)
+    return StageResult(
+        f"optimize[{cfg.shape_kind}]: {len(trace)} evaluations, "
+        f"final cost {final_cost:.3e}, motional error {report.motional_error:.3e}, "
+        f"omega_max {omega_max_hz / 1e3:.1f} kHz",
+        outputs,
         {
             "shape": cfg.shape_kind,
             "pair": [cfg.ion_i, cfg.ion_j],
@@ -519,92 +485,79 @@ def cmd_optimize(cfg, out_dir, recompute):
             "final_cost": final_cost,
             "motional_error": report.motional_error,
             "beta_rad": report.beta,
-            "omega_max_hz": report.omega_max / (2 * np.pi),
+            "omega_max_hz": omega_max_hz,
             "seed": cfg.seed,
             "budget_exhausted": exhausted is not None,
         },
         {"optimize": t1 - t0, "report": t2 - t1},
+        exhausted,
     )
-    if exhausted is not None:
-        raise exhausted
-    return 0
 
 
-def cmd_report(cfg, out_dir, recompute):
-    inputs = []
-    schedule, modes = _load_or_build_schedule(cfg, out_dir, recompute, inputs)
+def cmd_report(cfg, out_dir, recompute, inputs):
+    schedule, modes = _load_schedule(cfg, out_dir, recompute, inputs)
     t0 = time.perf_counter()
     report = build_gate_report(
         schedule, modes, cfg.ion_i, cfg.ion_j,
         alpha_intervals=cfg.alpha_intervals, beta_intervals=cfg.beta_intervals,
     )
     t1 = time.perf_counter()
-
     outputs = []
     if cfg.trajectory_modes != "none":
         if cfg.trajectory_modes == "all":
             selected = range(1, modes.n_modes + 1)
         else:
-            problem = _make_problem(cfg, modes)
-            selected = resolve_target_modes(problem)
+            selected = resolve_target_modes(_make_problem(cfg, modes))
         for k in selected:
-            path = _artifact(out_dir, f"trajectory_mode_{k:02d}_{cfg.shape_kind}.csv")
-            save_trajectory_csv(
-                report.trajectories[k - 1], path, samples=cfg.trajectory_samples
-            )
+            path = os.path.join(out_dir, f"trajectory_mode_{k:02d}_{cfg.shape_kind}.csv")
+            save_trajectory_csv(report.trajectories[k - 1], path, samples=cfg.trajectory_samples)
             outputs.append(path)
 
-    report_path = _artifact(out_dir, f"report_{cfg.shape_kind}.json")
+    report_path = os.path.join(out_dir, f"report_{cfg.shape_kind}.json")
+    omega_max_hz = report.omega_max / (2 * np.pi)
     payload = {
         "pair": list(report.pair),
         "beta_rad": report.beta,
         "motional_error": report.motional_error,
-        "omega_max_hz": report.omega_max / (2 * np.pi),
-        "mode_endpoint_sq": [
-            float(np.abs(traj.endpoint) ** 2) for traj in report.trajectories
-        ],
+        "omega_max_hz": omega_max_hz,
+        "mode_endpoint_sq": [float(np.abs(tr.endpoint) ** 2) for tr in report.trajectories],
     }
     with open(report_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs.append(report_path)
-
-    print(f"report[{cfg.shape_kind}]: pair ({cfg.ion_i},{cfg.ion_j}) "
-          f"beta {report.beta:+.6f} rad, motional error {report.motional_error:.3e}, "
-          f"omega_max {report.omega_max / (2 * np.pi) / 1e3:.1f} kHz")
-    _write_manifest(
-        out_dir, "report", cfg, inputs, outputs,
+    return StageResult(
+        f"report[{cfg.shape_kind}]: pair ({cfg.ion_i},{cfg.ion_j}) "
+        f"beta {report.beta:+.6f} rad, motional error {report.motional_error:.3e}, "
+        f"omega_max {omega_max_hz / 1e3:.1f} kHz",
+        outputs,
         {
             "shape": cfg.shape_kind,
             "pair": [cfg.ion_i, cfg.ion_j],
             "motional_error": report.motional_error,
-            "omega_max_hz": report.omega_max / (2 * np.pi),
+            "omega_max_hz": omega_max_hz,
         },
         {"report": t1 - t0},
     )
-    return 0
 
 
-def cmd_sweep(cfg, out_dir, recompute):
-    inputs = []
-    schedule, modes = _load_or_build_schedule(cfg, out_dir, recompute, inputs)
+def cmd_sweep(cfg, out_dir, recompute, inputs):
+    schedule, modes = _load_schedule(cfg, out_dir, recompute, inputs)
     offsets = default_offsets(cfg.sweep_points, cfg.sweep_min, cfg.sweep_max)
     t0 = time.perf_counter()
     sweep = offset_sweep(
-        schedule, modes, (cfg.ion_i, cfg.ion_j), offsets,
-        n_intervals=cfg.alpha_intervals, threads=cfg.threads,
+        schedule, modes, (cfg.ion_i, cfg.ion_j), offsets, n_intervals=cfg.alpha_intervals
     )
     t1 = time.perf_counter()
-    csv_path = _artifact(out_dir, f"sweep_{cfg.shape_kind}.csv")
+    csv_path = os.path.join(out_dir, f"sweep_{cfg.shape_kind}.csv")
     save_sweep_csv(sweep, csv_path)
     if sweep.fitted_slope is not None:
-        print(f"sweep[{cfg.shape_kind}]: baseline {sweep.baseline:.3e}, "
-              f"slope {sweep.fitted_slope:.2f} +/- {sweep.slope_stderr:.2f}")
+        fit = f"slope {sweep.fitted_slope:.2f} +/- {sweep.slope_stderr:.2f}"
     else:
-        print(f"sweep[{cfg.shape_kind}]: baseline {sweep.baseline:.3e}, "
-              "too few points in the fit window for a slope")
-    _write_manifest(
-        out_dir, "sweep", cfg, inputs, [csv_path],
+        fit = "too few points in the fit window for a slope"
+    return StageResult(
+        f"sweep[{cfg.shape_kind}]: baseline {sweep.baseline:.3e}, {fit}",
+        [csv_path],
         {
             "shape": cfg.shape_kind,
             "pair": [cfg.ion_i, cfg.ion_j],
@@ -614,35 +567,26 @@ def cmd_sweep(cfg, out_dir, recompute):
         },
         {"sweep": t1 - t0},
     )
-    return 0
 
 
-def cmd_powermap(cfg, out_dir, recompute, pairs_override=None):
-    inputs = []
-    schedule, modes = _load_or_build_schedule(cfg, out_dir, recompute, inputs)
-    spec = pairs_override if pairs_override is not None else cfg.powermap_pairs
-    if spec == "all":
-        pairs = all_pairs(modes.n_modes)
-    else:
-        count = int(spec)
+def cmd_powermap(cfg, out_dir, recompute, inputs):
+    schedule, modes = _load_schedule(cfg, out_dir, recompute, inputs)
+    pairs = all_pairs(modes.n_modes)
+    if cfg.powermap_pairs is not None:
         rng = np.random.default_rng(cfg.seed)
-        candidates = all_pairs(modes.n_modes)
-        chosen = rng.choice(len(candidates), size=min(count, len(candidates)), replace=False)
-        pairs = [candidates[i] for i in sorted(chosen)]
+        size = min(cfg.powermap_pairs, len(pairs))
+        pairs = [pairs[i] for i in sorted(rng.choice(len(pairs), size=size, replace=False))]
     t0 = time.perf_counter()
-    pmap = power_map(
-        schedule, modes, pairs, n_intervals=cfg.beta_intervals, threads=cfg.threads
-    )
+    pmap = power_map(schedule, modes, pairs, n_intervals=cfg.beta_intervals)
     t1 = time.perf_counter()
-    csv_path = _artifact(out_dir, f"powermap_{cfg.shape_kind}.csv")
+    csv_path = os.path.join(out_dir, f"powermap_{cfg.shape_kind}.csv")
     save_power_map_csv(pmap, csv_path)
     values = np.array([v for _, _, v in pmap.computed_pairs()])
-    print(f"powermap[{cfg.shape_kind}]: {len(values)} pairs, omega_max "
-          f"{values.min() / (2 * np.pi) / 1e3:.1f} to "
-          f"{values.max() / (2 * np.pi) / 1e3:.1f} kHz "
-          f"({len(pmap.degenerate_pairs)} degenerate)")
-    _write_manifest(
-        out_dir, "powermap", cfg, inputs, [csv_path],
+    lo_khz, hi_khz = values.min() / (2 * np.pi) / 1e3, values.max() / (2 * np.pi) / 1e3
+    return StageResult(
+        f"powermap[{cfg.shape_kind}]: {len(values)} pairs, omega_max {lo_khz:.1f} to "
+        f"{hi_khz:.1f} kHz ({len(pmap.degenerate_pairs)} degenerate)",
+        [csv_path],
         {
             "shape": cfg.shape_kind,
             "pairs": len(values),
@@ -653,7 +597,6 @@ def cmd_powermap(cfg, out_dir, recompute, pairs_override=None):
         },
         {"map": t1 - t0},
     )
-    return 0
 
 
 _COMMANDS = {
@@ -664,6 +607,28 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "powermap": cmd_powermap,
 }
+
+
+def run_stage(name, cfg, out_dir, recompute):
+    """Run one stage, print its summary line and write <name>_manifest.json."""
+    inputs = []
+    result = _COMMANDS[name](cfg, out_dir, recompute, inputs)
+    print(result.line)
+    manifest = {
+        "command": name,
+        "version": __version__,
+        "config_sha256": hashlib.sha256(cfg.config_text.encode()).hexdigest(),
+        "inputs": {os.path.basename(p): _sha256_file(p) for p in inputs},
+        "outputs": sorted(os.path.basename(p) for p in result.outputs),
+        "parameters": result.parameters,
+        "timings_s": result.timings,
+    }
+    with open(os.path.join(out_dir, f"{name}_manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    if result.deferred is not None:
+        raise result.deferred
+    return 0
 
 
 def build_parser():
@@ -697,21 +662,15 @@ def main(argv=None):
     overrides = {}
     if args.seed is not None:
         overrides[("optimize", "seed")] = str(args.seed)
-    if args.threads is not None:
-        overrides[("output", "threads")] = str(args.threads)
     if args.shape is not None:
         overrides[("pulse", "shape")] = args.shape
+    if getattr(args, "pairs", None) is not None:
+        overrides[("analysis", "powermap_pairs")] = args.pairs
     try:
         cfg = load_config(args.config, overrides)
-        out_dir = (
-            args.output_dir
-            or os.environ.get(ENV_OUTPUT_DIR)
-            or cfg.output_dir
-        )
+        out_dir = args.output_dir or os.environ.get(ENV_OUTPUT_DIR) or cfg.output_dir
         _check_writable(out_dir)
-        if args.command == "powermap" and args.pairs is not None:
-            return cmd_powermap(cfg, out_dir, args.recompute, pairs_override=args.pairs)
-        return _COMMANDS[args.command](cfg, out_dir, args.recompute)
+        return run_stage(args.command, cfg, out_dir, args.recompute)
     except MissingPrerequisite as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_PREREQ

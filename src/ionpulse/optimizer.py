@@ -287,6 +287,11 @@ def calibrate_power(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERVA
     is uncoupled at this drive frequency.
     """
     beta_ref = entangling_angle(sched, modes, ion_i, ion_j, n_intervals)
+    return _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)
+
+
+def _calibrated_amplitude(sched, beta_ref, ion_i, ion_j):
+    """calibrate_power from the angle beta_ref already evaluated at sched.amp_scale."""
     if abs(beta_ref) < DEGENERATE_BETA:
         raise DegeneratePair(
             f"|beta| = {abs(beta_ref):.2e} rad at the reference amplitude; "
@@ -306,9 +311,10 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
     """
     from .trajectory import GateReport
 
-    omega_max = calibrate_power(sched, modes, ion_i, ion_j, beta_intervals)
+    beta_ref = entangling_angle(sched, modes, ion_i, ion_j, beta_intervals)
+    omega_max = _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)
     calibrated = with_amplitude(sched, omega_max)
-    beta = entangling_angle(calibrated, modes, ion_i, ion_j, beta_intervals)
+    beta = beta_ref * (omega_max / sched.amp_scale) ** 2  # beta grows as amp_scale^2
     error = motional_error(
         calibrated, modes, ion_i, ion_j,
         both_ions=not single_ion, n_intervals=alpha_intervals,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -206,3 +207,123 @@ def test_defaults_without_config(tmp_path):
     assert run(["-o", str(out), "crystal"]) == 0
     rows = (out / "positions.csv").read_text().strip().splitlines()
     assert len(rows) == 51
+
+
+_FLOAT = r"\d+\.\d{3}e[+-]\d\d"
+_STAGE_SCHEMA = {
+    # stage: (summary line, parameters keys, timings_s keys, inputs, outputs)
+    "crystal": (
+        r"crystal: 12 ions, mean spacing \d+\.\d{3} um, variation \d+\.\d{2} %, \d+ iterations",
+        {"n_ions", "mean_spacing_um", "spacing_variation_pct", "residual_force_n", "iterations"},
+        {"solve"},
+        set(),
+        ["crystal.json", "positions.csv"],
+    ),
+    "modes": (
+        r"modes: 12 transverse modes, \d\.\d{4} to \d\.\d{4} MHz",
+        {"lowest_hz", "highest_hz"},
+        {"solve"},
+        {"positions.csv", "crystal.json"},
+        ["modes.json", "spectrum.csv"],
+    ),
+    "optimize": (
+        rf"optimize\[A\]: \d+ evaluations, final cost {_FLOAT}, "
+        rf"motional error {_FLOAT}, omega_max \d+\.\d kHz",
+        {"shape", "pair", "target_modes", "evaluations", "final_cost", "motional_error",
+         "beta_rad", "omega_max_hz", "seed", "budget_exhausted"},
+        {"optimize", "report"},
+        {"modes.json"},
+        ["optimize_trace_A.csv", "schedule_A.json", "waveform_A.csv"],
+    ),
+    "report": (
+        rf"report\[A\]: pair \(5,6\) beta [+-]\d\.\d{{6}} rad, "
+        rf"motional error {_FLOAT}, omega_max \d+\.\d kHz",
+        {"shape", "pair", "motional_error", "omega_max_hz"},
+        {"report"},
+        {"schedule_A.json", "modes.json"},
+        None,  # the trajectory files depend on the resolved target modes
+    ),
+    "sweep": (
+        rf"sweep\[A\]: baseline {_FLOAT}, "
+        r"(slope -?\d+\.\d\d \+/- \d+\.\d\d|too few points in the fit window for a slope)",
+        {"shape", "pair", "baseline_error", "fitted_slope", "slope_stderr"},
+        {"sweep"},
+        {"schedule_A.json", "modes.json"},
+        ["sweep_A.csv"],
+    ),
+    "powermap": (
+        r"powermap\[A\]: 66 pairs, omega_max \d+\.\d to \d+\.\d kHz \(\d+ degenerate\)",
+        {"shape", "pairs", "degenerate_pairs", "omega_max_min_hz", "omega_max_max_hz",
+         "omega_max_mean_hz"},
+        {"map"},
+        {"schedule_A.json", "modes.json"},
+        ["powermap_A.csv"],
+    ),
+}
+
+
+def test_stage_summaries_and_manifest_schema(small_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    for stage, (line, parameters, timings, inputs, outputs) in _STAGE_SCHEMA.items():
+        assert run(["-c", small_config, "-o", str(out), stage]) == 0
+        printed = capsys.readouterr().out
+        assert re.fullmatch(line + "\n", printed), printed
+        manifest = json.loads((out / f"{stage}_manifest.json").read_text())
+        assert set(manifest) == {
+            "command", "version", "config_sha256", "inputs", "outputs",
+            "parameters", "timings_s",
+        }
+        assert manifest["command"] == stage
+        assert set(manifest["parameters"]) == parameters
+        assert set(manifest["timings_s"]) == timings
+        assert all(t >= 0 for t in manifest["timings_s"].values())
+        assert set(manifest["inputs"]) == inputs
+        if outputs is not None:
+            assert manifest["outputs"] == outputs
+    report_outputs = json.loads((out / "report_manifest.json").read_text())["outputs"]
+    assert "report_A.json" in report_outputs
+    assert all(
+        name == "report_A.json" or re.fullmatch(r"trajectory_mode_\d\d_A\.csv", name)
+        for name in report_outputs
+    )
+
+
+def test_missing_crystal_json_exit_code(small_config, tmp_path, capsys):
+    # positions.csv alone is not a crystal: modes must not re-solve it silently
+    out = tmp_path / "out"
+    assert run(["-c", small_config, "-o", str(out), "crystal"]) == 0
+    (out / "crystal.json").unlink()
+    capsys.readouterr()
+    assert run(["-c", small_config, "-o", str(out), "modes"]) == 3
+    assert "'crystal.json'" in capsys.readouterr().err
+    assert not (out / "modes.json").exists()
+
+
+@pytest.mark.parametrize("stage, upstream, stale", [
+    ("modes", ["crystal"], "crystal.json"),
+    ("optimize", ["crystal", "modes"], "modes.json"),
+])
+def test_stale_upstream_ion_count(small_config, tmp_path, capsys, stage, upstream, stale):
+    out = tmp_path / "out"
+    for name in upstream:
+        assert run(["-c", small_config, "-o", str(out), name]) == 0
+    fewer = tmp_path / "ten.ini"
+    fewer.write_text(SMALL_CONFIG.replace("n_ions = 12", "n_ions = 10"))
+    capsys.readouterr()
+    assert run(["-c", str(fewer), "-o", str(out), stage]) == 3
+    err = capsys.readouterr().err
+    assert repr(stale) in err and "--recompute" in err
+    assert not (out / f"{stage}_manifest.json").exists()
+    if stage == "modes":
+        assert run(["-c", str(fewer), "-o", str(out), stage, "--recompute"]) == 0
+        assert len(json.loads((out / "modes.json").read_text())["frequencies_hz"]) == 10
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+def test_bad_powermap_pairs(small_config, tmp_path, capsys, value):
+    out = tmp_path / "out"
+    assert run(
+        ["-c", small_config, "-o", str(out), "powermap", "--recompute", "--pairs", value]
+    ) == 2
+    assert "powermap_pairs" in capsys.readouterr().err
+    assert not out.exists()  # refused before any stage work

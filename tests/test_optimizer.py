@@ -331,3 +331,24 @@ def test_problem_validation(mode_data, base_schedule_a):
             base_schedule=base_schedule_a, modes=mode_data,
             ion_pair=DEFAULT_PAIR, target_modes=(0,),
         )
+
+
+def test_gate_report_evaluates_the_angle_once(mode_data, base_schedule_a, monkeypatch):
+    import ionpulse.optimizer as opt
+
+    calls = []
+    real = opt.entangling_angle
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].amp_scale)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(opt, "entangling_angle", counted)
+    report = build_gate_report(
+        base_schedule_a, mode_data, *DEFAULT_PAIR, include_trajectories=False
+    )
+    assert calls == [base_schedule_a.amp_scale]
+    # the scaled angle is the angle evaluated at the calibrated amplitude, up to rounding
+    direct = real(with_amplitude(base_schedule_a, report.omega_max), mode_data, *DEFAULT_PAIR)
+    assert report.beta == pytest.approx(direct, rel=1e-12)
+    assert report.omega_max == calibrate_power(base_schedule_a, mode_data, *DEFAULT_PAIR)
