@@ -67,7 +67,6 @@ from .pulse import (
     drive_frequency,
     fm_offset,
     fourier_decompose,
-    fourier_reconstruct,
     turning_points,
     turning_times,
     with_amplitude,
@@ -76,7 +75,6 @@ from .pulse import (
 from .trajectory import (
     GateReport,
     Trajectory,
-    accumulate_phase,
     entangling_angle,
     entangling_angle_sampled,
     integrate_alpha,

@@ -18,9 +18,8 @@ from .optimizer import DEGENERATE_BETA
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
     DEFAULT_BETA_INTERVALS,
-    endpoint_errors,
     mode_angle_integrals,
-    mode_displacement_integrals,
+    mode_errors,
 )
 
 ERROR_FLOOR = 1e-12  # extra error below this is quadrature noise
@@ -117,8 +116,8 @@ def offset_sweep(sched, modes, pair, offsets=None, *, both_ions=True,
     """Evaluate the gate error across constant drive-frequency offsets.
 
     The baseline error is taken at zero offset; each sweep point shifts the
-    whole pattern mu(t) by the offset. All points and the baseline come from
-    one mode_displacement_integrals call, so each equals motional_error with
+    whole pattern mu(t) by the offset. All points and the baseline are
+    column sums of one mode_errors call, so each equals motional_error with
     that frequency_offset exactly. threads is accepted for interface
     compatibility and does not affect the sweep.
     """
@@ -126,8 +125,11 @@ def offset_sweep(sched, modes, pair, offsets=None, *, both_ions=True,
     if offsets is None:
         offsets = default_offsets()
     offsets = np.asarray(offsets, dtype=float)
-    endpoints = mode_displacement_integrals(sched, modes.frequencies, n_intervals, [0.0, *offsets])
-    errors = endpoint_errors(endpoints, modes, ion_i, ion_j, both_ions)
+    terms = mode_errors(
+        sched, modes, ion_i, ion_j, both_ions=both_ions,
+        n_intervals=n_intervals, offsets=[0.0, *offsets],
+    )
+    errors = np.array([col.sum() for col in terms.T])
     baseline, errors = float(errors[0]), errors[1:]
 
     sweep = RobustnessSweep(offsets=offsets, errors=errors, baseline=baseline)
@@ -202,22 +204,6 @@ def save_sweep_csv(sweep, csv_path):
             ])
 
 
-def load_sweep_csv(csv_path, baseline):
-    """Rebuild a RobustnessSweep from save_sweep_csv output plus the baseline."""
-    offsets, errors = [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["offset_hz", "error"]:
-            raise ValueError(f"unexpected sweep CSV header: {header}")
-        for row in reader:
-            offsets.append(2 * np.pi * float(row[0]))
-            errors.append(float(row[1]))
-    return RobustnessSweep(
-        offsets=np.array(offsets), errors=np.array(errors), baseline=float(baseline)
-    )
-
-
 def save_power_map_csv(pmap, csv_path):
     """Power map CSV (ion_i, ion_j, omega_max_hz), upper triangle, finite entries."""
     with open(csv_path, "w", newline="") as fh:
@@ -225,18 +211,3 @@ def save_power_map_csv(pmap, csv_path):
         writer.writerow(["ion_i", "ion_j", "omega_max_hz"])
         for i, j, value in pmap.computed_pairs():
             writer.writerow([i, j, repr(float(value / (2 * np.pi)))])
-
-
-def load_power_map_csv(csv_path, n_ions):
-    """Rebuild a PowerMap matrix from save_power_map_csv output."""
-    matrix = np.full((n_ions, n_ions), np.nan)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["ion_i", "ion_j", "omega_max_hz"]:
-            raise ValueError(f"unexpected power map CSV header: {header}")
-        for row in reader:
-            i, j = int(row[0]), int(row[1])
-            value = 2 * np.pi * float(row[2])
-            matrix[i - 1, j - 1] = matrix[j - 1, i - 1] = value
-    return PowerMap(omega_max=matrix)

@@ -59,6 +59,7 @@ from .optimizer import (
     DegeneratePair,
     OptimizationProblem,
     build_gate_report,
+    calibrate_power,
     default_mu_ref,
     optimize,
     resolve_target_modes,
@@ -70,6 +71,7 @@ from .pulse import (
     load_schedule,
     save_schedule,
     save_waveform_csv,
+    with_amplitude,
 )
 from .trajectory import save_trajectory_csv
 
@@ -235,8 +237,10 @@ def load_config(path=None, overrides=None):
         raise ConfigError(f"pulse shape must be A or B, got {shape_kind!r}")
     mu_mode = get_count("pulse", "mu_mode", "uniform")
     levels = get("pulse", "shape_b_levels", lambda s: tuple(float(v) for v in s.split(",")))
-    targets_raw = get("optimize", "target_modes", str).strip()
-    targets = tuple(int(v) for v in targets_raw.split(",")) if targets_raw else ()
+    targets = get(
+        "optimize", "target_modes",
+        lambda s: tuple(int(v) for v in s.split(",")) if s.strip() else (),
+    )
     traj_modes = get("analysis", "trajectory_modes", str).strip().lower()
     if traj_modes not in ("targets", "all", "none"):
         raise ConfigError(
@@ -520,7 +524,7 @@ def cmd_report(cfg, out_dir, recompute, inputs):
         "beta_rad": report.beta,
         "motional_error": report.motional_error,
         "omega_max_hz": omega_max_hz,
-        "mode_endpoint_sq": [float(np.abs(tr.endpoint) ** 2) for tr in report.trajectories],
+        "mode_endpoint_sq": list(report.mode_errors),
     }
     with open(report_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -545,8 +549,11 @@ def cmd_sweep(cfg, out_dir, recompute, inputs):
     schedule, modes = _load_schedule(cfg, out_dir, recompute, inputs)
     offsets = default_offsets(cfg.sweep_points, cfg.sweep_min, cfg.sweep_max)
     t0 = time.perf_counter()
+    # sweep at the power `report` calibrates, so the baseline is the reported gate error
+    omega_max = calibrate_power(schedule, modes, cfg.ion_i, cfg.ion_j, cfg.beta_intervals)
     sweep = offset_sweep(
-        schedule, modes, (cfg.ion_i, cfg.ion_j), offsets, n_intervals=cfg.alpha_intervals
+        with_amplitude(schedule, omega_max), modes, (cfg.ion_i, cfg.ion_j), offsets,
+        n_intervals=cfg.alpha_intervals,
     )
     t1 = time.perf_counter()
     csv_path = os.path.join(out_dir, f"sweep_{cfg.shape_kind}.csv")

@@ -4,10 +4,11 @@ The optimizer adjusts the free turning points of the FM pattern to minimize
 the summed squared time-averaged displacements of the modes nearest the
 drive frequency, which closes their trajectories and removes the first-order
 sensitivity to constant frequency offsets. The drive phase is linear in the
-turning points (see phase_basis), so the target-mode displacements and their
-exact Jacobian cost one matrix product each, and Levenberg-Marquardt on the
-stacked real and imaginary displacements converges in tens to hundreds of
-evaluations per start. Runs are deterministic for a fixed seed.
+turning points (see trajectory.displacement_rows), so the target-mode
+displacements and their exact Jacobian cost one matrix product, and
+Levenberg-Marquardt on the stacked real and imaginary displacements converges
+in tens to hundreds of evaluations per start. Runs are deterministic for a
+fixed seed.
 
 Power calibration exploits that the entangling angle is exactly quadratic in
 the peak Rabi frequency: the amplitude that yields |beta| = pi/4 follows from
@@ -18,14 +19,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulse import PulseSchedule, amplitude, drive_frequency, fm_offset, with_amplitude
-from .quadrature import cumulative_simpson, simpson_weights
+from .pulse import PulseSchedule, amplitude, drive_frequency, with_amplitude
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
     DEFAULT_BETA_INTERVALS,
+    GateReport,
+    displacement_rows,
     entangling_angle,
     integrate_sampled,
-    motional_error,
+    mode_errors,
+    motional_error,  # not called here; re-exported for callers that look it up on this module
 )
 
 REFERENCE_RABI = 2 * np.pi * 100e3  # rad/s, fixed amplitude used inside the cost
@@ -111,59 +114,33 @@ def resolve_target_modes(problem):
     return nearest_modes(problem.modes, problem.base_schedule.mu_ref, count)
 
 
-def phase_basis(sched, t):
-    """Linear FM phase basis B (n_oscillations x samples) on the uniform grid t.
-
-    Each raised-cosine arc blends two turning points linearly, so fm_offset is
-    linear in fm_points and the drive phase cumulative_simpson(mu(t)) equals
-    cumulative_simpson(mu_ref) + fm_points @ B. Row m is the running integral
-    of the pattern whose m-th free turning point is 1 rad/s and the rest 0.
-    """
-    dx = t[1] - t[0]
-    return np.stack([
-        cumulative_simpson(fm_offset(t, replace(sched, fm_points=unit)), dx)
-        for unit in np.eye(sched.n_oscillations)
-    ])
-
-
 class _Objective:
     """Target-mode residuals and their exact Jacobian on the FM phase basis.
 
-    Everything independent of the turning points x (averaging weights,
-    envelope, exp(-i omega_k t), reference phase and sqrt(eta_i^2 + eta_j^2))
-    folds into one matrix M (targets x samples). The weighted time-averaged
-    displacements are then A = (M e^{i x@B}).sum(1), the cost is sum |A_k|^2,
-    and dA/dx = i (M e^{i x@B}) @ B^T.
+    The displacement kernel's time-average rows, scaled by each mode's
+    sqrt(eta_i^2 + eta_j^2), give the weighted time-averaged displacements
+    A = rows @ p with p = e^{i (mu_ref t + x @ B)}; the cost is sum |A_k|^2
+    and dA/dx = rows @ (i p B^T), so both come from one product.
     """
 
     def __init__(self, problem):
         sched = with_amplitude(problem.base_schedule, problem.reference_amplitude)
-        tau = sched.gate_time
-        n = problem.n_intervals
-        t = np.linspace(0.0, tau, n + 1)
-        dx = t[1] - t[0]
-        w_avg = simpson_weights(n + 1, dx) * (1.0 - t / tau)
-        ref_phase = cumulative_simpson(np.full(t.shape, sched.mu_ref), dx)
-        idx = np.array([k - 1 for k in resolve_target_modes(problem)])
-        omegas = problem.modes.frequencies[idx]
+        idx = np.array(resolve_target_modes(problem)) - 1
+        t, self.rows, self.basis = displacement_rows(
+            sched, problem.modes.frequencies[idx], problem.n_intervals, time_average=True
+        )
         i, j = problem.ion_pair
         eta = problem.modes.eta
-        scale = np.sqrt(eta[i - 1, idx] ** 2 + eta[j - 1, idx] ** 2)
-        self.weighted = (
-            scale[:, None]
-            * np.exp(1j * (ref_phase[None, :] - np.outer(omegas, t)))
-            * (w_avg * amplitude(t, sched))[None, :]
-        )
-        self.basis = phase_basis(sched, t)
+        self.rows *= np.sqrt(eta[i - 1, idx] ** 2 + eta[j - 1, idx] ** 2)[:, None]
+        self.ref_phase = sched.mu_ref * t
 
     def __call__(self, fm_points):
         """Stacked real and imaginary residuals and their Jacobian at fm_points."""
-        terms = self.weighted * np.exp(1j * (fm_points @ self.basis))[None, :]
-        averages = terms.sum(axis=1)
-        jac = 1j * (terms @ self.basis.T)
+        p = np.exp(1j * (self.ref_phase + fm_points @ self.basis))
+        both = self.rows @ np.vstack([p, 1j * p * self.basis]).T
         return (
-            np.concatenate([averages.real, averages.imag]),
-            np.concatenate([jac.real, jac.imag]),
+            np.concatenate([both[:, 0].real, both[:, 0].imag]),
+            np.concatenate([both[:, 1:].real, both[:, 1:].imag]),
         )
 
 
@@ -306,19 +283,16 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
                       include_trajectories=True):
     """Calibrate the pair and assemble the full GateReport.
 
-    The error and the stored per-mode trajectories are evaluated at the
-    calibrated amplitude; trajectories carry the first ion's coupling.
+    The error, its per-mode terms (the mode_errors that motional_error sums)
+    and the stored per-mode trajectories are evaluated at the calibrated
+    amplitude; trajectories carry the first ion's coupling.
     """
-    from .trajectory import GateReport
-
     beta_ref = entangling_angle(sched, modes, ion_i, ion_j, beta_intervals)
     omega_max = _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)
     calibrated = with_amplitude(sched, omega_max)
     beta = beta_ref * (omega_max / sched.amp_scale) ** 2  # beta grows as amp_scale^2
-    error = motional_error(
-        calibrated, modes, ion_i, ion_j,
-        both_ions=not single_ion, n_intervals=alpha_intervals,
-    )
+    per_mode = mode_errors(calibrated, modes, ion_i, ion_j, both_ions=not single_ion,
+                           n_intervals=alpha_intervals)[:, 0]
     trajectories = ()
     if include_trajectories:
         # integrate_alpha per mode, with the schedule sampled once for all modes
@@ -337,7 +311,8 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
     return GateReport(
         pair=(ion_i, ion_j),
         beta=float(beta),
-        motional_error=float(error),
+        motional_error=float(per_mode.sum()),
         omega_max=float(omega_max),
         trajectories=trajectories,
+        mode_errors=tuple(per_mode.tolist()),
     )

@@ -219,13 +219,6 @@ def fourier_decompose(sched, n_max=32, n_intervals=8192):
     return FourierDecomposition(mean=float(mean), coefficients=coefficients, harmonics=harmonics)
 
 
-def fourier_reconstruct(decomposition, t):
-    """Evaluate the truncated cosine series at times t."""
-    t = np.asarray(t, dtype=float)
-    series = decomposition.coefficients @ np.cos(np.outer(decomposition.harmonics, t))
-    return decomposition.mean + series
-
-
 def alpha_fourier_approx(sched, eta_ik, omega_k, n_max=32, n_intervals=20_000):
     """Endpoint of the mode displacement via the sideband expansion of the FM drive.
 

@@ -11,18 +11,21 @@ displacements and a downsampled 2,000-interval grid for the double integral
 (quadratic in grid size when evaluated naively; here the inner integral is
 accumulated once so the cost stays linear without changing the quadrature).
 
-One kernel, mode_displacement_integrals, gives every mode's gate-end
-displacement: e^{i theta_k} = e^{i Theta_mu} e^{-i omega_k t}, and a constant
-drive offset only changes Theta_mu, so the ramps e^{-i omega_k t} are built
-once and each offset costs one matrix-vector product.
+One kernel, displacement_rows, serves every displacement integral over the
+gate: e^{i theta_k} = e^{i Theta_mu} e^{-i omega_k t}, and the drive phase
+Theta_mu = (mu_ref + offset) t + fm_points @ B is linear in the FM turning
+points on the phase basis B. The rows w(t) Omega(t) e^{-i omega_k t} are built
+once, with gate-end or time-average weights w, and each drive phase then costs
+one product: a constant offset for the error and the sweep, a trial point and
+its Jacobian for the optimizer.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulse import amplitude, drive_frequency, with_frequency_offset
+from .pulse import amplitude, drive_frequency, fm_offset
 from .quadrature import cumulative_simpson, simpson, simpson_weights
 
 DEFAULT_ALPHA_INTERVALS = 20_000
@@ -60,9 +63,9 @@ class GateReport:
 
     beta is the signed entangling angle at the calibrated amplitude
     (|beta| = pi/4); motional_error sums |alpha_k(tau)|^2 over every mode for
-    both addressed ions' couplings, also at the calibrated amplitude.
-    trajectories holds one record per mode, weighted with the first ion's
-    Lamb-Dicke factor.
+    both addressed ions' couplings, also at the calibrated amplitude, and
+    mode_errors holds its per-mode terms (they sum to it). trajectories holds
+    one record per mode, weighted with the first ion's Lamb-Dicke factor.
     """
 
     pair: tuple
@@ -70,38 +73,12 @@ class GateReport:
     motional_error: float
     omega_max: float  # rad/s
     trajectories: tuple
+    mode_errors: tuple
 
 
 def _uniform_grid(tau, n_intervals):
     t = np.linspace(0.0, tau, n_intervals + 1)
     return t, t[1] - t[0]
-
-
-def accumulate_phase(sched, omega_k, t, n_intervals=DEFAULT_ALPHA_INTERVALS):
-    """Accumulated detuning phase theta_k(t) in rad, by cumulative Simpson.
-
-    The detuning mu(t') - omega_k is integrated on the fixed uniform grid
-    over [0, tau]; query times that fall between grid nodes get a local
-    two-panel Simpson correction from the nearest node below.
-    """
-    tau = sched.gate_time
-    grid, dx = _uniform_grid(tau, n_intervals)
-    delta = drive_frequency(grid, sched) - omega_k
-    theta = cumulative_simpson(delta, dx)
-
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0) or np.any(t_arr > tau):
-        raise ValueError(f"time outside [0, {tau}]")
-    idx = np.minimum((t_arr / dx).astype(int), n_intervals)
-    out = theta[idx]
-    half = (t_arr - grid[idx]) / 2.0
-    off = half > 0.0
-    # one drive_frequency call on the (node, midpoint, query) triples of all off-grid queries
-    node = grid[idx[off]]
-    sub = np.stack([node, node + half[off], t_arr[off]], axis=-1)
-    d_sub = drive_frequency(sub.ravel(), sched).reshape(sub.shape) - omega_k
-    out[off] += simpson(d_sub, half[off])
-    return out if np.ndim(t) else float(out[0])
 
 
 def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, mode=None):
@@ -134,32 +111,72 @@ def time_averaged_displacement(traj):
     return complex(simpson(traj.alpha, dx) / tau)
 
 
+def phase_basis(sched, t):
+    """Linear FM phase basis B (n_oscillations x samples) on the uniform grid t.
+
+    Each raised-cosine arc blends two turning points linearly, so fm_offset is
+    linear in fm_points and the drive phase is mu_ref t + fm_points @ B. Row m
+    is the running integral (cumulative Simpson) of the pattern whose m-th
+    free turning point is 1 rad/s and the rest 0.
+    """
+    dx = t[1] - t[0]
+    return np.stack([
+        cumulative_simpson(fm_offset(t, replace(sched, fm_points=unit)), dx)
+        for unit in np.eye(sched.n_oscillations)
+    ])
+
+
+def displacement_rows(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, *, time_average=False):
+    """Rows w(t) Omega(t) e^{-i omega_k t} (modes x samples): the one displacement kernel.
+
+    With the drive phase Theta = (mu_ref + offset) t + fm_points @ B, rows @
+    e^{i Theta} gives each mode's gate-end displacement int_0^tau Omega
+    e^{i theta_k} (w: Simpson weights), or with time_average its mean
+    (1/tau) int_0^tau alpha_k dt, the same integral with weights scaled by
+    (1 - t/tau). Returns (t, rows, B); eta factors are NOT included.
+    """
+    t, dx = _uniform_grid(sched.gate_time, n_intervals)
+    weights = simpson_weights(len(t), dx)
+    if time_average:
+        weights *= 1.0 - t / sched.gate_time
+    rows = np.zeros((len(omega_ks), len(t)), dtype=complex)
+    np.multiply.outer(-np.asarray(omega_ks, dtype=float), t, out=rows.imag)  # no real temporary
+    np.exp(rows, out=rows)
+    rows *= weights * amplitude(t, sched)
+    return t, rows, phase_basis(sched, t)
+
+
 def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, offsets=(0.0,)):
     """Gate-end displacements I_k(tau) = int_0^tau Omega e^{i theta_k} of many modes.
 
     Returns a complex array (len(omega_ks) x len(offsets)): column c drives
     with mu(t) shifted by the constant offsets[c] (rad/s). eta factors are
     NOT included; multiply per ion as needed. A column does not depend on the
-    other offsets, so it is bitwise what a single-offset call returns.
+    other offsets, so it is bitwise what a single-offset call returns; and
+    mu_ref + offset is formed before it multiplies t, so a schedule whose
+    mu_ref is shifted by the offset gives the same column at zero offset.
     """
-    t, dx = _uniform_grid(sched.gate_time, n_intervals)
-    weighted_amplitude = simpson_weights(len(t), dx) * amplitude(t, sched)
-    ramps = -1j * np.outer(np.asarray(omega_ks, dtype=float), t)
-    np.exp(ramps, out=ramps)
-    endpoints = np.empty((len(ramps), len(offsets)), dtype=complex)
+    t, rows, basis = displacement_rows(sched, omega_ks, n_intervals)
+    fm_phase = sched.fm_points @ basis
+    endpoints = np.empty((len(rows), len(offsets)), dtype=complex)
     for col, offset in enumerate(offsets):
-        mu = drive_frequency(t, with_frequency_offset(sched, offset))
-        mu_phase = cumulative_simpson(mu, dx)
-        endpoints[:, col] = ramps @ (weighted_amplitude * np.exp(1j * mu_phase))
+        endpoints[:, col] = rows @ np.exp(1j * ((sched.mu_ref + offset) * t + fm_phase))
     return endpoints
 
 
-def endpoint_errors(endpoints, modes, ion_i, ion_j, both_ions=True):
-    """Motional error sum_k eta_k^2 |I_k|^2 of each column of mode_displacement_integrals."""
+def mode_errors(sched, modes, ion_i, ion_j, *, both_ions=True,
+                n_intervals=DEFAULT_ALPHA_INTERVALS, offsets=(0.0,)):
+    """Per-mode motional errors eta_k^2 |I_k(tau)|^2 (modes x offsets).
+
+    Column c holds the terms that motional_error sums at frequency_offset
+    offsets[c]. eta_k^2 adds both addressed ions' couplings, or takes the
+    first ion's alone when both_ions is False.
+    """
+    endpoints = mode_displacement_integrals(sched, modes.frequencies, n_intervals, offsets)
     weights = modes.eta[ion_i - 1] ** 2
     if both_ions:
         weights = weights + modes.eta[ion_j - 1] ** 2
-    return np.array([np.sum(weights * np.abs(col) ** 2) for col in endpoints.T])
+    return weights[:, None] * np.abs(endpoints) ** 2
 
 
 def motional_error(sched, modes, ion_i, ion_j, *, both_ions=True,
@@ -171,8 +188,9 @@ def motional_error(sched, modes, ion_i, ion_j, *, both_ions=True,
     both_ions=False for the single-ion variant. frequency_offset shifts the
     whole drive pattern mu(t) by a constant (rad/s).
     """
-    endpoints = mode_displacement_integrals(sched, modes.frequencies, n_intervals, (frequency_offset,))
-    return float(endpoint_errors(endpoints, modes, ion_i, ion_j, both_ions)[0])
+    terms = mode_errors(sched, modes, ion_i, ion_j, both_ions=both_ions,
+                        n_intervals=n_intervals, offsets=(frequency_offset,))
+    return float(terms[:, 0].sum())
 
 
 def mode_angle_integrals(sched, omega_ks, n_intervals=DEFAULT_BETA_INTERVALS):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -22,12 +24,7 @@ from ionpulse import (
     with_frequency_offset,
 )
 from ionpulse.modes import most_uniform_mode
-from ionpulse.analysis import (
-    load_power_map_csv,
-    load_sweep_csv,
-    save_power_map_csv,
-    save_sweep_csv,
-)
+from ionpulse.analysis import save_power_map_csv, save_sweep_csv
 
 from conftest import DEFAULT_PAIR
 
@@ -228,16 +225,23 @@ def test_sweep_csv_roundtrip(tmp_path, mode_data, optimized_a):
     )
     path = tmp_path / "sweep.csv"
     save_sweep_csv(sweep, path)
-    loaded = load_sweep_csv(path, sweep.baseline)
-    np.testing.assert_allclose(loaded.offsets, sweep.offsets, rtol=1e-15)
-    np.testing.assert_array_equal(loaded.errors, sweep.errors)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["offset_hz", "error", "extra_error"]
+    values = np.array(rows, dtype=float)
+    np.testing.assert_allclose(2 * np.pi * values[:, 0], sweep.offsets, rtol=1e-15)
+    np.testing.assert_array_equal(values[:, 1], sweep.errors)
+    np.testing.assert_array_equal(values[:, 2], sweep.errors - sweep.baseline)
 
 
 def test_power_map_csv_roundtrip(tmp_path, mode_data, optimized_a):
     pmap = power_map(optimized_a, mode_data, pairs=[(1, 50), (25, 26)])
     path = tmp_path / "map.csv"
     save_power_map_csv(pmap, path)
-    loaded = load_power_map_csv(path, 50)
-    np.testing.assert_allclose(
-        loaded.omega_max, pmap.omega_max, rtol=1e-15, equal_nan=True
-    )
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["ion_i", "ion_j", "omega_max_hz"]
+    loaded = np.full((50, 50), np.nan)
+    for i, j, value in rows:
+        loaded[int(i) - 1, int(j) - 1] = loaded[int(j) - 1, int(i) - 1] = 2 * np.pi * float(value)
+    np.testing.assert_allclose(loaded, pmap.omega_max, rtol=1e-15, equal_nan=True)

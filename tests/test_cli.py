@@ -173,6 +173,29 @@ def test_bad_mode_index(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_bad_target_modes(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[optimize]\ntarget_modes = a\n")
+    assert run(["-c", str(path), "-o", str(tmp_path / "out"), "crystal"]) == 2
+    assert "[optimize] target_modes" in capsys.readouterr().err
+
+
+def test_report_endpoints_sum_and_sweep_baseline_match_error(small_config, tmp_path):
+    # report's per-mode terms are the ones motional_error sums, and the sweep
+    # runs at the calibrated power, so its baseline is the reported error
+    out = tmp_path / "out"
+    for stage in ("crystal", "modes", "optimize", "report", "sweep"):
+        assert run(["-c", small_config, "-o", str(out), stage]) == 0
+    report = json.loads((out / "report_A.json").read_text())
+    assert len(report["mode_endpoint_sq"]) == 12
+    assert sum(report["mode_endpoint_sq"]) == pytest.approx(report["motional_error"], rel=1e-12)
+    baseline = json.loads((out / "sweep_manifest.json").read_text())["parameters"]["baseline_error"]
+    assert baseline == report["motional_error"]
+    sweep_rows = (out / "sweep_A.csv").read_text().strip().splitlines()[1:]
+    first_error, first_extra = (float(v) for v in sweep_rows[0].split(",")[1:])
+    assert first_error - first_extra == pytest.approx(baseline, rel=1e-12)
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert run(["-c", str(tmp_path / "nope.ini"), "crystal"]) == 2
     assert "not found" in capsys.readouterr().err

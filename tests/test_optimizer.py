@@ -29,7 +29,8 @@ from ionpulse import (
     with_amplitude,
 )
 from ionpulse.modes import most_uniform_mode
-from ionpulse.optimizer import REFERENCE_RABI, _Objective, phase_basis, resolve_target_modes
+from ionpulse.optimizer import REFERENCE_RABI, _Objective, resolve_target_modes
+from ionpulse.trajectory import phase_basis
 from ionpulse.pulse import amplitude, drive_frequency
 from ionpulse.quadrature import cumulative_simpson, simpson
 
@@ -118,7 +119,7 @@ def test_phase_basis_reproduces_drive_phase(base_schedule_a):
     t = np.linspace(0.0, base_schedule_a.gate_time, 20001)
     dx = t[1] - t[0]
     basis = phase_basis(base_schedule_a, t)
-    reference = cumulative_simpson(np.full(t.shape, base_schedule_a.mu_ref), dx)
+    reference = base_schedule_a.mu_ref * t
     rng = np.random.default_rng(11)
     for _ in range(3):
         fm = rng.uniform(-2 * np.pi * 5e3, 2 * np.pi * 5e3, 8)
@@ -259,13 +260,13 @@ def test_endpoint_suppression_on_targets(mode_data, base_schedule_a, optimized_a
 def test_budget_exhausted(mode_data, base_schedule_a):
     problem = OptimizationProblem(
         base_schedule=base_schedule_a, modes=mode_data,
-        ion_pair=DEFAULT_PAIR, max_evals=40, seed=0, n_starts=1,
+        ion_pair=DEFAULT_PAIR, max_evals=30, seed=0, n_starts=1,
     )
     seen = []
     with pytest.raises(BudgetExhausted) as info:
         optimize(problem, callback=lambda _n, c, _x: seen.append(c))
     assert info.value.best_fm_points is not None
-    assert len(seen) == 40
+    assert len(seen) == 30
     assert info.value.best_cost == min(seen)
 
 
@@ -315,6 +316,20 @@ def test_gate_report(mode_data, optimized_a):
         assert traj.mode == alone.mode
         for name in ("times", "alpha", "phase"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+
+
+@pytest.mark.parametrize("single_ion", [False, True])
+def test_gate_report_mode_errors_sum_to_error(mode_data, optimized_a, single_ion):
+    report = build_gate_report(
+        optimized_a, mode_data, *DEFAULT_PAIR, single_ion=single_ion, include_trajectories=False
+    )
+    assert len(report.mode_errors) == mode_data.n_modes
+    assert sum(report.mode_errors) == pytest.approx(report.motional_error, rel=1e-12)
+    direct = motional_error(
+        with_amplitude(optimized_a, report.omega_max), mode_data, *DEFAULT_PAIR,
+        both_ions=not single_ion,
+    )
+    assert report.motional_error == direct
 
 
 def test_problem_validation(mode_data, base_schedule_a):

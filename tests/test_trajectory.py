@@ -5,7 +5,6 @@ from ionpulse import (
     PulseSchedule,
     ShapeA,
     Trajectory,
-    accumulate_phase,
     entangling_angle,
     entangling_angle_sampled,
     integrate_alpha,
@@ -13,9 +12,9 @@ from ionpulse import (
     motional_error,
     time_averaged_displacement,
 )
-from ionpulse.trajectory import mode_angle_integrals, mode_displacement_integrals
+from ionpulse.trajectory import mode_angle_integrals, mode_displacement_integrals, phase_basis
 from ionpulse.pulse import amplitude, drive_frequency
-from ionpulse.quadrature import cumulative_simpson, simpson
+from ionpulse.quadrature import cumulative_simpson
 
 TAU = 500e-6
 MU0 = 2 * np.pi * 2.7e6
@@ -38,17 +37,25 @@ def closed_form_alpha(eta, omega, delta, t):
     return eta * omega * (np.exp(1j * delta * t) - 1.0) / (1j * delta)
 
 
+def detuning_phase(sched, omega_k, n_intervals=GRID):
+    """theta_k at every grid node, from the drive phase the displacement kernel uses."""
+    t = np.linspace(0.0, sched.gate_time, n_intervals + 1)
+    return t, sched.mu_ref * t + sched.fm_points @ phase_basis(sched, t) - omega_k * t
+
+
 def test_phase_constant_detuning():
-    sched = schedule()
+    # equal turning points make mu(t) constant, so the basis rows sum to t
     omega_k = MU0 - 2 * np.pi * 10e3
-    for t in (0.0, TAU / 3, TAU):
-        assert accumulate_phase(sched, omega_k, t) == pytest.approx(
-            (MU0 - omega_k) * t, rel=1e-12, abs=1e-15
-        )
+    for level in (0.0, 2 * np.pi * 1.5e3):
+        sched = schedule(fm=np.full(8, level))
+        t, theta = detuning_phase(sched, omega_k)
+        np.testing.assert_allclose(theta, (MU0 + level - omega_k) * t, rtol=1e-12, atol=1e-15)
 
 
 def test_phase_starts_at_zero():
-    assert accumulate_phase(schedule(), MU0, 0.0) == 0.0
+    rng = np.random.default_rng(3)
+    sched = schedule(fm=rng.uniform(-2 * np.pi * 2e3, 2 * np.pi * 2e3, 8))
+    assert detuning_phase(sched, MU0)[1][0] == 0.0
 
 
 def test_phase_grid_self_convergence():
@@ -56,8 +63,8 @@ def test_phase_grid_self_convergence():
     fm = rng.uniform(-2 * np.pi * 2e3, 2 * np.pi * 2e3, 8)
     sched = schedule(fm=fm)
     omega_k = MU0 - 2 * np.pi * 13e3
-    coarse = accumulate_phase(sched, omega_k, TAU, n_intervals=GRID)
-    fine = accumulate_phase(sched, omega_k, TAU, n_intervals=2 * GRID)
+    coarse = detuning_phase(sched, omega_k, n_intervals=GRID)[1][-1]
+    fine = detuning_phase(sched, omega_k, n_intervals=2 * GRID)[1][-1]
     assert abs(fine - coarse) < 1e-10
 
 
@@ -68,31 +75,13 @@ def test_phase_matches_analytic_arc_integral():
     fm = np.array([offset] + [0.0] * 7)
     sched = schedule(fm=fm)
     omega_k = MU0  # detuning equals the fm offset alone
+    # 14 arcs of 1400 intervals each, so the first arc ends on a grid node
+    t, theta = detuning_phase(sched, omega_k, n_intervals=14 * 1400)
     seg = TAU / 14
+    assert t[1400] == pytest.approx(seg, rel=1e-15)
     # over the first segment the offset falls from `offset` to 0
     expected = offset * seg / 2.0
-    assert accumulate_phase(sched, omega_k, seg) == pytest.approx(expected, rel=1e-9)
-
-
-def test_phase_matches_per_query_reference():
-    # reference: one drive_frequency call and one two-panel Simpson step per query
-    rng = np.random.default_rng(4)
-    sched = schedule(fm=rng.uniform(-2 * np.pi * 2e3, 2 * np.pi * 2e3, 8))
-    omega_k = MU0 - 2 * np.pi * 13e3
-    grid = np.linspace(0.0, TAU, GRID + 1)
-    dx = grid[1] - grid[0]
-    theta = cumulative_simpson(drive_frequency(grid, sched) - omega_k, dx)
-    queries = np.concatenate([rng.uniform(0.0, TAU, 40), grid[[0, 7, GRID]]])
-    expected = []
-    for tq in queries:
-        j = min(int(tq / dx), GRID)
-        rest = tq - grid[j]
-        value = theta[j]
-        if rest > 0.0:
-            sub = np.array([grid[j], grid[j] + rest / 2.0, tq])
-            value += simpson(drive_frequency(sub, sched) - omega_k, rest / 2.0)
-        expected.append(value)
-    np.testing.assert_array_equal(accumulate_phase(sched, omega_k, queries), expected)
+    assert theta[1400] == pytest.approx(expected, rel=1e-9)
 
 
 def test_alpha_constant_profiles_closed_form():
