@@ -10,7 +10,7 @@ pairs and all pair angles come from one matrix product, so the full
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,23 +94,6 @@ def default_offsets(count=20, low=2 * np.pi * 10.0, high=2 * np.pi * 2000.0):
     return np.geomspace(low, high, count)
 
 
-def _fit_window(offsets, extra, baseline):
-    valid = (extra > 10.0 * baseline) & (extra > ERROR_FLOOR)
-    valid &= (extra + baseline) <= ERROR_CEILING
-    return valid
-
-
-def _loglog_fit(x, y):
-    lx, ly = np.log(x), np.log(y)
-    dx = lx - lx.mean()
-    slope = float(np.sum(dx * (ly - ly.mean())) / np.sum(dx * dx))
-    intercept = ly.mean() - slope * lx.mean()
-    residuals = ly - (intercept + slope * lx)
-    dof = len(x) - 2
-    stderr = float(np.sqrt(np.sum(residuals**2) / dof / np.sum(dx * dx))) if dof > 0 else 0.0
-    return slope, stderr
-
-
 def offset_sweep(sched, modes, pair, offsets=None, *, both_ions=True,
                  n_intervals=DEFAULT_ALPHA_INTERVALS, threads=1):
     """Evaluate the gate error across constant drive-frequency offsets.
@@ -133,15 +116,11 @@ def offset_sweep(sched, modes, pair, offsets=None, *, both_ions=True,
     baseline, errors = float(errors[0]), errors[1:]
 
     sweep = RobustnessSweep(offsets=offsets, errors=errors, baseline=baseline)
-    extra = errors - baseline
-    valid = _fit_window(offsets, extra, baseline)
-    if np.count_nonzero(valid) >= 5:
-        slope, stderr = _loglog_fit(offsets[valid], extra[valid])
-        sweep = RobustnessSweep(
-            offsets=offsets, errors=errors, baseline=baseline,
-            fitted_slope=slope, slope_stderr=stderr,
-        )
-    return sweep
+    try:
+        slope, stderr = fit_slope(sweep)
+    except InsufficientPoints:
+        return sweep
+    return replace(sweep, fitted_slope=slope, slope_stderr=stderr)
 
 
 def fit_slope(sweep):
@@ -151,12 +130,16 @@ def fit_slope(sweep):
     sweep points sit inside the window.
     """
     extra = sweep.errors - sweep.baseline
-    valid = _fit_window(sweep.offsets, extra, sweep.baseline)
-    if np.count_nonzero(valid) < 5:
-        raise InsufficientPoints(
-            f"only {int(np.count_nonzero(valid))} sweep points inside the fit window"
-        )
-    return _loglog_fit(sweep.offsets[valid], extra[valid])
+    valid = (extra > 10.0 * sweep.baseline) & (extra > ERROR_FLOOR)
+    valid &= (extra + sweep.baseline) <= ERROR_CEILING
+    dof = int(np.count_nonzero(valid)) - 2
+    if dof < 3:
+        raise InsufficientPoints(f"only {dof + 2} sweep points inside the fit window")
+    lx, ly = np.log(sweep.offsets[valid]), np.log(extra[valid])
+    dx = lx - lx.mean()
+    slope = float(np.sum(dx * (ly - ly.mean())) / np.sum(dx * dx))
+    residuals = ly - (ly.mean() - slope * lx.mean() + slope * lx)
+    return slope, float(np.sqrt(np.sum(residuals**2) / dof / np.sum(dx * dx)))
 
 
 def all_pairs(n):

@@ -35,7 +35,6 @@ from .analysis import (
     power_map,
     save_power_map_csv,
     save_sweep_csv,
-    InsufficientPoints,
 )
 from .crystal import (
     IonEscape,
@@ -248,18 +247,6 @@ def load_config(path=None, overrides=None):
         )
     get("output", "threads", int)  # accepted for compatibility and ignored, but must parse
 
-    n = trap.n_ions
-    ion_i, ion_j = get("optimize", "ion_i", int), get("optimize", "ion_j", int)
-    indices = [("ion_i", ion_i), ("ion_j", ion_j)]
-    if mu_mode is not None:
-        indices.append(("mu_mode", mu_mode))
-    indices += [("target_modes", k) for k in targets]
-    for label, k in indices:
-        if not 1 <= k <= n:
-            raise ConfigError(f"{label} index {k} outside 1..{n}")
-    if ion_i == ion_j:
-        raise ConfigError("ion_i and ion_j must differ")
-
     return RunConfig(
         trap=trap,
         shape_kind=shape_kind,
@@ -270,8 +257,8 @@ def load_config(path=None, overrides=None):
         amp_scale=two_pi * get("pulse", "amp_hz", float),
         shape_b_levels=levels,
         shape_b_ramp_fraction=get("pulse", "shape_b_ramp_fraction", float),
-        ion_i=ion_i,
-        ion_j=ion_j,
+        ion_i=get("optimize", "ion_i", int),
+        ion_j=get("optimize", "ion_j", int),
         seed=get("optimize", "seed", int),
         max_evals=get("optimize", "max_evals", int),
         n_starts=get("optimize", "n_starts", int),
@@ -328,6 +315,24 @@ def _check_ion_count(count, name, stage, cfg):
             f"stale prerequisite {name!r} holds {count} ions but [trap] n_ions is "
             f"{cfg.trap.n_ions}; rerun `ionpulse {stage}` or pass --recompute"
         )
+
+
+def _check_indices(cfg, stage, recompute):
+    """Check the ion and mode indices `stage` reads against [trap] n_ions."""
+    # optimize, or a later stage that rebuilds its schedule under --recompute
+    optimizes = stage == "optimize" or (recompute and stage not in ("crystal", "modes"))
+    if not (optimizes or stage in ("report", "sweep")):
+        return
+    indices = [("ion_i", cfg.ion_i), ("ion_j", cfg.ion_j)]
+    if optimizes or stage == "report":  # report picks the target modes it writes
+        indices += [("mu_mode", cfg.mu_mode)] if cfg.mu_mode is not None else []
+        indices += [("target_modes", k) for k in cfg.target_modes]
+    n = cfg.trap.n_ions
+    for label, k in indices:
+        if not 1 <= k <= n:
+            raise ConfigError(f"{label} index {k} outside 1..{n}")
+    if cfg.ion_i == cfg.ion_j:
+        raise ConfigError("ion_i and ion_j must differ")
 
 
 def _load_crystal(cfg, out_dir, recompute, inputs):
@@ -618,6 +623,7 @@ _COMMANDS = {
 
 def run_stage(name, cfg, out_dir, recompute):
     """Run one stage, print its summary line and write <name>_manifest.json."""
+    _check_indices(cfg, name, recompute)
     inputs = []
     result = _COMMANDS[name](cfg, out_dir, recompute, inputs)
     print(result.line)
@@ -689,7 +695,6 @@ def main(argv=None):
         ImaginaryMode,
         BudgetExhausted,
         DegeneratePair,
-        InsufficientPoints,
         ValueError,
         OSError,
     ) as exc:

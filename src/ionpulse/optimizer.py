@@ -3,12 +3,12 @@
 The optimizer adjusts the free turning points of the FM pattern to minimize
 the summed squared time-averaged displacements of the modes nearest the
 drive frequency, which closes their trajectories and removes the first-order
-sensitivity to constant frequency offsets. The drive phase is linear in the
-turning points (see trajectory.displacement_rows), so the target-mode
-displacements and their exact Jacobian cost one matrix product, and
-Levenberg-Marquardt on the stacked real and imaginary displacements converges
-in tens to hundreds of evaluations per start. Runs are deterministic for a
-fixed seed.
+sensitivity to constant frequency offsets. The FM phase is fm_points @ B on
+the phase basis B (trajectory.phase_basis), built once per run, so the
+target-mode displacements and their exact Jacobian cost one matrix product,
+and Levenberg-Marquardt on the stacked real and imaginary displacements
+converges in tens to hundreds of evaluations per start. Runs are
+deterministic for a fixed seed.
 
 Power calibration exploits that the entangling angle is exactly quadratic in
 the peak Rabi frequency: the amplitude that yields |beta| = pi/4 follows from
@@ -19,16 +19,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulse import PulseSchedule, amplitude, drive_frequency, with_amplitude
+from .pulse import PulseSchedule, with_amplitude
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
     DEFAULT_BETA_INTERVALS,
     GateReport,
     displacement_rows,
     entangling_angle,
-    integrate_sampled,
     mode_errors,
+    mode_trajectories,
     motional_error,  # not called here; re-exported for callers that look it up on this module
+    phase_basis,
 )
 
 REFERENCE_RABI = 2 * np.pi * 100e3  # rad/s, fixed amplitude used inside the cost
@@ -126,9 +127,10 @@ class _Objective:
     def __init__(self, problem):
         sched = with_amplitude(problem.base_schedule, problem.reference_amplitude)
         idx = np.array(resolve_target_modes(problem)) - 1
-        t, self.rows, self.basis = displacement_rows(
+        t, self.rows = displacement_rows(
             sched, problem.modes.frequencies[idx], problem.n_intervals, time_average=True
         )
+        self.basis = phase_basis(sched, t)
         i, j = problem.ion_pair
         eta = problem.modes.eta
         self.rows *= np.sqrt(eta[i - 1, idx] ** 2 + eta[j - 1, idx] ** 2)[:, None]
@@ -295,18 +297,9 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
                            n_intervals=alpha_intervals)[:, 0]
     trajectories = ()
     if include_trajectories:
-        # integrate_alpha per mode, with the schedule sampled once for all modes
-        # one read-only grid that owns its data, so every Trajectory keeps it uncopied
-        t = np.linspace(0.0, calibrated.gate_time, alpha_intervals + 1).copy()
-        t.setflags(write=False)
-        omega = amplitude(t, calibrated)
-        mu = drive_frequency(t, calibrated)
-        trajectories = tuple(
-            integrate_sampled(
-                omega, mu - modes.frequencies[k], t[1] - t[0],
-                eta_ik=modes.eta[ion_i - 1, k], times=t, mode=k + 1,
-            )
-            for k in range(modes.n_modes)
+        trajectories = mode_trajectories(
+            calibrated, modes.frequencies, modes.eta[ion_i - 1],
+            range(1, modes.n_modes + 1), alpha_intervals,
         )
     return GateReport(
         pair=(ion_i, ion_j),

@@ -11,13 +11,12 @@ displacements and a downsampled 2,000-interval grid for the double integral
 (quadratic in grid size when evaluated naively; here the inner integral is
 accumulated once so the cost stays linear without changing the quadrature).
 
-One kernel, displacement_rows, serves every displacement integral over the
-gate: e^{i theta_k} = e^{i Theta_mu} e^{-i omega_k t}, and the drive phase
-Theta_mu = (mu_ref + offset) t + fm_points @ B is linear in the FM turning
-points on the phase basis B. The rows w(t) Omega(t) e^{-i omega_k t} are built
-once, with gate-end or time-average weights w, and each drive phase then costs
-one product: a constant offset for the error and the sweep, a trial point and
-its Jacobian for the optimizer.
+Every integral takes theta_k = (mu_ref + offset - omega_k) t + fm_phase from
+one FM phase, fm_phase = int (mu - mu_ref) dt. The displacement kernel,
+displacement_rows, builds the rows w(t) Omega(t) e^{-i omega_k t} once, with
+gate-end or time-average weights w, so each drive phase costs one product.
+fm_phase is linear in the turning points, fm_points @ B; only the optimizer's
+Jacobian needs the phase basis B.
 """
 
 import csv
@@ -25,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulse import amplitude, drive_frequency, fm_offset
+from .pulse import amplitude, fm_offset
 from .quadrature import cumulative_simpson, simpson, simpson_weights
 
 DEFAULT_ALPHA_INTERVALS = 20_000
@@ -77,16 +76,18 @@ class GateReport:
 
 
 def _uniform_grid(tau, n_intervals):
-    t = np.linspace(0.0, tau, n_intervals + 1)
+    # read-only and owning its data, so the Trajectory records of one call share it uncopied
+    t = np.linspace(0.0, tau, n_intervals + 1).copy()
+    t.setflags(write=False)
     return t, t[1] - t[0]
 
 
 def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, mode=None):
     """Trajectory from sampled Rabi frequency and detuning on a uniform grid.
 
-    This is the quadrature engine behind integrate_alpha; it also accepts
-    arbitrary profiles (for instance constant ones) that no schedule
-    produces.
+    The sampled-profile oracle for the schedule paths: it integrates the detuning
+    itself, so it also accepts profiles (for instance constant ones) that no
+    schedule produces.
     """
     omega_samples = np.asarray(omega_samples, dtype=float)
     theta = cumulative_simpson(delta_samples, dx)
@@ -96,12 +97,31 @@ def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, 
     return Trajectory(mode=mode, times=times, alpha=alpha, phase=theta)
 
 
-def integrate_alpha(sched, eta_ik, omega_k, n_intervals=DEFAULT_ALPHA_INTERVALS, mode=None):
-    """Phase-space trajectory of the mode at omega_k driven by the schedule."""
+def fm_phase(sched, t):
+    """Running FM phase int_0^t (mu - mu_ref) dt' (cumulative Simpson) on the uniform grid t."""
+    return cumulative_simpson(fm_offset(t, sched), t[1] - t[0])
+
+
+def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_INTERVALS):
+    """Trajectories of the modes at omega_ks, with couplings etas and mode labels."""
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
     omega = amplitude(t, sched)
-    delta = drive_frequency(t, sched) - omega_k
-    return integrate_sampled(omega, delta, dx, eta_ik=eta_ik, times=t, mode=mode)
+    phi = fm_phase(sched, t)
+    trajectories = []
+    for omega_k, eta_ik, label in zip(omega_ks, etas, labels):
+        theta = (sched.mu_ref - omega_k) * t + phi
+        g = np.exp(1j * theta)
+        g *= omega  # in place, here and below: temporaries raise the report's peak memory
+        alpha = cumulative_simpson(g, dx)
+        alpha *= eta_ik
+        theta.flags.writeable = alpha.flags.writeable = False  # frozen, so not copied
+        trajectories.append(Trajectory(mode=label, times=t, alpha=alpha, phase=theta))
+    return tuple(trajectories)
+
+
+def integrate_alpha(sched, eta_ik, omega_k, n_intervals=DEFAULT_ALPHA_INTERVALS, mode=None):
+    """Phase-space trajectory of the mode at omega_k driven by the schedule."""
+    return mode_trajectories(sched, [omega_k], [eta_ik], [mode], n_intervals)[0]
 
 
 def time_averaged_displacement(traj):
@@ -115,25 +135,23 @@ def phase_basis(sched, t):
     """Linear FM phase basis B (n_oscillations x samples) on the uniform grid t.
 
     Each raised-cosine arc blends two turning points linearly, so fm_offset is
-    linear in fm_points and the drive phase is mu_ref t + fm_points @ B. Row m
-    is the running integral (cumulative Simpson) of the pattern whose m-th
-    free turning point is 1 rad/s and the rest 0.
+    linear in fm_points and fm_phase(sched, t) = fm_points @ B. Row m is the
+    fm_phase of the pattern whose m-th free turning point is 1 rad/s and the
+    rest 0. Only the optimizer's Jacobian needs it.
     """
-    dx = t[1] - t[0]
     return np.stack([
-        cumulative_simpson(fm_offset(t, replace(sched, fm_points=unit)), dx)
-        for unit in np.eye(sched.n_oscillations)
+        fm_phase(replace(sched, fm_points=unit), t) for unit in np.eye(sched.n_oscillations)
     ])
 
 
 def displacement_rows(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, *, time_average=False):
     """Rows w(t) Omega(t) e^{-i omega_k t} (modes x samples): the one displacement kernel.
 
-    With the drive phase Theta = (mu_ref + offset) t + fm_points @ B, rows @
+    With the drive phase Theta = (mu_ref + offset) t + fm_phase, rows @
     e^{i Theta} gives each mode's gate-end displacement int_0^tau Omega
     e^{i theta_k} (w: Simpson weights), or with time_average its mean
     (1/tau) int_0^tau alpha_k dt, the same integral with weights scaled by
-    (1 - t/tau). Returns (t, rows, B); eta factors are NOT included.
+    (1 - t/tau). Returns (t, rows); eta factors are NOT included.
     """
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
     weights = simpson_weights(len(t), dx)
@@ -143,7 +161,7 @@ def displacement_rows(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, *, t
     np.multiply.outer(-np.asarray(omega_ks, dtype=float), t, out=rows.imag)  # no real temporary
     np.exp(rows, out=rows)
     rows *= weights * amplitude(t, sched)
-    return t, rows, phase_basis(sched, t)
+    return t, rows
 
 
 def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, offsets=(0.0,)):
@@ -156,11 +174,11 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
     mu_ref + offset is formed before it multiplies t, so a schedule whose
     mu_ref is shifted by the offset gives the same column at zero offset.
     """
-    t, rows, basis = displacement_rows(sched, omega_ks, n_intervals)
-    fm_phase = sched.fm_points @ basis
+    t, rows = displacement_rows(sched, omega_ks, n_intervals)
+    phi = fm_phase(sched, t)
     endpoints = np.empty((len(rows), len(offsets)), dtype=complex)
     for col, offset in enumerate(offsets):
-        endpoints[:, col] = rows @ np.exp(1j * ((sched.mu_ref + offset) * t + fm_phase))
+        endpoints[:, col] = rows @ np.exp(1j * ((sched.mu_ref + offset) * t + phi))
     return endpoints
 
 
@@ -202,11 +220,11 @@ def mode_angle_integrals(sched, omega_ks, n_intervals=DEFAULT_BETA_INTERVALS):
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
     w_end = simpson_weights(len(t), dx)
     omega = amplitude(t, sched)
-    mu = drive_frequency(t, sched)
+    phi = fm_phase(sched, t)
     out = np.empty(len(omega_ks))
     g = np.empty(len(t), dtype=complex)  # Omega e^{i theta_k}, rewritten for every mode
     for pos, omega_k in enumerate(np.asarray(omega_ks, dtype=float)):
-        theta = cumulative_simpson(mu - omega_k, dx)
+        theta = (sched.mu_ref - omega_k) * t + phi
         np.cos(theta, out=g.real)
         np.sin(theta, out=g.imag)
         g *= omega

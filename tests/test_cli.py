@@ -169,8 +169,17 @@ def test_unknown_config_key(tmp_path, capsys):
 def test_bad_mode_index(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[trap]\nn_ions = 10\n\n[optimize]\nion_i = 11\n")
-    assert run(["-c", str(path), "-o", str(tmp_path / "out"), "crystal"]) == 2
+    # optimize is the first stage that reads ion_i; the check precedes its prerequisites
+    assert run(["-c", str(path), "-o", str(tmp_path / "out"), "optimize"]) == 2
     assert "outside" in capsys.readouterr().err
+
+
+def test_stages_ignore_indices_they_do_not_read(tmp_path):
+    # the default ion_i = 25 lies outside a 12-ion chain, but crystal and modes never read it
+    path = tmp_path / "small.ini"
+    path.write_text("[trap]\nn_ions = 12\n")
+    for stage in ("crystal", "modes"):
+        assert run(["-c", str(path), "-o", str(tmp_path / "out"), stage]) == 0
 
 
 def test_bad_target_modes(tmp_path, capsys):

@@ -367,3 +367,32 @@ def test_gate_report_evaluates_the_angle_once(mode_data, base_schedule_a, monkey
     direct = real(with_amplitude(base_schedule_a, report.omega_max), mode_data, *DEFAULT_PAIR)
     assert report.beta == pytest.approx(direct, rel=1e-12)
     assert report.omega_max == calibrate_power(base_schedule_a, mode_data, *DEFAULT_PAIR)
+
+
+def test_phase_basis_built_once_per_optimize(mode_data, base_schedule_a, monkeypatch):
+    # only the optimizer's Jacobian needs the basis; every evaluation path takes fm_phase
+    import ionpulse.optimizer as opt
+    import ionpulse.trajectory as traj
+    from ionpulse.analysis import offset_sweep, power_map
+
+    calls = []
+    real = traj.phase_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n_oscillations)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(traj, "phase_basis", counted)
+    monkeypatch.setattr(opt, "phase_basis", counted)
+    problem = OptimizationProblem(
+        base_schedule=base_schedule_a, modes=mode_data, ion_pair=DEFAULT_PAIR,
+        seed=2, n_starts=2, n_intervals=4000,
+    )
+    sched = optimize(problem)
+    assert calls == [8]
+    calls.clear()
+    motional_error(sched, mode_data, *DEFAULT_PAIR, n_intervals=4000)
+    offset_sweep(sched, mode_data, DEFAULT_PAIR, n_intervals=4000)
+    build_gate_report(sched, mode_data, *DEFAULT_PAIR, alpha_intervals=4000)
+    power_map(sched, mode_data, pairs=[DEFAULT_PAIR, (1, 50)])
+    assert calls == []

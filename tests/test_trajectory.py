@@ -12,7 +12,12 @@ from ionpulse import (
     motional_error,
     time_averaged_displacement,
 )
-from ionpulse.trajectory import mode_angle_integrals, mode_displacement_integrals, phase_basis
+from ionpulse.trajectory import (
+    fm_phase,
+    mode_angle_integrals,
+    mode_displacement_integrals,
+    phase_basis,
+)
 from ionpulse.pulse import amplitude, drive_frequency
 from ionpulse.quadrature import cumulative_simpson
 
@@ -38,13 +43,34 @@ def closed_form_alpha(eta, omega, delta, t):
 
 
 def detuning_phase(sched, omega_k, n_intervals=GRID):
-    """theta_k at every grid node, from the drive phase the displacement kernel uses."""
+    """theta_k at every grid node, from the FM phase every schedule integral uses."""
     t = np.linspace(0.0, sched.gate_time, n_intervals + 1)
-    return t, sched.mu_ref * t + sched.fm_points @ phase_basis(sched, t) - omega_k * t
+    return t, (sched.mu_ref - omega_k) * t + fm_phase(sched, t)
+
+
+@pytest.mark.parametrize("samples", [2001, 20001])
+def test_fm_phase_matches_phase_basis(samples):
+    # the optimizer's Jacobian works on fm_points @ B; it must be the phase the
+    # evaluation paths integrate. (A single oscillation is a constant offset, whose
+    # phase grows monotonically to ~30 rad and there carries ~1e-11 rad of
+    # running-sum rounding; test_phase_constant_detuning checks constant patterns
+    # relative to their size.)
+    rng = np.random.default_rng(samples)
+    for n_osc in (2, 3, 8):
+        for _ in range(3):
+            fm = rng.uniform(-2 * np.pi * 10e3, 2 * np.pi * 10e3, n_osc)
+            sched = PulseSchedule(
+                gate_time=TAU, amp_shape=ShapeA(), amp_scale=2 * np.pi * 100e3,
+                mu_ref=MU0, fm_points=fm, n_oscillations=n_osc,
+            )
+            t = np.linspace(0.0, TAU, samples)
+            np.testing.assert_allclose(
+                fm_phase(sched, t), fm @ phase_basis(sched, t), rtol=0.0, atol=1e-12
+            )
 
 
 def test_phase_constant_detuning():
-    # equal turning points make mu(t) constant, so the basis rows sum to t
+    # equal turning points make mu(t) constant, so the FM phase is level * t
     omega_k = MU0 - 2 * np.pi * 10e3
     for level in (0.0, 2 * np.pi * 1.5e3):
         sched = schedule(fm=np.full(8, level))
