@@ -17,9 +17,17 @@ displacement_rows, builds the rows w(t) Omega(t) e^{-i omega_k t} once, with
 gate-end or time-average weights w, so each drive phase costs one product.
 fm_phase is linear in the turning points, fm_points @ B; only the optimizer's
 Jacobian needs the phase basis B.
+
+The linear phases f t reach about 8.5e3 rad on the default chain, where a
+float64 argument to exp carries ~1e-12 rad of rounding. _phasors builds
+e^{i f t_n} as products of a coarse and a fine table evaluated in long double
+and rounded once, so each sample costs one complex product instead of one
+complex exponential. That accuracy needs the x86-64 extended long double
+(test_motional_error_matches_long_double_quadrature guards it): with float64
+tables each coarse rounding repeats over a whole block, and the error grows.
 """
 
-import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,6 +90,37 @@ def _uniform_grid(tau, n_intervals):
     return t, t[1] - t[0]
 
 
+def _phasors(freqs, tau, n_intervals):
+    """e^{i f t_n} for each f in freqs on the grid t_n = n tau / N (len(freqs) x N+1).
+
+    Sample n = q m + r is the product C[q] F[r] of a coarse and a fine table
+    (m ~ sqrt(N+1) entries each), evaluated in long double from exact
+    multiples of tau / N and rounded once. Rows are independent, so a
+    one-frequency call gives bitwise the matching row of a larger call.
+    """
+    freqs = np.asarray(freqs, dtype=np.longdouble)
+    n_samples = n_intervals + 1
+    m = math.isqrt(n_samples)
+    blocks, rest = divmod(n_samples, m)
+    step = np.longdouble(tau) / n_intervals
+
+    def table(times):
+        angle = np.multiply.outer(freqs, times)
+        out = np.empty(angle.shape, dtype=complex)
+        out.real = np.cos(angle)
+        out.imag = np.sin(angle)
+        return out
+
+    fine = table(step * np.arange(m))
+    coarse = table((m * step) * np.arange(blocks + (rest > 0)))
+    out = np.empty((len(freqs), n_samples), dtype=complex)
+    body = out[:, : blocks * m].reshape(len(freqs), blocks, m)  # a view: no padded buffer
+    np.multiply(coarse[:, :blocks, None], fine[:, None, :], out=body)
+    if rest:
+        np.multiply(coarse[:, blocks, None], fine[:, :rest], out=out[:, blocks * m:])
+    return out
+
+
 def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, mode=None):
     """Trajectory from sampled Rabi frequency and detuning on a uniform grid.
 
@@ -105,15 +144,18 @@ def fm_phase(sched, t):
 def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_INTERVALS):
     """Trajectories of the modes at omega_ks, with couplings etas and mode labels."""
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
-    omega = amplitude(t, sched)
     phi = fm_phase(sched, t)
+    drive = np.exp(1j * phi)
+    drive *= amplitude(t, sched)
     trajectories = []
     for omega_k, eta_ik, label in zip(omega_ks, etas, labels):
-        theta = (sched.mu_ref - omega_k) * t + phi
-        g = np.exp(1j * theta)
-        g *= omega  # in place, here and below: temporaries raise the report's peak memory
+        # one mode at a time, and in place here and below: a modes x samples
+        # table or extra temporaries raise the report's peak memory
+        g = _phasors([sched.mu_ref - omega_k], sched.gate_time, n_intervals)[0]
+        g *= drive
         alpha = cumulative_simpson(g, dx)
         alpha *= eta_ik
+        theta = (sched.mu_ref - omega_k) * t + phi
         theta.flags.writeable = alpha.flags.writeable = False  # frozen, so not copied
         trajectories.append(Trajectory(mode=label, times=t, alpha=alpha, phase=theta))
     return tuple(trajectories)
@@ -157,9 +199,7 @@ def displacement_rows(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, *, t
     weights = simpson_weights(len(t), dx)
     if time_average:
         weights *= 1.0 - t / sched.gate_time
-    rows = np.zeros((len(omega_ks), len(t)), dtype=complex)
-    np.multiply.outer(-np.asarray(omega_ks, dtype=float), t, out=rows.imag)  # no real temporary
-    np.exp(rows, out=rows)
+    rows = _phasors(-np.asarray(omega_ks, dtype=float), sched.gate_time, n_intervals)
     rows *= weights * amplitude(t, sched)
     return t, rows
 
@@ -175,10 +215,12 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
     mu_ref is shifted by the offset gives the same column at zero offset.
     """
     t, rows = displacement_rows(sched, omega_ks, n_intervals)
-    phi = fm_phase(sched, t)
+    fm = np.exp(1j * fm_phase(sched, t))
     endpoints = np.empty((len(rows), len(offsets)), dtype=complex)
     for col, offset in enumerate(offsets):
-        endpoints[:, col] = rows @ np.exp(1j * ((sched.mu_ref + offset) * t + phi))
+        drive = _phasors([sched.mu_ref + offset], sched.gate_time, n_intervals)[0]
+        drive *= fm
+        endpoints[:, col] = rows @ drive
     return endpoints
 
 
@@ -252,11 +294,15 @@ def entangling_angle(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERV
 
 
 def save_trajectory_csv(traj, csv_path, samples=2001):
-    """Downsampled trajectory CSV (t_s, alpha_re, alpha_im)."""
+    """Downsampled trajectory CSV (t_s, alpha_re, alpha_im) with lossless repr floats.
+
+    The bytes are those of csv.writer (its "\\r\\n" line ends, and no float
+    repr needs quoting), without its per-row calls.
+    """
     stride = max(1, (len(traj.times) - 1) // max(1, samples - 1))
-    sel = slice(None, None, stride)
+    alpha = traj.alpha[::stride]
+    columns = (traj.times[::stride].tolist(), alpha.real.tolist(), alpha.imag.tolist())
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "alpha_re", "alpha_im"])
-        for t, a in zip(traj.times[sel], traj.alpha[sel]):
-            writer.writerow([repr(float(t)), repr(float(a.real)), repr(float(a.imag))])
+        fh.write("t_s,alpha_re,alpha_im\r\n")
+        # line by line: a joined string would sit on top of the report's trajectories
+        fh.writelines(f"{t!r},{re!r},{im!r}\r\n" for t, re, im in zip(*columns))

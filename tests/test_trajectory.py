@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -13,13 +16,15 @@ from ionpulse import (
     time_averaged_displacement,
 )
 from ionpulse.trajectory import (
+    _phasors,
     fm_phase,
     mode_angle_integrals,
     mode_displacement_integrals,
     phase_basis,
+    save_trajectory_csv,
 )
 from ionpulse.pulse import amplitude, drive_frequency
-from ionpulse.quadrature import cumulative_simpson
+from ionpulse.quadrature import cumulative_simpson, simpson_weights
 
 TAU = 500e-6
 MU0 = 2 * np.pi * 2.7e6
@@ -67,6 +72,22 @@ def test_fm_phase_matches_phase_basis(samples):
             np.testing.assert_allclose(
                 fm_phase(sched, t), fm @ phase_basis(sched, t), rtol=0.0, atol=1e-12
             )
+
+
+@pytest.mark.parametrize("n_intervals", [1000, 1023, 2000, 4000, 20000])
+def test_phasors_match_complex_exponential(n_intervals):
+    # m = isqrt(N + 1): 1024 samples fill 32 blocks of 32 exactly, the other
+    # counts leave a partial last block
+    rng = np.random.default_rng(n_intervals)
+    freqs = np.concatenate([[0.0, MU0, -MU0], rng.uniform(-1.1 * MU0, 1.1 * MU0, 5)])
+    t = np.linspace(0.0, TAU, n_intervals + 1)
+    got = _phasors(freqs, TAU, n_intervals)
+    assert got.shape == (len(freqs), n_intervals + 1)
+    # the reference's own rounding is ~2e-12 at phases of ~9e3 rad
+    np.testing.assert_allclose(got, np.exp(1j * np.multiply.outer(freqs, t)), rtol=0.0, atol=1e-11)
+    for k, f in enumerate(freqs):
+        # the per-mode trajectories take one row at a time and must match a batched row
+        np.testing.assert_array_equal(_phasors([f], TAU, n_intervals)[0], got[k])
 
 
 def test_phase_constant_detuning():
@@ -244,10 +265,44 @@ def test_motional_error_matches_trajectory_sum(mode_data):
                 sched, mode_data.eta[ion - 1, k], mode_data.frequencies[k]
             )
             total += abs(traj.endpoint) ** 2
-    # the batched path factors exp(i theta_k) = exp(i Theta_mu) exp(-i w_k t);
-    # it agrees with the per-mode composition to quadrature rounding
+    # the batched path factors exp(i theta_k) into the kernel rows' e^{-i w_k t}
+    # and the drive's e^{i mu_ref t} e^{i fm_phase}, and ends with composite
+    # rather than cumulative Simpson; it agrees with the per-mode composition,
+    # whose phasor is e^{i (mu_ref - w_k) t} e^{i fm_phase}, to quadrature rounding
     got = motional_error(sched, mode_data, 25, 26)
     assert got == pytest.approx(total, rel=1e-7)
+
+
+def long_double_motional_error(sched, modes, ion_i, ion_j, n_intervals=GRID):
+    """motional_error's quadrature with every phase, sine, cosine and sum in long double.
+
+    The weighted envelope w * Omega and fm_phase (tens of rad at most) are the
+    float64 values the kernel uses; the linear phase (mu_ref - omega_k) t_n,
+    thousands of rad, is taken at t_n = n tau / N exactly.
+    """
+    ld = np.longdouble
+    t = np.linspace(0.0, sched.gate_time, n_intervals + 1)
+    t_exact = np.arange(n_intervals + 1, dtype=ld) * (ld(sched.gate_time) / n_intervals)
+    envelope = (simpson_weights(len(t), t[1] - t[0]) * amplitude(t, sched)).astype(ld)
+    phi = fm_phase(sched, t).astype(ld)
+    total = ld(0.0)
+    for k, omega_k in enumerate(modes.frequencies):
+        theta = (ld(sched.mu_ref) - ld(omega_k)) * t_exact + phi
+        re, im = envelope @ np.cos(theta), envelope @ np.sin(theta)
+        weight = ld(modes.eta[ion_i - 1, k]) ** 2 + ld(modes.eta[ion_j - 1, k]) ** 2
+        total += weight * (re * re + im * im)
+    return total
+
+
+@pytest.mark.parametrize("shape", ["a", "b"])
+def test_motional_error_matches_long_double_quadrature(mode_data, optimized_a, optimized_b, shape):
+    # the drive phases reach ~8.5e3 rad; a float64 argument to exp put ~1.5e-11
+    # relative rounding on schedule A's error. This also fails where np.longdouble
+    # is plain float64, which the kernel's phasor tables rely on not being.
+    sched = optimized_a if shape == "a" else optimized_b
+    got = motional_error(sched, mode_data, 25, 26)
+    expected = long_double_motional_error(sched, mode_data, 25, 26)
+    assert abs(got - float(expected)) <= 1e-12 * float(expected)
 
 
 def random_fm_schedule(seed):
@@ -266,8 +321,10 @@ def test_displacement_offsets_match_single_offset_calls(mode_data):
 
 
 def test_displacement_zero_offset_matches_integrate_alpha(mode_data):
-    # the kernel factors exp(i theta_k) = exp(i Theta_mu) exp(-i w_k t) and
-    # ends with composite rather than cumulative Simpson; the two quadratures
+    # the kernel factors exp(i theta_k) into the rows' e^{-i w_k t} and the drive's
+    # e^{i mu_ref t} e^{i fm_phase}, where integrate_alpha takes
+    # e^{i (mu_ref - w_k) t} e^{i fm_phase}, and it ends with composite rather
+    # than cumulative Simpson; the two quadratures
     # agree to ~3e-11 of the displacement scale Omega tau on every mode (far
     # detuned modes close to ~1e-4 of that scale, so their relative gap is larger)
     for sched in (schedule(), random_fm_schedule(6)):
@@ -315,8 +372,6 @@ def test_error_grid_self_convergence(mode_data, optimized_a):
 
 
 def test_trajectory_csv(tmp_path):
-    from ionpulse.trajectory import save_trajectory_csv
-
     traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25)
     path = tmp_path / "traj.csv"
     save_trajectory_csv(traj, path, samples=201)
@@ -326,6 +381,23 @@ def test_trajectory_csv(tmp_path):
     last = rows[-1].split(",")
     assert float(last[0]) == pytest.approx(TAU, rel=1e-12)
     assert float(last[1]) == pytest.approx(traj.endpoint.real, rel=1e-12)
+
+
+@pytest.mark.parametrize("samples", [201, 2001, 10**6])
+def test_trajectory_csv_bytes_match_csv_writer(tmp_path, samples):
+    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25)
+    alpha = traj.alpha.copy()
+    alpha[:4] = [complex(-0.0, 1e-300), complex(1e300, -0.0), 5e-324, -1.0 / 3.0]
+    traj = Trajectory(mode=25, times=traj.times, alpha=alpha, phase=traj.phase)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(traj, path, samples=samples)
+    stride = max(1, (len(traj.times) - 1) // (samples - 1))
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(["t_s", "alpha_re", "alpha_im"])
+    for t, a in zip(traj.times[::stride], traj.alpha[::stride]):
+        writer.writerow([repr(float(t)), repr(float(a.real)), repr(float(a.imag))])
+    assert path.read_bytes() == reference.getvalue().encode()
 
 
 def test_trajectory_copies_writable_arrays():
