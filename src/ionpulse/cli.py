@@ -47,6 +47,7 @@ from .crystal import (
 from .modes import (
     DegenerateSpacing,
     ImaginaryMode,
+    StaleModesFile,
     build_transverse_matrix,
     load_modes,
     save_modes,
@@ -347,7 +348,13 @@ def _load_modes(cfg, out_dir, recompute, inputs):
     if recompute:
         crystal = _load_crystal(cfg, out_dir, recompute, inputs)
         return solve_modes(build_transverse_matrix(crystal, cfg.trap), cfg.trap)
-    modes = load_modes(*_require(out_dir, ["modes.json"], "modes", inputs))
+    try:
+        modes = load_modes(*_require(out_dir, ["modes.json"], "modes", inputs))
+    except StaleModesFile as exc:
+        raise MissingPrerequisite(
+            "stale prerequisite 'modes.json' stores no frequencies in rad/s; "
+            "rerun `ionpulse modes` or pass --recompute"
+        ) from exc
     _check_ion_count(modes.n_modes, "modes.json", "modes", cfg)
     return modes
 
@@ -505,22 +512,23 @@ def cmd_optimize(cfg, out_dir, recompute, inputs):
 
 def cmd_report(cfg, out_dir, recompute, inputs):
     schedule, modes = _load_schedule(cfg, out_dir, recompute, inputs)
+    selected = ()
+    if cfg.trajectory_modes == "all":
+        selected = range(1, modes.n_modes + 1)
+    elif cfg.trajectory_modes == "targets":
+        selected = resolve_target_modes(_make_problem(cfg, modes))
     t0 = time.perf_counter()
     report = build_gate_report(
         schedule, modes, cfg.ion_i, cfg.ion_j,
         alpha_intervals=cfg.alpha_intervals, beta_intervals=cfg.beta_intervals,
+        include_trajectories=bool(selected), trajectory_modes=selected,
     )
     t1 = time.perf_counter()
     outputs = []
-    if cfg.trajectory_modes != "none":
-        if cfg.trajectory_modes == "all":
-            selected = range(1, modes.n_modes + 1)
-        else:
-            selected = resolve_target_modes(_make_problem(cfg, modes))
-        for k in selected:
-            path = os.path.join(out_dir, f"trajectory_mode_{k:02d}_{cfg.shape_kind}.csv")
-            save_trajectory_csv(report.trajectories[k - 1], path, samples=cfg.trajectory_samples)
-            outputs.append(path)
+    for traj in report.trajectories:
+        path = os.path.join(out_dir, f"trajectory_mode_{traj.mode:02d}_{cfg.shape_kind}.csv")
+        save_trajectory_csv(traj, path, samples=cfg.trajectory_samples)
+        outputs.append(path)
 
     report_path = os.path.join(out_dir, f"report_{cfg.shape_kind}.json")
     omega_max_hz = report.omega_max / (2 * np.pi)

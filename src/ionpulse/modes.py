@@ -24,6 +24,10 @@ class ImaginaryMode(Exception):
     """A non-positive eigenvalue: the chain is transversely unstable (zigzag regime)."""
 
 
+class StaleModesFile(ValueError):
+    """A modes.json without frequencies in rad/s, written before they were stored losslessly."""
+
+
 @dataclass(frozen=True)
 class ModeData:
     """Transverse mode frequencies, vectors and per-ion coupling strengths.
@@ -141,8 +145,14 @@ def most_uniform_mode(modes):
 
 
 def save_modes(modes, json_path):
-    """Serialize ModeData as JSON with frequencies in Hz."""
+    """Serialize ModeData as JSON.
+
+    Frequencies are stored in rad/s as repr floats, which load_modes reads
+    back exactly, and in Hz for reading; the Hz values do not survive the
+    2 pi round trip bit for bit.
+    """
     payload = {
+        "frequencies_rad_s": modes.frequencies.tolist(),
         "frequencies_hz": [f / (2 * np.pi) for f in modes.frequencies.tolist()],
         "vectors": modes.vectors.tolist(),
         "eta": modes.eta.tolist(),
@@ -153,11 +163,16 @@ def save_modes(modes, json_path):
 
 
 def load_modes(json_path):
-    """Rebuild ModeData from save_modes output (Hz converted back to rad/s)."""
+    """Rebuild ModeData from save_modes output, equal to what was saved.
+
+    Raises StaleModesFile when the file has no frequencies in rad/s.
+    """
     with open(json_path) as fh:
         payload = json.load(fh)
+    if "frequencies_rad_s" not in payload:
+        raise StaleModesFile(f"{json_path} holds no frequencies_rad_s")
     return ModeData(
-        frequencies=2 * np.pi * np.array(payload["frequencies_hz"]),
+        frequencies=np.array(payload["frequencies_rad_s"]),
         vectors=np.array(payload["vectors"]),
         eta=np.array(payload["eta"]),
     )

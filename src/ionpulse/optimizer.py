@@ -23,8 +23,8 @@ from .pulse import PulseSchedule, with_amplitude
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
     DEFAULT_BETA_INTERVALS,
+    DisplacementKernel,
     GateReport,
-    displacement_rows,
     entangling_angle,
     mode_errors,
     mode_trajectories,
@@ -118,31 +118,42 @@ def resolve_target_modes(problem):
 class _Objective:
     """Target-mode residuals and their exact Jacobian on the FM phase basis.
 
-    The displacement kernel's time-average rows, scaled by each mode's
-    sqrt(eta_i^2 + eta_j^2), give the weighted time-averaged displacements
-    A = rows @ p with p = e^{i (mu_ref t + x @ B)}; the cost is sum |A_k|^2
-    and dA/dx = rows @ (i p B^T), so both come from one product.
+    With the time-average displacement kernel, the drive h = w Omega
+    e^{i x @ B} at the drive frequency mu_ref gives each target mode's
+    time-averaged displacement A_k, and the drives i h B_j give dA_k/dx_j.
+    The 1 + n_oscillations drives share one buffer, so one kernel call (a
+    single (drives Q x m) @ (m x modes) product over the blocks of the
+    coarse x fine phasor tables) yields the residuals and the Jacobian, and
+    no modes x samples array is formed. Each mode is weighted by
+    sqrt(eta_i^2 + eta_j^2); the cost is sum |A_k|^2.
     """
 
     def __init__(self, problem):
         sched = with_amplitude(problem.base_schedule, problem.reference_amplitude)
         idx = np.array(resolve_target_modes(problem)) - 1
-        t, self.rows = displacement_rows(
+        self.kernel = DisplacementKernel(
             sched, problem.modes.frequencies[idx], problem.n_intervals, time_average=True
         )
-        self.basis = phase_basis(sched, t)
+        self.basis = phase_basis(sched, self.kernel.times)
+        self.tables = self.kernel.tables(sched.mu_ref)
+        self.drives = self.kernel.drives(1 + len(self.basis))
         i, j = problem.ion_pair
         eta = problem.modes.eta
-        self.rows *= np.sqrt(eta[i - 1, idx] ** 2 + eta[j - 1, idx] ** 2)[:, None]
-        self.ref_phase = sched.mu_ref * t
+        self.scale = np.sqrt(eta[i - 1, idx] ** 2 + eta[j - 1, idx] ** 2)
 
     def __call__(self, fm_points):
         """Stacked real and imaginary residuals and their Jacobian at fm_points."""
-        p = np.exp(1j * (self.ref_phase + fm_points @ self.basis))
-        both = self.rows @ np.vstack([p, 1j * p * self.basis]).T
+        n = len(self.kernel.times)
+        head, rest = self.drives[0, :n], self.drives[1:, :n]
+        np.multiply(1j, fm_points @ self.basis, out=head)
+        np.exp(head, out=head)
+        head *= self.kernel.weighted
+        np.multiply(self.basis, head, out=rest)  # the Jacobian drives without their factor i
+        both = self.kernel(self.drives, self.tables) * self.scale
+        residual, grad = both[0], both[1:].T  # dA/dx = i grad
         return (
-            np.concatenate([both[:, 0].real, both[:, 0].imag]),
-            np.concatenate([both[:, 1:].real, both[:, 1:].imag]),
+            np.concatenate([residual.real, residual.imag]),
+            np.concatenate([-grad.imag, grad.real]),
         )
 
 
@@ -282,12 +293,15 @@ def _calibrated_amplitude(sched, beta_ref, ion_i, ion_j):
 def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
                       alpha_intervals=DEFAULT_ALPHA_INTERVALS,
                       beta_intervals=DEFAULT_BETA_INTERVALS,
-                      include_trajectories=True):
+                      include_trajectories=True, trajectory_modes=None):
     """Calibrate the pair and assemble the full GateReport.
 
     The error, its per-mode terms (the mode_errors that motional_error sums)
     and the stored per-mode trajectories are evaluated at the calibrated
-    amplitude; trajectories carry the first ion's coupling.
+    amplitude; trajectories carry the first ion's coupling. They cover the
+    1-based trajectory_modes in the given order, or every mode when it is
+    None; each mode is integrated on its own, so a selection holds the same
+    records as the full set.
     """
     beta_ref = entangling_angle(sched, modes, ion_i, ion_j, beta_intervals)
     omega_max = _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)
@@ -297,9 +311,14 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
                            n_intervals=alpha_intervals)[:, 0]
     trajectories = ()
     if include_trajectories:
+        if trajectory_modes is None:
+            trajectory_modes = range(1, modes.n_modes + 1)
+        idx = np.array(trajectory_modes, dtype=int) - 1
+        if np.any((idx < 0) | (idx >= modes.n_modes)):
+            raise ValueError(f"trajectory_modes must be indices in 1..{modes.n_modes}")
         trajectories = mode_trajectories(
-            calibrated, modes.frequencies, modes.eta[ion_i - 1],
-            range(1, modes.n_modes + 1), alpha_intervals,
+            calibrated, modes.frequencies[idx], modes.eta[ion_i - 1, idx],
+            trajectory_modes, alpha_intervals,
         )
     return GateReport(
         pair=(ion_i, ion_j),

@@ -12,19 +12,29 @@ displacements and a downsampled 2,000-interval grid for the double integral
 accumulated once so the cost stays linear without changing the quadrature).
 
 Every integral takes theta_k = (mu_ref + offset - omega_k) t + fm_phase from
-one FM phase, fm_phase = int (mu - mu_ref) dt. The displacement kernel,
-displacement_rows, builds the rows w(t) Omega(t) e^{-i omega_k t} once, with
-gate-end or time-average weights w, so each drive phase costs one product.
-fm_phase is linear in the turning points, fm_points @ B; only the optimizer's
-Jacobian needs the phase basis B.
+one FM phase, fm_phase = int (mu - mu_ref) dt. fm_phase is linear in the
+turning points, fm_points @ B; only the optimizer's Jacobian needs the phase
+basis B.
 
 The linear phases f t reach about 8.5e3 rad on the default chain, where a
-float64 argument to exp carries ~1e-12 rad of rounding. _phasors builds
-e^{i f t_n} as products of a coarse and a fine table evaluated in long double
-and rounded once, so each sample costs one complex product instead of one
-complex exponential. That accuracy needs the x86-64 extended long double
+float64 argument to exp carries ~1e-12 rad of rounding. _phasor_tables
+writes e^{i f t_n} as C[q] F[r], n = q m + r, from a coarse and a fine table
+of about sqrt(N) entries each, evaluated in long double and rounded once.
+That accuracy needs the x86-64 extended long double
 (test_motional_error_matches_long_double_quadrature guards it): with float64
 tables each coarse rounding repeats over a whole block, and the error grows.
+A per-mode trajectory multiplies its tables out (_expand_phasors), one sample
+per complex product.
+
+The displacement kernel (DisplacementKernel) keeps the factorization
+instead. A weighted drive h_n = w Omega e^{i fm_phase}, padded with zeros to
+Q m samples, is a (Q, m) block matrix H, so G = H F^T (Q x modes) is one
+matrix product for every mode and I_k = sum_q C_k[q] G[q, k]. The mode
+tables e^{-i omega_k t} are built once and shifted to each drive frequency
+mu_ref + offset by that frequency's own tables; several drives (the
+optimizer's residual and Jacobian) stack into one product. Gate-end or
+time-average weights w select the integral, and no modes x samples array is
+formed.
 """
 
 import math
@@ -72,7 +82,7 @@ class GateReport:
     (|beta| = pi/4); motional_error sums |alpha_k(tau)|^2 over every mode for
     both addressed ions' couplings, also at the calibrated amplitude, and
     mode_errors holds its per-mode terms (they sum to it). trajectories holds
-    one record per mode, weighted with the first ion's Lamb-Dicke factor.
+    one record per traced mode, weighted with the first ion's Lamb-Dicke factor.
     """
 
     pair: tuple
@@ -90,18 +100,17 @@ def _uniform_grid(tau, n_intervals):
     return t, t[1] - t[0]
 
 
-def _phasors(freqs, tau, n_intervals):
-    """e^{i f t_n} for each f in freqs on the grid t_n = n tau / N (len(freqs) x N+1).
+def _phasor_tables(freqs, tau, n_intervals):
+    """Coarse and fine tables of e^{i f t_n} on the grid t_n = n tau / N.
 
-    Sample n = q m + r is the product C[q] F[r] of a coarse and a fine table
-    (m ~ sqrt(N+1) entries each), evaluated in long double from exact
-    multiples of tau / N and rounded once. Rows are independent, so a
-    one-frequency call gives bitwise the matching row of a larger call.
+    Sample n = q m + r is coarse[:, q] * fine[:, r], with m = isqrt(N + 1)
+    fine entries and ceil((N + 1) / m) coarse ones, so the last block may run
+    past sample N. Both are evaluated in long double from exact multiples of
+    tau / N and rounded once.
     """
     freqs = np.asarray(freqs, dtype=np.longdouble)
     n_samples = n_intervals + 1
     m = math.isqrt(n_samples)
-    blocks, rest = divmod(n_samples, m)
     step = np.longdouble(tau) / n_intervals
 
     def table(times):
@@ -111,10 +120,18 @@ def _phasors(freqs, tau, n_intervals):
         out.imag = np.sin(angle)
         return out
 
-    fine = table(step * np.arange(m))
-    coarse = table((m * step) * np.arange(blocks + (rest > 0)))
-    out = np.empty((len(freqs), n_samples), dtype=complex)
-    body = out[:, : blocks * m].reshape(len(freqs), blocks, m)  # a view: no padded buffer
+    return table((m * step) * np.arange(-(-n_samples // m))), table(step * np.arange(m))
+
+
+def _expand_phasors(coarse, fine, out):
+    """Write the samples coarse[:, q] * fine[:, r] (n = q m + r) into out (rows x samples).
+
+    A table row does not depend on the other frequencies, so the row of one
+    mode among many expands bitwise as that mode's table alone does.
+    """
+    m = fine.shape[1]
+    blocks, rest = divmod(out.shape[1], m)
+    body = out[:, : blocks * m].reshape(len(out), blocks, m)  # a view: no padded buffer
     np.multiply(coarse[:, :blocks, None], fine[:, None, :], out=body)
     if rest:
         np.multiply(coarse[:, blocks, None], fine[:, :rest], out=out[:, blocks * m:])
@@ -144,19 +161,26 @@ def fm_phase(sched, t):
 def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_INTERVALS):
     """Trajectories of the modes at omega_ks, with couplings etas and mode labels."""
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
+    detunings = sched.mu_ref - np.asarray(omega_ks, dtype=float)
     phi = fm_phase(sched, t)
     drive = np.exp(1j * phi)
     drive *= amplitude(t, sched)
+    thetas = []
+    for detuning in detunings:
+        theta = np.multiply(t, detuning)
+        theta += phi
+        theta.flags.writeable = False  # frozen, so the record does not copy it
+        thetas.append(theta)
+    del phi  # the phases are all built, so only what the records store grows from here
+    coarse, fine = _phasor_tables(detunings, sched.gate_time, n_intervals)
+    g = np.empty((1, len(t)), dtype=complex)  # Omega e^{i theta_k}, rewritten for every mode
     trajectories = []
-    for omega_k, eta_ik, label in zip(omega_ks, etas, labels):
-        # one mode at a time, and in place here and below: a modes x samples
-        # table or extra temporaries raise the report's peak memory
-        g = _phasors([sched.mu_ref - omega_k], sched.gate_time, n_intervals)[0]
+    for k, (theta, eta_ik, label) in enumerate(zip(thetas, etas, labels)):
+        _expand_phasors(coarse[k:k + 1], fine[k:k + 1], g)
         g *= drive
-        alpha = cumulative_simpson(g, dx)
+        alpha = cumulative_simpson(g[0], dx, overwrite_y=True)
         alpha *= eta_ik
-        theta = (sched.mu_ref - omega_k) * t + phi
-        theta.flags.writeable = alpha.flags.writeable = False  # frozen, so not copied
+        alpha.flags.writeable = False
         trajectories.append(Trajectory(mode=label, times=t, alpha=alpha, phase=theta))
     return tuple(trajectories)
 
@@ -186,22 +210,46 @@ def phase_basis(sched, t):
     ])
 
 
-def displacement_rows(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, *, time_average=False):
-    """Rows w(t) Omega(t) e^{-i omega_k t} (modes x samples): the one displacement kernel.
+class DisplacementKernel:
+    """The displacement kernel: S_jk = sum_n h_jn e^{i (f - omega_k) t_n} for drives h_j.
 
-    With the drive phase Theta = (mu_ref + offset) t + fm_phase, rows @
-    e^{i Theta} gives each mode's gate-end displacement int_0^tau Omega
-    e^{i theta_k} (w: Simpson weights), or with time_average its mean
-    (1/tau) int_0^tau alpha_k dt, the same integral with weights scaled by
-    (1 - t/tau). Returns (t, rows); eta factors are NOT included.
+    The sums run over the uniform grid of n_intervals, with drive frequency f
+    and mode frequencies omega_k. weighted holds w Omega, the Simpson weights
+    w (scaled by 1 - t/tau with time_average) times the Rabi frequency, so
+    the drive h = weighted * e^{i fm_phase} at f = mu_ref + offset gives each
+    mode's gate-end displacement int_0^tau Omega e^{i theta_k}, or with
+    time_average its mean (1/tau) int_0^tau alpha_k dt.
+
+    The mode phasors stay in coarse x fine tables C_k[q] F_k[r]
+    (n = q m + r, see _phasor_tables), which take modes x (Q + m) entries.
+    A drive buffer is zero past sample N, so each drive reshapes to (Q, m)
+    blocks; one product G = H F^T then serves every drive and mode, and
+    S_jk = sum_q C_k[q] G_j[q, k]. No modes x samples array is formed.
     """
-    t, dx = _uniform_grid(sched.gate_time, n_intervals)
-    weights = simpson_weights(len(t), dx)
-    if time_average:
-        weights *= 1.0 - t / sched.gate_time
-    rows = _phasors(-np.asarray(omega_ks, dtype=float), sched.gate_time, n_intervals)
-    rows *= weights * amplitude(t, sched)
-    return t, rows
+
+    def __init__(self, sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, *, time_average=False):
+        self.times, dx = _uniform_grid(sched.gate_time, n_intervals)
+        self.weighted = simpson_weights(len(self.times), dx)
+        if time_average:
+            self.weighted *= 1.0 - self.times / sched.gate_time
+        self.weighted *= amplitude(self.times, sched)
+        self._grid = (sched.gate_time, n_intervals)
+        self._coarse, self._fine = _phasor_tables(-np.asarray(omega_ks, dtype=float), *self._grid)
+
+    def drives(self, count):
+        """Zeroed buffer for count drives; write each into its first N + 1 entries."""
+        return np.zeros((count, self._coarse.shape[1] * self._fine.shape[1]), dtype=complex)
+
+    def tables(self, drive_freq):
+        """The mode tables shifted to the drive frequency f: e^{i (f - omega_k) t}."""
+        coarse, fine = _phasor_tables([drive_freq], *self._grid)
+        return self._coarse * coarse, self._fine * fine
+
+    def __call__(self, drives, tables):
+        """S (drives x modes) for a drives() buffer and the tables of one drive frequency."""
+        coarse, fine = tables
+        partial = drives.reshape(-1, fine.shape[1]) @ fine.T
+        return np.einsum("jqk,kq->jk", partial.reshape(len(drives), coarse.shape[1], -1), coarse)
 
 
 def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, offsets=(0.0,)):
@@ -214,13 +262,13 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
     mu_ref + offset is formed before it multiplies t, so a schedule whose
     mu_ref is shifted by the offset gives the same column at zero offset.
     """
-    t, rows = displacement_rows(sched, omega_ks, n_intervals)
-    fm = np.exp(1j * fm_phase(sched, t))
-    endpoints = np.empty((len(rows), len(offsets)), dtype=complex)
+    kernel = DisplacementKernel(sched, omega_ks, n_intervals)
+    drive = kernel.drives(1)
+    n = len(kernel.times)
+    np.multiply(kernel.weighted, np.exp(1j * fm_phase(sched, kernel.times)), out=drive[:, :n])
+    endpoints = np.empty((len(omega_ks), len(offsets)), dtype=complex)
     for col, offset in enumerate(offsets):
-        drive = _phasors([sched.mu_ref + offset], sched.gate_time, n_intervals)[0]
-        drive *= fm
-        endpoints[:, col] = rows @ drive
+        endpoints[:, col] = kernel(drive, kernel.tables(sched.mu_ref + offset))[0]
     return endpoints
 
 

@@ -7,6 +7,7 @@ acceptance suite's runtime checks.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ from ionpulse.modes import solve_modes
 from ionpulse.optimizer import REFERENCE_RABI
 
 DEFAULT_PAIR = (25, 26)
+
+
+def traced_peak(fn):
+    """fn's result and the peak bytes that tracemalloc saw while it ran."""
+    fn()  # a first call fills lazy caches, which are not the call's own memory
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -351,6 +351,49 @@ def test_stale_upstream_ion_count(small_config, tmp_path, capsys, stage, upstrea
         assert len(json.loads((out / "modes.json").read_text())["frequencies_hz"]) == 10
 
 
+def test_modes_json_without_rad_s_is_stale(small_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    for name in ("crystal", "modes"):
+        assert run(["-c", small_config, "-o", str(out), name]) == 0
+    path = out / "modes.json"
+    payload = json.loads(path.read_text())
+    del payload["frequencies_rad_s"]  # as written before the frequencies were lossless
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["-c", small_config, "-o", str(out), "optimize"]) == 3
+    err = capsys.readouterr().err
+    assert "'modes.json'" in err and "--recompute" in err
+    assert not (out / "optimize_manifest.json").exists()
+
+
+def test_staged_optimize_matches_recompute(tmp_path):
+    # modes.json round-trips the frequencies exactly, so reading it designs the
+    # schedule that solving the modes in process does (on the default chain a
+    # Hz round trip moved 6 of the 50 frequencies, and the schedule with them)
+    config = tmp_path / "default.ini"
+    config.write_text("[optimize]\nn_starts = 1\n")
+    staged, direct = tmp_path / "staged", tmp_path / "direct"
+    for name in ("crystal", "modes", "optimize"):
+        assert run(["-c", str(config), "-o", str(staged), name]) == 0
+    assert run(["-c", str(config), "-o", str(direct), "optimize", "--recompute"]) == 0
+    assert (staged / "schedule_A.json").read_bytes() == (direct / "schedule_A.json").read_bytes()
+
+
+def test_report_trajectories_do_not_depend_on_selection(small_config, tmp_path):
+    # report integrates only the modes it writes, each on its own
+    out = tmp_path / "out"
+    for name in ("crystal", "modes", "optimize", "report"):
+        assert run(["-c", small_config, "-o", str(out), name]) == 0
+    targets = {p.name: p.read_bytes() for p in out.glob("trajectory_mode_*_A.csv")}
+    assert len(targets) == 10
+    every = tmp_path / "all.ini"
+    every.write_text(SMALL_CONFIG.replace("trajectory_modes = targets", "trajectory_modes = all"))
+    assert run(["-c", str(every), "-o", str(out), "report"]) == 0
+    assert len(list(out.glob("trajectory_mode_*_A.csv"))) == 12
+    for name, data in targets.items():
+        assert (out / name).read_bytes() == data
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
 def test_bad_powermap_pairs(small_config, tmp_path, capsys, value):
     out = tmp_path / "out"

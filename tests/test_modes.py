@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from ionpulse import (
 )
 from ionpulse.constants import HBAR
 from ionpulse.modes import (
+    StaleModesFile,
     load_modes,
     mode_frequency,
     most_uniform_mode,
@@ -182,9 +185,21 @@ def test_modes_roundtrip(tmp_path, mode_data):
     path = tmp_path / "modes.json"
     save_modes(mode_data, path)
     loaded = load_modes(path)
-    np.testing.assert_allclose(loaded.frequencies, mode_data.frequencies, rtol=1e-15)
+    # bitwise: a staged optimize reads these frequencies, and optimize --recompute
+    # solves them in process; both must design the same schedule
+    np.testing.assert_array_equal(loaded.frequencies, mode_data.frequencies)
     np.testing.assert_array_equal(loaded.vectors, mode_data.vectors)
     np.testing.assert_array_equal(loaded.eta, mode_data.eta)
+
+
+def test_modes_without_rad_s_are_stale(tmp_path, mode_data):
+    path = tmp_path / "modes.json"
+    save_modes(mode_data, path)
+    payload = json.loads(path.read_text())
+    del payload["frequencies_rad_s"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StaleModesFile):
+        load_modes(path)
 
 
 def test_spectrum_csv(tmp_path, mode_data):

@@ -34,7 +34,7 @@ from ionpulse.trajectory import phase_basis
 from ionpulse.pulse import amplitude, drive_frequency
 from ionpulse.quadrature import cumulative_simpson, simpson
 
-from conftest import DEFAULT_PAIR, make_base_schedule, make_problem
+from conftest import DEFAULT_PAIR, make_base_schedule, make_problem, traced_peak
 
 
 def test_default_mu_ref_uses_uniform_mode(mode_data):
@@ -140,6 +140,21 @@ def test_jacobian_matches_finite_difference(mode_data, base_schedule_a):
         bump[d] = h
         numeric[:, d] = (objective(fm + bump)[0] - objective(fm - bump)[0]) / (2 * h)
     assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(jac).max()
+
+
+def test_objective_forms_no_modes_x_samples_array(mode_data, base_schedule_a):
+    # it keeps the phase basis and one buffer of 1 + n_oscillations padded drives;
+    # the time-average rows of the 10 target modes were 3.2 MB on their own
+    problem = make_problem(mode_data, base_schedule_a)
+    fm = np.random.default_rng(13).uniform(-2 * np.pi * 2e3, 2 * np.pi * 2e3, 8)
+
+    def build_and_evaluate():
+        objective = _Objective(problem)
+        objective(fm)
+        return objective
+
+    objective, peak = traced_peak(build_and_evaluate)
+    assert peak <= objective.basis.nbytes + objective.drives.nbytes + 2**20
 
 
 def test_optimization_reduces_cost(mode_data, base_schedule_a, optimized_a):
@@ -316,6 +331,21 @@ def test_gate_report(mode_data, optimized_a):
         assert traj.mode == alone.mode
         for name in ("times", "alpha", "phase"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+
+
+def test_gate_report_traces_selected_modes(mode_data, optimized_a):
+    full = build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR, alpha_intervals=4000)
+    some = build_gate_report(
+        optimized_a, mode_data, *DEFAULT_PAIR, alpha_intervals=4000, trajectory_modes=(30, 2),
+    )
+    assert [traj.mode for traj in some.trajectories] == [30, 2]
+    for traj in some.trajectories:
+        match = full.trajectories[traj.mode - 1]
+        for name in ("times", "alpha", "phase"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(match, name))
+    assert some.mode_errors == full.mode_errors
+    with pytest.raises(ValueError):
+        build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR, trajectory_modes=(0,))
 
 
 @pytest.mark.parametrize("single_ion", [False, True])

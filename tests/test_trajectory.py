@@ -16,15 +16,20 @@ from ionpulse import (
     time_averaged_displacement,
 )
 from ionpulse.trajectory import (
-    _phasors,
+    _expand_phasors,
+    _phasor_tables,
     fm_phase,
     mode_angle_integrals,
     mode_displacement_integrals,
+    mode_errors,
+    mode_trajectories,
     phase_basis,
     save_trajectory_csv,
 )
 from ionpulse.pulse import amplitude, drive_frequency
 from ionpulse.quadrature import cumulative_simpson, simpson_weights
+
+from conftest import traced_peak
 
 TAU = 500e-6
 MU0 = 2 * np.pi * 2.7e6
@@ -74,6 +79,12 @@ def test_fm_phase_matches_phase_basis(samples):
             )
 
 
+def _phasors(freqs, tau, n_intervals):
+    """e^{i f t_n} (len(freqs) x N+1), multiplied out from the coarse x fine tables."""
+    out = np.empty((len(freqs), n_intervals + 1), dtype=complex)
+    return _expand_phasors(*_phasor_tables(freqs, tau, n_intervals), out)
+
+
 @pytest.mark.parametrize("n_intervals", [1000, 1023, 2000, 4000, 20000])
 def test_phasors_match_complex_exponential(n_intervals):
     # m = isqrt(N + 1): 1024 samples fill 32 blocks of 32 exactly, the other
@@ -86,7 +97,8 @@ def test_phasors_match_complex_exponential(n_intervals):
     # the reference's own rounding is ~2e-12 at phases of ~9e3 rad
     np.testing.assert_allclose(got, np.exp(1j * np.multiply.outer(freqs, t)), rtol=0.0, atol=1e-11)
     for k, f in enumerate(freqs):
-        # the per-mode trajectories take one row at a time and must match a batched row
+        # integrate_alpha expands a one-frequency table, and it must match the row
+        # that a report's trajectories take from the tables of all modes
         np.testing.assert_array_equal(_phasors([f], TAU, n_intervals)[0], got[k])
 
 
@@ -318,6 +330,42 @@ def test_displacement_offsets_match_single_offset_calls(mode_data):
     for col, offset in enumerate(offsets):
         single = mode_displacement_integrals(sched, mode_data.frequencies, offsets=(offset,))
         np.testing.assert_array_equal(batched[:, col], single[:, 0])
+
+
+@pytest.mark.parametrize("n_intervals", [1088, 2000, 20000])
+@pytest.mark.parametrize("n_modes", [1, 50])
+def test_displacement_blocks_match_materialized_exponential(mode_data, n_intervals, n_modes):
+    # the kernel contracts (Q, m) blocks of the drive with coarse x fine tables and
+    # never forms the modes x samples phasors; 1089 samples fill 33 blocks of 33
+    # exactly, the other counts pad the last block with zeros
+    sched = random_fm_schedule(7)
+    omegas = mode_data.frequencies[24:25] if n_modes == 1 else mode_data.frequencies
+    offsets = [0.0, -2 * np.pi * 700.0]
+    got = mode_displacement_integrals(sched, omegas, n_intervals, offsets)
+    t = np.linspace(0.0, TAU, n_intervals + 1)
+    envelope = simpson_weights(len(t), t[1] - t[0]) * amplitude(t, sched)
+    phi = fm_phase(sched, t)
+    for col, offset in enumerate(offsets):
+        theta = np.multiply.outer(sched.mu_ref + offset - omegas, t) + phi
+        expected = np.exp(1j * theta) @ envelope
+        np.testing.assert_allclose(got[:, col], expected, rtol=0.0, atol=1e-11 * sched.amp_scale * TAU)
+
+
+def test_sweep_columns_form_no_modes_x_samples_array(mode_data, optimized_a):
+    # a 49-offset sweep of all 50 modes on 20,001 samples; the kernel rows alone
+    # were 16 MB, and the padded drive plus the tables take well under 1 MB
+    offsets = [0.0, *np.geomspace(2 * np.pi * 10.0, 2 * np.pi * 2000.0, 48)]
+    _, peak = traced_peak(lambda: mode_errors(optimized_a, mode_data, 25, 26, offsets=offsets))
+    assert peak < 4e6
+
+
+def test_mode_trajectories_allocate_what_they_store(mode_data, optimized_a):
+    labels = range(1, mode_data.n_modes + 1)
+    trajs, peak = traced_peak(lambda: mode_trajectories(
+        optimized_a, mode_data.frequencies, mode_data.eta[24], labels,
+    ))
+    stored = trajs[0].times.nbytes + sum(tr.alpha.nbytes + tr.phase.nbytes for tr in trajs)
+    assert peak <= stored + 2**20
 
 
 def test_displacement_zero_offset_matches_integrate_alpha(mode_data):
