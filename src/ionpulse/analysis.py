@@ -80,13 +80,10 @@ class PowerMap:
 
     def computed_pairs(self):
         """(i, j, omega_max) for every finite upper-triangle entry, 1-based."""
-        n = self.n_ions
-        out = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if np.isfinite(self.omega_max[i, j]):
-                    out.append((i + 1, j + 1, float(self.omega_max[i, j])))
-        return out
+        rows, cols = np.triu_indices(self.n_ions, k=1)
+        values = self.omega_max[rows, cols]
+        held = np.isfinite(values)
+        return list(zip((rows[held] + 1).tolist(), (cols[held] + 1).tolist(), values[held].tolist()))
 
 
 def default_offsets(count=20, low=2 * np.pi * 10.0, high=2 * np.pi * 2000.0):

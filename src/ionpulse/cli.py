@@ -216,6 +216,13 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"{key} must be {word!r} or an integer >= 1, got {raw!r}")
         return count
 
+    def get_intervals(key):
+        """An even interval count >= 2, as composite Simpson needs."""
+        count = get("analysis", key, int)
+        if count < 2 or count % 2:
+            raise ConfigError(f"[analysis] {key} must be an even integer >= 2, got {count}")
+        return count
+
     two_pi = 2 * np.pi
     raman = get("trap", "raman_wavevector_per_m", str).strip()
     try:
@@ -246,6 +253,11 @@ def load_config(path=None, overrides=None):
         raise ConfigError(
             f"trajectory_modes must be targets, all or none, got {traj_modes!r}"
         )
+    sweep_min = get("analysis", "sweep_min_hz", float)
+    sweep_max = get("analysis", "sweep_max_hz", float)
+    if not 0 < sweep_min < sweep_max < np.inf:
+        raise ConfigError(f"[analysis] sweep_min_hz and sweep_max_hz must satisfy "
+                          f"0 < min < max < inf, got {sweep_min!r} and {sweep_max!r}")
     get("output", "threads", int)  # accepted for compatibility and ignored, but must parse
 
     return RunConfig(
@@ -265,11 +277,11 @@ def load_config(path=None, overrides=None):
         n_starts=get("optimize", "n_starts", int),
         target_modes=targets,
         sweep_points=get("analysis", "sweep_points", int),
-        sweep_min=two_pi * get("analysis", "sweep_min_hz", float),
-        sweep_max=two_pi * get("analysis", "sweep_max_hz", float),
+        sweep_min=two_pi * sweep_min,
+        sweep_max=two_pi * sweep_max,
         powermap_pairs=get_count("analysis", "powermap_pairs", "all"),
-        alpha_intervals=get("analysis", "alpha_intervals", int),
-        beta_intervals=get("analysis", "beta_intervals", int),
+        alpha_intervals=get_intervals("alpha_intervals"),
+        beta_intervals=get_intervals("beta_intervals"),
         waveform_samples=get("analysis", "waveform_samples", int),
         trajectory_samples=get("analysis", "trajectory_samples", int),
         trajectory_modes=traj_modes,
@@ -602,18 +614,21 @@ def cmd_powermap(cfg, out_dir, recompute, inputs):
     csv_path = os.path.join(out_dir, f"powermap_{cfg.shape_kind}.csv")
     save_power_map_csv(pmap, csv_path)
     values = np.array([v for _, _, v in pmap.computed_pairs()])
-    lo_khz, hi_khz = values.min() / (2 * np.pi) / 1e3, values.max() / (2 * np.pi) / 1e3
+    hz = dict.fromkeys(("min", "max", "mean"))  # null when every pair is degenerate
+    summary = f"powermap[{cfg.shape_kind}]: {len(values)} pairs"
+    if len(values):
+        hz = {stat: float(getattr(values, stat)()) / (2 * np.pi) for stat in hz}
+        summary += f", omega_max {hz['min'] / 1e3:.1f} to {hz['max'] / 1e3:.1f} kHz"
     return StageResult(
-        f"powermap[{cfg.shape_kind}]: {len(values)} pairs, omega_max {lo_khz:.1f} to "
-        f"{hi_khz:.1f} kHz ({len(pmap.degenerate_pairs)} degenerate)",
+        f"{summary} ({len(pmap.degenerate_pairs)} degenerate)",
         [csv_path],
         {
             "shape": cfg.shape_kind,
             "pairs": len(values),
             "degenerate_pairs": [list(p) for p in pmap.degenerate_pairs],
-            "omega_max_min_hz": float(values.min()) / (2 * np.pi),
-            "omega_max_max_hz": float(values.max()) / (2 * np.pi),
-            "omega_max_mean_hz": float(values.mean()) / (2 * np.pi),
+            "omega_max_min_hz": hz["min"],
+            "omega_max_max_hz": hz["max"],
+            "omega_max_mean_hz": hz["mean"],
         },
         {"map": t1 - t0},
     )

@@ -23,8 +23,9 @@ of about sqrt(N) entries each, evaluated in long double and rounded once.
 That accuracy needs the x86-64 extended long double
 (test_motional_error_matches_long_double_quadrature guards it): with float64
 tables each coarse rounding repeats over a whole block, and the error grows.
-A per-mode trajectory multiplies its tables out (_expand_phasors), one sample
-per complex product.
+The per-mode trajectories and the angle kernel share one integrand
+Omega e^{i theta_k} (_mode_integrands): a mode's tables multiplied out
+(_expand_phasors) times the drive Omega e^{i fm_phase}, in one reused buffer.
 
 The displacement kernel (DisplacementKernel) keeps the factorization
 instead. A weighted drive h_n = w Omega e^{i fm_phase}, padded with zeros to
@@ -158,6 +159,16 @@ def fm_phase(sched, t):
     return cumulative_simpson(fm_offset(t, sched), t[1] - t[0])
 
 
+def _mode_integrands(sched, detunings, drive):
+    """Yield drive * e^{i d_k t} for each detuning d_k, every one into the same buffer."""
+    coarse, fine = _phasor_tables(detunings, sched.gate_time, len(drive) - 1)
+    g = np.empty((1, len(drive)), dtype=complex)
+    for k in range(len(detunings)):
+        _expand_phasors(coarse[k:k + 1], fine[k:k + 1], g)
+        g *= drive
+        yield g[0]
+
+
 def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_INTERVALS):
     """Trajectories of the modes at omega_ks, with couplings etas and mode labels."""
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
@@ -172,13 +183,10 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
         theta.flags.writeable = False  # frozen, so the record does not copy it
         thetas.append(theta)
     del phi  # the phases are all built, so only what the records store grows from here
-    coarse, fine = _phasor_tables(detunings, sched.gate_time, n_intervals)
-    g = np.empty((1, len(t)), dtype=complex)  # Omega e^{i theta_k}, rewritten for every mode
     trajectories = []
-    for k, (theta, eta_ik, label) in enumerate(zip(thetas, etas, labels)):
-        _expand_phasors(coarse[k:k + 1], fine[k:k + 1], g)
-        g *= drive
-        alpha = cumulative_simpson(g[0], dx, overwrite_y=True)
+    integrands = _mode_integrands(sched, detunings, drive)
+    for g, theta, eta_ik, label in zip(integrands, thetas, etas, labels):
+        alpha = cumulative_simpson(g, dx, overwrite_y=True)
         alpha *= eta_ik
         alpha.flags.writeable = False
         trajectories.append(Trajectory(mode=label, times=t, alpha=alpha, phase=theta))
@@ -309,17 +317,15 @@ def mode_angle_integrals(sched, omega_ks, n_intervals=DEFAULT_BETA_INTERVALS):
     """
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
     w_end = simpson_weights(len(t), dx)
-    omega = amplitude(t, sched)
-    phi = fm_phase(sched, t)
-    out = np.empty(len(omega_ks))
-    g = np.empty(len(t), dtype=complex)  # Omega e^{i theta_k}, rewritten for every mode
-    for pos, omega_k in enumerate(np.asarray(omega_ks, dtype=float)):
-        theta = (sched.mu_ref - omega_k) * t + phi
-        np.cos(theta, out=g.real)
-        np.sin(theta, out=g.imag)
-        g *= omega
+    drive = np.exp(1j * fm_phase(sched, t))
+    drive *= amplitude(t, sched)
+    detunings = sched.mu_ref - np.asarray(omega_ks, dtype=float)
+    out = np.empty(len(detunings))
+    for pos, g in enumerate(_mode_integrands(sched, detunings, drive)):
         running = cumulative_simpson(g, dx)
-        out[pos] = float(np.imag((g * np.conj(running)) @ w_end))
+        np.conj(running, out=running)
+        np.multiply(g, running, out=running)  # in place: no per-mode temporaries on the heap
+        out[pos] = running.imag @ w_end
     return out
 
 

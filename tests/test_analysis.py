@@ -182,9 +182,13 @@ def test_power_map_flags_degenerate_pair(chain_12):
     eta = modes.eta.copy()
     eta[11] = 0.0  # ion 12 no longer couples to any mode
     uncoupled = ModeData(frequencies=modes.frequencies, vectors=modes.vectors, eta=eta)
-    pmap = power_map(sched, uncoupled, pairs=[(2, 5), (3, 12)])
+    pmap = power_map(sched, uncoupled, pairs=[(2, 5), (3, 12), (1, 2)])
     assert pmap.degenerate_pairs == ((3, 12),)
     assert np.isnan(pmap.omega_max[2, 11]) and np.isnan(pmap.omega_max[11, 2])
+    # the NaN pair is skipped, and the rest come in upper-triangle row order as Python numbers
+    computed = pmap.computed_pairs()
+    assert computed == [(1, 2, pmap.omega_max[0, 1]), (2, 5, pmap.omega_max[1, 4])]
+    assert all(type(v) is t for row in computed for v, t in zip(row, (int, int, float)))
     assert pmap.omega_max[1, 4] == pytest.approx(calibrate_power(sched, uncoupled, 2, 5), rel=1e-12)
     with pytest.raises(DegeneratePair):
         calibrate_power(sched, uncoupled, 3, 12)

@@ -189,6 +189,35 @@ def test_bad_target_modes(tmp_path, capsys):
     assert "[optimize] target_modes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("alpha_intervals", "0"), ("alpha_intervals", "4001"), ("beta_intervals", "1"),
+    ("sweep_min_hz", "0"), ("sweep_min_hz", "3000"), ("sweep_max_hz", "inf"),
+])
+def test_bad_analysis_grid_or_range(tmp_path, capsys, key, value):
+    # refused when the config is read, so even a stage that never uses the value fails
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[analysis]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run(["-c", str(path), "-o", str(out), "crystal"]) == 2
+    err = capsys.readouterr().err
+    assert "[analysis]" in err and key in err
+    assert not out.exists()
+
+
+def test_powermap_with_every_pair_degenerate(tmp_path, capsys):
+    # two intervals resolve no entangling angle, so no pair is computed
+    path = tmp_path / "coarse.ini"
+    path.write_text(SMALL_CONFIG.replace("beta_intervals = 1000", "beta_intervals = 2"))
+    out = tmp_path / "out"
+    assert run(["-c", str(path), "-o", str(out), "powermap", "--recompute"]) == 0
+    assert "powermap[A]: 0 pairs (66 degenerate)" in capsys.readouterr().out
+    assert (out / "powermap_A.csv").read_bytes() == b"ion_i,ion_j,omega_max_hz\r\n"
+    params = json.loads((out / "powermap_manifest.json").read_text())["parameters"]
+    assert params["pairs"] == 0 and len(params["degenerate_pairs"]) == 66
+    for stat in ("min", "max", "mean"):
+        assert params[f"omega_max_{stat}_hz"] is None
+
+
 def test_report_endpoints_sum_and_sweep_baseline_match_error(small_config, tmp_path):
     # report's per-mode terms are the ones motional_error sums, and the sweep
     # runs at the calibrated power, so its baseline is the reported error
