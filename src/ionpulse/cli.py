@@ -223,6 +223,13 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"[analysis] {key} must be an even integer >= 2, got {count}")
         return count
 
+    def get_samples(key):
+        """A sample count >= 2: a grid needs both of its ends."""
+        count = get("analysis", key, int)
+        if count < 2:
+            raise ConfigError(f"[analysis] {key} must be an integer >= 2, got {count}")
+        return count
+
     two_pi = 2 * np.pi
     raman = get("trap", "raman_wavevector_per_m", str).strip()
     try:
@@ -276,14 +283,14 @@ def load_config(path=None, overrides=None):
         max_evals=get("optimize", "max_evals", int),
         n_starts=get("optimize", "n_starts", int),
         target_modes=targets,
-        sweep_points=get("analysis", "sweep_points", int),
+        sweep_points=get_samples("sweep_points"),
         sweep_min=two_pi * sweep_min,
         sweep_max=two_pi * sweep_max,
         powermap_pairs=get_count("analysis", "powermap_pairs", "all"),
         alpha_intervals=get_intervals("alpha_intervals"),
         beta_intervals=get_intervals("beta_intervals"),
-        waveform_samples=get("analysis", "waveform_samples", int),
-        trajectory_samples=get("analysis", "trajectory_samples", int),
+        waveform_samples=get_samples("waveform_samples"),
+        trajectory_samples=get_samples("trajectory_samples"),
         trajectory_modes=traj_modes,
         output_dir=get("output", "dir", str),
         config_text=text,

@@ -9,7 +9,12 @@ linearly (constant field) beyond, keeping it C1 everywhere.
 
 Equilibrium positions are found by descending the total electrostatic energy
 (trap plus pairwise Coulomb repulsion) along the net-force direction with an
-adaptive step.
+adaptive step. Each trial step forms one pair-difference matrix z_i - z_j:
+the energy takes its Coulomb pairs from it, and after an accepted step the
+forces reuse it. The descent takes bit for bit the steps of a plain loop that
+evaluates energy and forces from scratch. Its stopping rule, force_tol =
+1e-20 N on the largest per-ion force, settles positions only to about 5e-3
+delta_z; ROADMAP item 3 plans a Newton polish on the analytic Hessian.
 """
 
 import csv
@@ -117,16 +122,22 @@ class _CutLogTrap:
         self.slope = self.pref * 2.0 * self.z_cut / (self.l_sq - self.z_cut * self.z_cut)
         self.field_pref = -self.pref * 2.0
 
+    def log_potential(self, z):
+        """The uncut log potential, which is the trap's wherever |z| < z_cut."""
+        return self.pref * np.log(self.l_sq / (self.l_sq - z * z))
+
     def potential(self, z):
         az = np.abs(z)
         inside = az < self.z_cut
-        z_in = np.where(inside, z, 0.0)
-        v_in = self.pref * np.log(self.l_sq / (self.l_sq - z_in * z_in))
+        v_in = self.log_potential(np.where(inside, z, 0.0))
         return np.where(inside, v_in, self.v_wall + self.slope * (az - self.z_cut))
 
+    def log_field(self, z):
+        """The uncut log field, which is the trap's wherever |z| <= z_cut."""
+        return self.field_pref * z / (self.l_sq - z * z)
+
     def field(self, z):
-        z_eff = np.clip(z, -self.z_cut, self.z_cut)
-        return self.field_pref * z_eff / (self.l_sq - z_eff * z_eff)
+        return self.log_field(np.clip(z, -self.z_cut, self.z_cut))
 
 
 def trap_potential(z, cfg):
@@ -171,31 +182,87 @@ def trap_depth(cfg):
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_indices(n):
-    """Read-only (i, j) index arrays of every pair i < j among n ions."""
+def _flat_pairs(n):
+    """Read-only flat indices i*n + j of every pair i < j in an n x n matrix."""
     iu, ju = np.triu_indices(n, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    flat = iu * n + ju
+    flat.setflags(write=False)
+    return flat
+
+
+class _Chain:
+    """Energy and forces of n ions in one trap, sharing one pair-difference matrix.
+
+    load(z) forms d = z[:, None] - z once; energy() takes the Coulomb pairs
+    from its upper triangle and forces() then reuses it, overwriting it. Each
+    float comes out as the plain formulas give it: the same operations on the
+    same elements in the same order, and the same pairwise sum layouts. While
+    every ion lies inside the cutoff, the built-in trap skips the wall branch
+    of the potential and the clip of the field, which change nothing there.
+    potential/field replace the built-in trap when given.
+    """
+
+    def __init__(self, cfg, n, potential=None, field=None):
+        self.charge = cfg.charge
+        self.kq2 = cfg.coulomb_k * cfg.charge**2
+        self.trap = _CutLogTrap(cfg)
+        self.potential = potential
+        self.field = field
+        self.flat_pairs = _flat_pairs(n)
+        self.d = np.empty((n, n))
+        self.quotient = np.empty((n, n))
+        self.diagonal = self.d.reshape(-1)[:: n + 1]  # view: writes go to d
+        self.z = None
+        self.z_max = None
+
+    def load(self, z):
+        """Take positions z: their pair differences and their largest |z|."""
+        self.z = z
+        np.subtract(z[:, None], z, out=self.d)
+        self.z_max = np.maximum.reduce(np.abs(z))
+
+    def energy(self):
+        """Total electrostatic energy in joules of the loaded positions."""
+        z, trap = self.z, self.trap
+        if self.potential is not None:
+            v = self.potential(z)
+        elif self.z_max < trap.z_cut:
+            v = trap.log_potential(z)
+        else:
+            v = trap.potential(z)
+        pairs = np.abs(self.d.take(self.flat_pairs))
+        coulomb = np.add.reduce(np.divide(1.0, pairs, out=pairs))
+        return float(self.charge * np.add.reduce(v) + self.kq2 * coulomb)
+
+    def forces(self):
+        """Net axial force in newtons on each loaded ion; overwrites the differences."""
+        z, trap, d, quotient = self.z, self.trap, self.d, self.quotient
+        if self.field is not None:
+            e = self.field(z)
+        elif self.z_max < trap.z_cut:
+            e = trap.log_field(z)
+        else:
+            e = trap.field(z)
+        self.diagonal[...] = np.inf
+        np.multiply(d, d, out=quotient)
+        np.divide(np.sign(d, out=d), quotient, out=quotient)
+        return self.charge * e + self.kq2 * np.add.reduce(quotient, axis=1)
 
 
 def chain_energy(positions, cfg, potential=None):
     """Total electrostatic energy in joules of ions at the given axial positions."""
     z = np.asarray(positions, dtype=float)
-    v = trap_potential(z, cfg) if potential is None else potential(z)
-    iu, ju = _pair_indices(len(z))
-    coulomb = np.sum(1.0 / np.abs(z[iu] - z[ju]))
-    return float(cfg.charge * np.sum(v) + cfg.coulomb_k * cfg.charge**2 * coulomb)
+    chain = _Chain(cfg, len(z), potential=potential)
+    chain.load(z)
+    return chain.energy()
 
 
 def chain_forces(positions, cfg, field=None):
     """Net axial force in newtons on each ion (trap field plus Coulomb repulsion)."""
     z = np.asarray(positions, dtype=float)
-    e = trap_field(z, cfg) if field is None else field(z)
-    d = z[:, None] - z[None, :]
-    np.fill_diagonal(d, np.inf)
-    coulomb = cfg.coulomb_k * cfg.charge**2 * (np.sign(d) / (d * d)).sum(axis=1)
-    return cfg.charge * e + coulomb
+    chain = _Chain(cfg, len(z), field=field)
+    chain.load(z)
+    return chain.forces()
 
 
 def solve_equilibrium(
@@ -238,44 +305,49 @@ def solve_equilibrium(
 
     n = cfg.n_ions
     z = (np.arange(n) - (n - 1) / 2.0) * init_spacing
-    z_cut = cfg.cutoff_s * cfg.half_length
-    check_escape = potential is None
-    if check_escape:
-        trap = _CutLogTrap(cfg)
-        potential, field = trap.potential, trap.field
-
     if n == 1:
         # single ion rests at the center of the even potential
         return IonCrystal(positions=np.zeros(1), residual_force=0.0, iterations=0)
 
-    energy = chain_energy(z, cfg, potential)
-    forces = chain_forces(z, cfg, field)
-    step = initial_step
-    for iteration in range(max_iter):
-        f_max = float(np.abs(forces).max())
-        if f_max < force_tol:
-            return IonCrystal(
-                positions=np.sort(z), residual_force=f_max, iterations=iteration
-            )
-        trial = z + step * (forces / f_max)
-        trial_energy = chain_energy(trial, cfg, potential)
-        if trial_energy <= energy:
-            z, energy = trial, trial_energy
-            if check_escape and np.abs(z).max() >= z_cut:
-                raise IonEscape(
-                    f"ion reached |z| >= {z_cut:.3e} m after {iteration} iterations; "
-                    "the trap cannot hold this configuration"
+    chain = _Chain(cfg, n, potential, field)
+    try:
+        check_escape = potential is None
+        z_cut = chain.trap.z_cut
+        chain.load(z)
+        energy = chain.energy()
+        forces = chain.forces()
+        f_max = float(np.maximum.reduce(np.abs(forces)))
+        step = initial_step
+        for iteration in range(max_iter):
+            if f_max < force_tol:
+                return IonCrystal(
+                    positions=np.sort(z), residual_force=f_max, iterations=iteration
                 )
-            forces = chain_forces(z, cfg, field)
-            step *= 1.1
-            if callback is not None:
-                callback(iteration, energy, float(np.abs(forces).max()))
-        else:
-            step *= 0.5
-    raise NonConvergence(
-        f"max residual force {float(np.abs(forces).max()):.3e} N after {max_iter} iterations "
-        f"(tolerance {force_tol:.1e} N)"
-    )
+            trial = z + step * (forces / f_max)
+            chain.load(trial)
+            trial_energy = chain.energy()
+            if trial_energy <= energy:
+                z, energy = trial, trial_energy
+                if check_escape and chain.z_max >= z_cut:
+                    raise IonEscape(
+                        f"ion reached |z| >= {z_cut:.3e} m after {iteration} iterations; "
+                        "the trap cannot hold this configuration"
+                    )
+                forces = chain.forces()
+                f_max = float(np.maximum.reduce(np.abs(forces)))
+                step *= 1.1
+                if callback is not None:
+                    callback(iteration, energy, f_max)
+            else:
+                step *= 0.5
+        raise NonConvergence(
+            f"max residual force {f_max:.3e} N after {max_iter} iterations "
+            f"(tolerance {force_tol:.1e} N)"
+        )
+    finally:
+        # a caller may keep a refusal, and its traceback keeps this frame:
+        # do not pin the n x n buffers to it
+        del chain
 
 
 def save_crystal(crystal, csv_path, json_path):

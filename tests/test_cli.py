@@ -192,6 +192,8 @@ def test_bad_target_modes(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("alpha_intervals", "0"), ("alpha_intervals", "4001"), ("beta_intervals", "1"),
     ("sweep_min_hz", "0"), ("sweep_min_hz", "3000"), ("sweep_max_hz", "inf"),
+    ("sweep_points", "0"), ("sweep_points", "1"), ("sweep_points", "-3"),
+    ("waveform_samples", "0"), ("trajectory_samples", "1"), ("trajectory_samples", "2.5"),
 ])
 def test_bad_analysis_grid_or_range(tmp_path, capsys, key, value):
     # refused when the config is read, so even a stage that never uses the value fails

@@ -198,20 +198,93 @@ def test_chain_energy_additivity(cfg):
     assert chain_energy(z, cfg) == pytest.approx(expected, rel=1e-12)
 
 
+class _SeedTrap:
+    """The cut log trap as first written, kept apart from the solver as the oracle's trap."""
+
+    def __init__(self, cfg):
+        L = cfg.half_length
+        self.l_sq = L * L
+        self.z_cut = cfg.cutoff_s * L
+        self.pref = cfg.scale_r * cfg.coulomb_k * cfg.linear_density
+        self.v_wall = self.pref * np.log(self.l_sq / (self.l_sq - self.z_cut * self.z_cut))
+        self.slope = self.pref * 2.0 * self.z_cut / (self.l_sq - self.z_cut * self.z_cut)
+        self.field_pref = -self.pref * 2.0
+
+    def potential(self, z):
+        az = np.abs(z)
+        inside = az < self.z_cut
+        z_in = np.where(inside, z, 0.0)
+        v_in = self.pref * np.log(self.l_sq / (self.l_sq - z_in * z_in))
+        return np.where(inside, v_in, self.v_wall + self.slope * (az - self.z_cut))
+
+    def field(self, z):
+        z_eff = np.clip(z, -self.z_cut, self.z_cut)
+        return self.field_pref * z_eff / (self.l_sq - z_eff * z_eff)
+
+
+def _seed_energy(positions, cfg, potential=None):
+    """chain_energy as first written."""
+    z = np.asarray(positions, dtype=float)
+    v = _SeedTrap(cfg).potential(z) if potential is None else potential(z)
+    iu, ju = np.triu_indices(len(z), k=1)
+    coulomb = np.sum(1.0 / np.abs(z[iu] - z[ju]))
+    return float(cfg.charge * np.sum(v) + cfg.coulomb_k * cfg.charge**2 * coulomb)
+
+
+def _seed_forces(positions, cfg, field=None):
+    """chain_forces as first written."""
+    z = np.asarray(positions, dtype=float)
+    e = _SeedTrap(cfg).field(z) if field is None else field(z)
+    d = z[:, None] - z[None, :]
+    np.fill_diagonal(d, np.inf)
+    coulomb = cfg.coulomb_k * cfg.charge**2 * (np.sign(d) / (d * d)).sum(axis=1)
+    return cfg.charge * e + coulomb
+
+
+def _harmonic_hooks(cfg, omega_z=2 * np.pi * 100e3):
+    stiffness = cfg.ion_mass * omega_z**2
+
+    def potential(z):
+        return 0.5 * stiffness * np.asarray(z) ** 2 / cfg.charge
+
+    def field(z):
+        return -stiffness * np.asarray(z) / cfg.charge
+
+    return potential, field
+
+
+@pytest.mark.parametrize("case", ["unsorted", "beyond_cutoff", "harmonic_hooks"])
+def test_energy_and_forces_match_seed_formulas_bitwise(cfg, case):
+    # the evaluator must assume neither sorted positions nor ions inside the trap
+    z_cut = cfg.cutoff_s * cfg.half_length
+    rng = np.random.default_rng(7)
+    potential = field = None
+    if case == "unsorted":
+        z = rng.permutation(np.linspace(-0.9, 0.9, cfg.n_ions) * z_cut)
+    elif case == "beyond_cutoff":
+        z = np.concatenate([np.linspace(-1.3, 1.2, 41), [1.0, -1.0]]) * z_cut
+    else:
+        z = rng.uniform(-2.0, 2.0, cfg.n_ions) * z_cut
+        potential, field = _harmonic_hooks(cfg)
+    z += rng.uniform(-1e-3, 1e-3, len(z)) * cfg.delta_z
+    assert chain_energy(z, cfg, potential) == _seed_energy(z, cfg, potential)
+    assert chain_forces(z, cfg, field).tobytes() == _seed_forces(z, cfg, field).tobytes()
+
+
 def seed_descent(cfg, callback):
-    """The descent loop as first written, on the public chain_energy/chain_forces."""
+    """The descent loop as first written, on the seed formulas above."""
     n = cfg.n_ions
     z = (np.arange(n) - (n - 1) / 2.0) * (0.95 * cfg.delta_z)
     z_cut = cfg.cutoff_s * cfg.half_length
-    energy = chain_energy(z, cfg)
-    forces = chain_forces(z, cfg)
+    energy = _seed_energy(z, cfg)
+    forces = _seed_forces(z, cfg)
     step = 1e-9
     for iteration in range(1_000_000):
         f_max = float(np.abs(forces).max())
         if f_max < 1e-20:
             return np.sort(z), f_max, iteration
         trial = z + step * (forces / f_max)
-        trial_energy = chain_energy(trial, cfg)
+        trial_energy = _seed_energy(trial, cfg)
         if trial_energy <= energy:
             z, energy = trial, trial_energy
             if np.abs(z).max() >= z_cut:
@@ -219,7 +292,7 @@ def seed_descent(cfg, callback):
                     f"ion reached |z| >= {z_cut:.3e} m after {iteration} iterations; "
                     "the trap cannot hold this configuration"
                 )
-            forces = chain_forces(z, cfg)
+            forces = _seed_forces(z, cfg)
             step *= 1.1
             callback(iteration, energy, float(np.abs(forces).max()))
         else:
@@ -227,10 +300,19 @@ def seed_descent(cfg, callback):
     raise NonConvergence("seed descent did not converge")
 
 
-@pytest.mark.parametrize("n_ions", [2, 12, 50])
-def test_descent_matches_seed_loop(n_ions):
+@pytest.mark.parametrize("n_ions, scale_r, cutoff_s", [
+    pytest.param(2, 0.95, 0.98, id="2"),
+    pytest.param(12, 0.95, 0.98, id="12"),
+    pytest.param(50, 0.95, 0.98, id="50"),
+    # held, each after rejecting a trial past the cutoff (the wall branch of the trap)
+    pytest.param(30, 0.85, 0.97, id="30-0.85-0.97"),
+    pytest.param(32, 0.90, 0.97, id="32-0.90-0.97"),
+    # the most ions the default trap holds
+    pytest.param(54, 0.95, 0.98, id="54-0.95-0.98"),
+])
+def test_descent_matches_seed_loop(n_ions, scale_r, cutoff_s):
     # the solver may be made faster, but it must take the seed loop's every step
-    cfg = TrapConfig(n_ions=n_ions)
+    cfg = TrapConfig(n_ions=n_ions, scale_r=scale_r, cutoff_s=cutoff_s)
     steps, seed_steps = [], []
     crystal = solve_equilibrium(cfg, callback=lambda *step: steps.append(step))
     positions, residual, iterations = seed_descent(cfg, lambda *step: seed_steps.append(step))
@@ -241,9 +323,12 @@ def test_descent_matches_seed_loop(n_ions):
 
 
 def test_descent_escape_matches_seed_loop():
-    cfg = TrapConfig(n_ions=60, cutoff_s=0.97)
-    with pytest.raises(IonEscape) as seed:
-        seed_descent(cfg, lambda *step: None)
-    with pytest.raises(IonEscape) as solved:
-        solve_equilibrium(cfg)
-    assert str(solved.value) == str(seed.value)
+    for cfg in (TrapConfig(n_ions=60, cutoff_s=0.97),
+                TrapConfig(n_ions=32, scale_r=0.85, cutoff_s=0.97)):
+        steps, seed_steps = [], []
+        with pytest.raises(IonEscape) as seed:
+            seed_descent(cfg, lambda *step: seed_steps.append(step))
+        with pytest.raises(IonEscape) as solved:
+            solve_equilibrium(cfg, callback=lambda *step: steps.append(step))
+        assert str(solved.value) == str(seed.value)
+        assert steps == seed_steps
