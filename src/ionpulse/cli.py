@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import make_dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -89,211 +89,181 @@ class MissingPrerequisite(Exception):
     """An upstream artifact file is absent or does not match the config."""
 
 
-@dataclass
-class RunConfig:
-    """Parsed configuration for one CLI invocation."""
+class _Parser(NamedTuple):
+    """Reads a config value's text: `parse` raises ValueError on text it cannot
+    read, and `accept` says whether the value lies in the range `allowed` names."""
 
-    trap: TrapConfig
-    shape_kind: str
-    gate_time: float
-    n_oscillations: int
-    mu_mode: object  # 1-based index or None for the most uniform mode
-    mu_offset: float  # rad/s
-    amp_scale: float  # rad/s
-    shape_b_levels: tuple
-    shape_b_ramp_fraction: float
-    ion_i: int
-    ion_j: int
-    seed: int
-    max_evals: int
-    n_starts: int
-    target_modes: tuple
-    sweep_points: int
-    sweep_min: float  # rad/s
-    sweep_max: float  # rad/s
-    powermap_pairs: object  # seeded sample size, or None for all pairs
-    alpha_intervals: int
-    beta_intervals: int
-    waveform_samples: int
-    trajectory_samples: int
-    trajectory_modes: str
-    output_dir: str
-    config_text: str = field(default="", repr=False)
-
-    def amp_shape(self):
-        if self.shape_kind == "A":
-            return ShapeA()
-        return ShapeB(
-            step_levels=self.shape_b_levels,
-            ramp_fraction=self.shape_b_ramp_fraction,
-        )
+    allowed: str
+    parse: object
+    accept: object = lambda value: True
 
 
-_DEFAULTS = {
-    "trap": {
-        "n_ions": "50",
-        "delta_z_m": "3e-6",
-        "scale_r": "0.95",
-        "cutoff_s": "0.98",
-        "omega_x_hz": "3.07e6",
-        "ion_mass_kg": "2.838e-25",
-        "charge_c": "1.602176634e-19",
-        "raman_wavevector_per_m": "",  # empty -> 2 pi / 355 nm
-    },
-    "pulse": {
-        "shape": "A",
-        "gate_time_s": "500e-6",
-        "n_oscillations": "8",
-        "mu_mode": "uniform",  # 1-based mode index, or 'uniform' for the evenest mode
-        "mu_offset_hz": "-3700",
-        "amp_hz": "100e3",
-        "shape_b_levels": "0.55, 1.0, 0.55",
-        "shape_b_ramp_fraction": "0.16",
-    },
-    "optimize": {
-        "ion_i": "25",
-        "ion_j": "26",
-        "seed": "1",
-        "max_evals": "120000",
-        "n_starts": "3",
-        "target_modes": "",
-    },
-    "analysis": {
-        "sweep_points": "20",
-        "sweep_min_hz": "10",
-        "sweep_max_hz": "2000",
-        "powermap_pairs": "all",
-        "alpha_intervals": "20000",
-        "beta_intervals": "2000",
-        "waveform_samples": "2001",
-        "trajectory_samples": "2001",
-        "trajectory_modes": "targets",
-    },
-    "output": {
-        "dir": "ionpulse_out",
-        "threads": "0",
-    },
-}
+def _number(positive=False, hz=False):
+    """A finite float, > 0 when `positive`; `hz` converts Hz to rad/s (2 pi f)."""
+    low = 0.0 if positive else -np.inf
+    return _Parser("a finite number" + (" > 0" if positive else ""),
+                   (lambda text: 2 * np.pi * float(text)) if hz else float,
+                   lambda value: low < value < np.inf)
+
+
+def _integer(least=None, even=False):
+    """An integer >= `least`; `even` asks for an even one (composite Simpson)."""
+    allowed = ("an even integer" if even else "an integer") + (
+        f" >= {least}" if least is not None else "")
+    return _Parser(allowed, int,
+                   lambda value: (least is None or value >= least) and not (even and value % 2))
+
+
+def _word(*words):
+    """One of `words`, in any letter case."""
+    by_lower = {word.lower(): word for word in words}
+    return _Parser(f"{', '.join(words[:-1])} or {words[-1]}",
+                   lambda text: by_lower.get(text.lower()), lambda value: value is not None)
+
+
+def _count_or(word):
+    """An integer >= 1, or None for `word`."""
+    return _Parser(f"an integer >= 1 or {word!r}",
+                   lambda text: None if text.lower() == word else int(text),
+                   lambda value: value is None or value >= 1)
+
+
+def _list(item):
+    """Comma-separated values, each read by `item`."""
+    return _Parser(f"comma-separated, each {item.allowed}",
+                   lambda text: tuple(item.parse(v) for v in text.split(",")),
+                   lambda values: all(map(item.accept, values)))
+
+
+class Key(NamedTuple):
+    """One config key. `field` names what its value fills: a RunConfig field,
+    `trap.<TrapConfig field>`, `shape_b.<ShapeB field>`, or nothing ("")."""
+
+    section: str
+    name: str
+    default: str  # the text the README's config block shows
+    field: str
+    parser: _Parser
+
+
+# Every config key, in README order. A key whose default is empty reads an empty
+# value as None: TrapConfig's own default, or the optimizer's automatic choice.
+# TrapConfig and ShapeB check the ranges of the values they take.
+KEYS = (
+    Key("trap", "n_ions", "50", "trap.n_ions", _integer()),
+    Key("trap", "delta_z_m", "3e-6", "trap.delta_z", _number()),
+    Key("trap", "scale_r", "0.95", "trap.scale_r", _number()),
+    Key("trap", "cutoff_s", "0.98", "trap.cutoff_s", _number()),
+    Key("trap", "omega_x_hz", "3.07e6", "trap.omega_x", _number(hz=True)),
+    Key("trap", "ion_mass_kg", "2.838e-25", "trap.ion_mass", _number()),
+    Key("trap", "charge_c", "1.602176634e-19", "trap.charge", _number()),
+    Key("trap", "raman_wavevector_per_m", "", "trap.raman_wavevector", _number()),
+    Key("pulse", "shape", "A", "shape_kind", _word("A", "B")),
+    Key("pulse", "gate_time_s", "500e-6", "gate_time", _number(positive=True)),
+    Key("pulse", "n_oscillations", "8", "n_oscillations", _integer(1)),
+    Key("pulse", "mu_mode", "uniform", "mu_mode", _count_or("uniform")),  # None: evenest mode
+    Key("pulse", "mu_offset_hz", "-3700", "mu_offset", _number(hz=True)),
+    Key("pulse", "amp_hz", "100e3", "amp_scale", _number(positive=True, hz=True)),
+    Key("pulse", "shape_b_levels", "0.55, 1.0, 0.55", "shape_b.step_levels", _list(_number())),
+    Key("pulse", "shape_b_ramp_fraction", "0.16", "shape_b.ramp_fraction", _number()),
+    Key("optimize", "ion_i", "25", "ion_i", _integer()),  # indices: see _check_indices
+    Key("optimize", "ion_j", "26", "ion_j", _integer()),
+    Key("optimize", "seed", "1", "seed", _integer(0)),
+    Key("optimize", "max_evals", "120000", "max_evals", _integer(1)),
+    Key("optimize", "n_starts", "3", "n_starts", _integer(1)),
+    Key("optimize", "target_modes", "", "target_modes", _list(_integer())),
+    Key("analysis", "sweep_points", "20", "sweep_points", _integer(2)),
+    Key("analysis", "sweep_min_hz", "10", "sweep_min", _number(positive=True, hz=True)),
+    Key("analysis", "sweep_max_hz", "2000", "sweep_max", _number(positive=True, hz=True)),
+    Key("analysis", "powermap_pairs", "all", "powermap_pairs", _count_or("all")),  # None: all
+    Key("analysis", "alpha_intervals", "20000", "alpha_intervals", _integer(2, even=True)),
+    Key("analysis", "beta_intervals", "2000", "beta_intervals", _integer(2, even=True)),
+    Key("analysis", "waveform_samples", "2001", "waveform_samples", _integer(2)),
+    Key("analysis", "trajectory_samples", "2001", "trajectory_samples", _integer(2)),
+    Key("analysis", "trajectory_modes", "targets", "trajectory_modes",
+        _word("targets", "all", "none")),
+    Key("output", "dir", "ionpulse_out", "output_dir", _Parser("a path", str)),
+    Key("output", "threads", "0", "", _integer()),  # accepted for compatibility and ignored
+)
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [key.field for key in KEYS if key.field and "." not in key.field]
+    + ["trap", "amp_shape", "config_sha256"],
+    frozen=True,
+)
+RunConfig.__doc__ = """Parsed configuration for one CLI invocation (fields: see KEYS).
+
+config_sha256 hashes the resolved text of every key, so two runs with the same
+hash ran with the same settings."""
+
+
+def _build(cls, section, kwargs):
+    try:
+        return cls(**{name: value for name, value in kwargs.items() if value is not None})
+    except ValueError as exc:
+        raise ConfigError(f"bad [{section}] configuration: {exc}") from exc
 
 
 def load_config(path=None, overrides=None):
-    """Parse the INI config (all sections optional) and apply CLI overrides."""
+    """Read the INI config (every section and key optional) under CLI overrides.
+
+    Every value is parsed and checked here, so a bad one fails every command.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    parser.read_dict(_DEFAULTS)
-    text = ""
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         with open(path) as fh:
-            text = fh.read()
-        try:
-            parser.read_string(text, source=path)
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config: {exc}") from exc
+            try:
+                parser.read_file(fh)
+            except configparser.Error as exc:
+                raise ConfigError(f"cannot parse config: {exc}") from exc
+    if parser.defaults():  # configparser would copy them into every section
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
+    names = {(key.section, key.name) for key in KEYS}
     for section in parser.sections():
-        if section not in _DEFAULTS:
+        if section not in {s for s, _ in names}:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _DEFAULTS[section]:
-                raise ConfigError(f"unknown config key {key!r} in [{section}]")
+        for name in parser[section]:
+            if (section, name) not in names:
+                raise ConfigError(f"unknown config key {name!r} in [{section}]")
     overrides = overrides or {}
+    texts = {
+        (key.section, key.name): str(overrides.get(
+            (key.section, key.name), parser.get(key.section, key.name, fallback=key.default)
+        )).strip()
+        for key in KEYS
+    }
 
-    def get(section, key, cast):
-        raw = overrides.get((section, key), parser.get(section, key))
+    values = {"": {}, "trap": {}, "shape_b": {}}
+    for key in KEYS:
+        text = texts[key.section, key.name]
+        empty = text == key.default == ""
         try:
-            return cast(str(raw))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-
-    def get_count(section, key, word):
-        """An integer >= 1, or None for `word`."""
-        raw = get(section, key, str).strip().lower()
-        try:
-            count = None if raw == word else int(raw)
+            value = None if empty else key.parser.parse(text)
+            accepted = empty or key.parser.accept(value)
         except ValueError:
-            count = 0
-        if count is not None and count < 1:
-            raise ConfigError(f"{key} must be {word!r} or an integer >= 1, got {raw!r}")
-        return count
-
-    def get_intervals(key):
-        """An even interval count >= 2, as composite Simpson needs."""
-        count = get("analysis", key, int)
-        if count < 2 or count % 2:
-            raise ConfigError(f"[analysis] {key} must be an even integer >= 2, got {count}")
-        return count
-
-    def get_samples(key):
-        """A sample count >= 2: a grid needs both of its ends."""
-        count = get("analysis", key, int)
-        if count < 2:
-            raise ConfigError(f"[analysis] {key} must be an integer >= 2, got {count}")
-        return count
-
-    two_pi = 2 * np.pi
-    raman = get("trap", "raman_wavevector_per_m", str).strip()
-    try:
-        trap = TrapConfig(
-            n_ions=get("trap", "n_ions", int),
-            delta_z=get("trap", "delta_z_m", float),
-            scale_r=get("trap", "scale_r", float),
-            cutoff_s=get("trap", "cutoff_s", float),
-            omega_x=two_pi * get("trap", "omega_x_hz", float),
-            ion_mass=get("trap", "ion_mass_kg", float),
-            charge=get("trap", "charge_c", float),
-            **({"raman_wavevector": float(raman)} if raman else {}),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad trap configuration: {exc}") from exc
-
-    shape_kind = get("pulse", "shape", str).strip().upper()
-    if shape_kind not in ("A", "B"):
-        raise ConfigError(f"pulse shape must be A or B, got {shape_kind!r}")
-    mu_mode = get_count("pulse", "mu_mode", "uniform")
-    levels = get("pulse", "shape_b_levels", lambda s: tuple(float(v) for v in s.split(",")))
-    targets = get(
-        "optimize", "target_modes",
-        lambda s: tuple(int(v) for v in s.split(",")) if s.strip() else (),
-    )
-    traj_modes = get("analysis", "trajectory_modes", str).strip().lower()
-    if traj_modes not in ("targets", "all", "none"):
-        raise ConfigError(
-            f"trajectory_modes must be targets, all or none, got {traj_modes!r}"
-        )
-    sweep_min = get("analysis", "sweep_min_hz", float)
-    sweep_max = get("analysis", "sweep_max_hz", float)
-    if not 0 < sweep_min < sweep_max < np.inf:
-        raise ConfigError(f"[analysis] sweep_min_hz and sweep_max_hz must satisfy "
-                          f"0 < min < max < inf, got {sweep_min!r} and {sweep_max!r}")
-    get("output", "threads", int)  # accepted for compatibility and ignored, but must parse
-
+            accepted = False
+        if not accepted:
+            raise ConfigError(f"bad value for [{key.section}] {key.name}: {text!r} "
+                              f"({key.parser.allowed})")
+        if key.field:
+            owner, _, name = key.field.rpartition(".")
+            values[owner][name] = value
+    fields = values[""]
+    if not fields["sweep_min"] < fields["sweep_max"]:
+        raise ConfigError("[analysis] sweep_min_hz must be below sweep_max_hz, got "
+                          f"{texts['analysis', 'sweep_min_hz']!r} and "
+                          f"{texts['analysis', 'sweep_max_hz']!r}")
+    trap = _build(TrapConfig, "trap", values["trap"])
+    shape_b = _build(ShapeB, "pulse", values["shape_b"])  # checked for shape A too
+    resolved = json.dumps([[*name, text] for name, text in texts.items()])
     return RunConfig(
+        **fields,
         trap=trap,
-        shape_kind=shape_kind,
-        gate_time=get("pulse", "gate_time_s", float),
-        n_oscillations=get("pulse", "n_oscillations", int),
-        mu_mode=mu_mode,
-        mu_offset=two_pi * get("pulse", "mu_offset_hz", float),
-        amp_scale=two_pi * get("pulse", "amp_hz", float),
-        shape_b_levels=levels,
-        shape_b_ramp_fraction=get("pulse", "shape_b_ramp_fraction", float),
-        ion_i=get("optimize", "ion_i", int),
-        ion_j=get("optimize", "ion_j", int),
-        seed=get("optimize", "seed", int),
-        max_evals=get("optimize", "max_evals", int),
-        n_starts=get("optimize", "n_starts", int),
-        target_modes=targets,
-        sweep_points=get_samples("sweep_points"),
-        sweep_min=two_pi * sweep_min,
-        sweep_max=two_pi * sweep_max,
-        powermap_pairs=get_count("analysis", "powermap_pairs", "all"),
-        alpha_intervals=get_intervals("alpha_intervals"),
-        beta_intervals=get_intervals("beta_intervals"),
-        waveform_samples=get_samples("waveform_samples"),
-        trajectory_samples=get_samples("trajectory_samples"),
-        trajectory_modes=traj_modes,
-        output_dir=get("output", "dir", str),
-        config_text=text,
+        amp_shape=ShapeA() if fields["shape_kind"] == "A" else shape_b,
+        config_sha256=hashlib.sha256(resolved.encode()).hexdigest(),
     )
 
 
@@ -346,7 +316,7 @@ def _check_indices(cfg, stage, recompute):
     indices = [("ion_i", cfg.ion_i), ("ion_j", cfg.ion_j)]
     if optimizes or stage == "report":  # report picks the target modes it writes
         indices += [("mu_mode", cfg.mu_mode)] if cfg.mu_mode is not None else []
-        indices += [("target_modes", k) for k in cfg.target_modes]
+        indices += [("target_modes", k) for k in cfg.target_modes or ()]
     n = cfg.trap.n_ions
     for label, k in indices:
         if not 1 <= k <= n:
@@ -394,7 +364,7 @@ def _load_schedule(cfg, out_dir, recompute, inputs):
 def _make_problem(cfg, modes):
     base = PulseSchedule(
         gate_time=cfg.gate_time,
-        amp_shape=cfg.amp_shape(),
+        amp_shape=cfg.amp_shape,
         amp_scale=cfg.amp_scale,
         mu_ref=default_mu_ref(modes, mode=cfg.mu_mode, offset=cfg.mu_offset),
         fm_points=np.zeros(cfg.n_oscillations),
@@ -404,7 +374,7 @@ def _make_problem(cfg, modes):
         base_schedule=base,
         modes=modes,
         ion_pair=(cfg.ion_i, cfg.ion_j),
-        target_modes=cfg.target_modes or None,
+        target_modes=cfg.target_modes,
         max_evals=cfg.max_evals,
         seed=cfg.seed,
         n_starts=cfg.n_starts,
@@ -660,7 +630,7 @@ def run_stage(name, cfg, out_dir, recompute):
     manifest = {
         "command": name,
         "version": __version__,
-        "config_sha256": hashlib.sha256(cfg.config_text.encode()).hexdigest(),
+        "config_sha256": cfg.config_sha256,
         "inputs": {os.path.basename(p): _sha256_file(p) for p in inputs},
         "outputs": sorted(os.path.basename(p) for p in result.outputs),
         "parameters": result.parameters,

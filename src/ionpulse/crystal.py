@@ -62,17 +62,17 @@ class TrapConfig:
     raman_wavevector: float = 2 * np.pi / RAMAN_WAVELENGTH
 
     def __post_init__(self):
-        if self.n_ions < 1:
+        # each check is written so that nan fails it
+        if not self.n_ions >= 1:
             raise ValueError(f"n_ions must be >= 1, got {self.n_ions}")
-        if self.delta_z <= 0:
-            raise ValueError(f"delta_z must be positive, got {self.delta_z}")
         if not 0.0 < self.cutoff_s < 1.0:
             raise ValueError(f"cutoff_s must lie in (0, 1), got {self.cutoff_s}")
         if not 0.5 <= self.scale_r <= 1.5:
             raise ValueError(f"scale_r must lie in [0.5, 1.5], got {self.scale_r}")
-        for name in ("omega_x", "ion_mass", "charge", "coulomb_k", "raman_wavevector"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("delta_z", "omega_x", "ion_mass", "charge", "coulomb_k", "raman_wavevector"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def half_length(self):

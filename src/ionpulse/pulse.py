@@ -55,8 +55,8 @@ class ShapeB:
             raise ValueError("step_levels must hold exactly 3 values")
         if levels[0] != levels[2]:
             raise ValueError("outer plateau levels must match for a time-symmetric envelope")
-        if min(levels) < 0 or max(levels) <= 0:
-            raise ValueError("plateau levels must be non-negative with a positive peak")
+        if not all(0.0 <= v < np.inf for v in levels) or max(levels) == 0:
+            raise ValueError("plateau levels must be finite and non-negative with a positive peak")
         if not 0.0 < self.ramp_fraction < 0.25:
             raise ValueError("ramp_fraction must lie in (0, 0.25)")
         object.__setattr__(self, "step_levels", levels)
@@ -83,12 +83,13 @@ class PulseSchedule:
     n_oscillations: int = 8
 
     def __post_init__(self):
-        if self.gate_time <= 0:
-            raise ValueError("gate_time must be positive")
-        if self.amp_scale < 0:
-            raise ValueError("amp_scale must be non-negative")
-        if self.mu_ref <= 0:
-            raise ValueError("mu_ref must be positive")
+        # each check is written so that nan fails it
+        if not 0.0 < self.gate_time < np.inf:
+            raise ValueError(f"gate_time must be positive and finite, got {self.gate_time}")
+        if not 0.0 <= self.amp_scale < np.inf:
+            raise ValueError(f"amp_scale must be non-negative and finite, got {self.amp_scale}")
+        if not 0.0 < self.mu_ref < np.inf:
+            raise ValueError(f"mu_ref must be positive and finite, got {self.mu_ref}")
         if not isinstance(self.amp_shape, (ShapeA, ShapeB)):
             raise ValueError("amp_shape must be a ShapeA or ShapeB instance")
         if self.n_oscillations < 1:
@@ -99,9 +100,9 @@ class PulseSchedule:
                 f"fm_points must hold n_oscillations = {self.n_oscillations} "
                 f"values, got shape {pts.shape}"
             )
-        if np.abs(pts).max(initial=0.0) > FM_POINT_BOUND:
+        if not np.abs(pts).max(initial=0.0) <= FM_POINT_BOUND:
             raise ValueError(
-                "fm turning points exceed the sanity bound "
+                "fm turning points must be finite and within the sanity bound "
                 f"{FM_POINT_BOUND / (2 * np.pi):.0f} Hz"
             )
         pts.setflags(write=False)

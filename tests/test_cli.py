@@ -1,11 +1,13 @@
+import configparser
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ionpulse.cli import main
+from ionpulse.cli import KEYS, main
 
 SMALL_CONFIG = """
 [trap]
@@ -189,21 +191,58 @@ def test_bad_target_modes(tmp_path, capsys):
     assert "[optimize] target_modes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [
-    ("alpha_intervals", "0"), ("alpha_intervals", "4001"), ("beta_intervals", "1"),
-    ("sweep_min_hz", "0"), ("sweep_min_hz", "3000"), ("sweep_max_hz", "inf"),
-    ("sweep_points", "0"), ("sweep_points", "1"), ("sweep_points", "-3"),
-    ("waveform_samples", "0"), ("trajectory_samples", "1"), ("trajectory_samples", "2.5"),
+_BAD_VALUES = [
+    ("analysis", "alpha_intervals", "0"), ("analysis", "alpha_intervals", "4001"),
+    ("analysis", "beta_intervals", "1"), ("analysis", "sweep_min_hz", "0"),
+    ("analysis", "sweep_min_hz", "3000"), ("analysis", "sweep_max_hz", "inf"),
+    ("analysis", "sweep_points", "0"), ("analysis", "sweep_points", "1"),
+    ("analysis", "sweep_points", "-3"), ("analysis", "waveform_samples", "0"),
+    ("analysis", "trajectory_samples", "1"), ("analysis", "trajectory_samples", "2.5"),
+    ("pulse", "gate_time_s", "inf"), ("pulse", "mu_offset_hz", "nan"), ("pulse", "amp_hz", "0"),
+    ("optimize", "seed", "-1"), ("trap", "omega_x_hz", "nan"), ("trap", "delta_z_m", "nan"),
+    ("pulse", "n_oscillations", "0"), ("optimize", "max_evals", "0"), ("pulse", "shape", "C"),
+    ("pulse", "shape_b_levels", "1,2"),  # refused although the shape is A
+]
+
+
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param(*case, id=f"{case[1]}-{case[2]}") for case in _BAD_VALUES
 ])
-def test_bad_analysis_grid_or_range(tmp_path, capsys, key, value):
+def test_bad_analysis_grid_or_range(tmp_path, capsys, section, key, value):
     # refused when the config is read, so even a stage that never uses the value fails
     path = tmp_path / "bad.ini"
-    path.write_text(f"[analysis]\n{key} = {value}\n")
+    path.write_text(f"[{section}]\n{key} = {value}\n")
     out = tmp_path / "out"
     assert run(["-c", str(path), "-o", str(out), "crystal"]) == 2
     err = capsys.readouterr().err
-    assert "[analysis]" in err and key in err
+    # ShapeB refuses the levels under the name of the field they fill
+    assert f"[{section}]" in err and {"shape_b_levels": "step_levels"}.get(key, key) in err
     assert not out.exists()
+
+
+def test_config_sha256_hashes_resolved_values(small_config, tmp_path):
+    # the hash describes the settings that ran: an override changes it, a comment does not
+    def recorded(name, config, *flags):
+        out = tmp_path / name
+        assert run(["-c", config, "-o", str(out), *flags, "crystal"]) == 0
+        return json.loads((out / "crystal_manifest.json").read_text())["config_sha256"]
+
+    commented = tmp_path / "commented.ini"
+    commented.write_text("# twelve ions\n" + SMALL_CONFIG.replace("ion_j = 6", "ion_j = 6  # next"))
+    seed_2 = recorded("seed_2", small_config, "--seed", "2")
+    assert recorded("seed_3", small_config, "--seed", "3") != seed_2
+    assert recorded("commented", str(commented), "--seed", "2") == seed_2
+
+
+def test_readme_config_block_matches_keys():
+    # the README shows every key with its default, so the two cannot drift apart
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser.read_string(block)
+    shown = {(section, name): parser[section][name]
+             for section in parser.sections() for name in parser[section]}
+    assert shown == {(key.section, key.name): key.default for key in KEYS}
 
 
 def test_powermap_with_every_pair_degenerate(tmp_path, capsys):

@@ -31,6 +31,14 @@ def test_config_invariants():
         TrapConfig(scale_r=0.2)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["delta_z", "omega_x", "ion_mass", "charge", "raman_wavevector"])
+def test_config_refuses_non_finite(name, value):
+    # nan <= 0 is False, so a plain sign check lets nan through to the descent
+    with pytest.raises(ValueError, match=name):
+        TrapConfig(**{name: value})
+
+
 def test_potential_zero_at_center(cfg):
     assert trap_potential(0.0, cfg) == 0.0
 

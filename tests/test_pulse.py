@@ -53,6 +53,23 @@ def test_schedule_validation():
         ShapeB(ramp_fraction=0.3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["gate_time", "amp_scale", "mu_ref"])
+def test_schedule_refuses_non_finite(name, value):
+    fields = dict(gate_time=TAU, amp_shape=ShapeA(), amp_scale=1.0, mu_ref=MU0)
+    with pytest.raises(ValueError, match=name):
+        PulseSchedule(**{**fields, name: value})
+
+
+def test_non_finite_turning_points_and_levels_refused():
+    with pytest.raises(ValueError):
+        schedule(fm=np.full(8, np.nan))
+    with pytest.raises(ValueError):
+        ShapeB(step_levels=(0.5, np.nan, 0.5))
+    with pytest.raises(ValueError):
+        ShapeB(step_levels=(np.inf, 1.0, np.inf))
+
+
 def test_turning_point_layout():
     sched = schedule(fm=np.arange(1.0, 9.0))
     pts = turning_points(sched)
