@@ -40,8 +40,6 @@ from .modes import (
     ImaginaryMode,
     ModeData,
     build_transverse_matrix,
-    lamb_dicke,
-    mode_frequency,
     solve_modes,
 )
 from .optimizer import (
@@ -70,7 +68,6 @@ from .pulse import (
     turning_points,
     turning_times,
     with_amplitude,
-    with_frequency_offset,
 )
 from .trajectory import (
     GateReport,

@@ -156,9 +156,9 @@ def power_map(sched, modes, pairs=None, n_intervals=DEFAULT_BETA_INTERVALS, thre
     n = modes.n_modes
     if pairs is None:
         pairs = all_pairs(n)
+    requested = modes.rows(pairs).reshape(-1, 2)
     d = mode_angle_integrals(sched, modes.frequencies, n_intervals)
     beta = 2.0 * (modes.eta * d) @ modes.eta.T
-    requested = np.array(pairs, dtype=int).reshape(-1, 2) - 1
     lo, hi = np.sort(requested, axis=1).T  # one orientation, so the map stays symmetric
     abs_beta = np.abs(beta[lo, hi])
     degenerate = abs_beta < DEGENERATE_BETA

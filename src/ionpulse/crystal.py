@@ -31,6 +31,8 @@ from .constants import (
     YB171_MASS,
 )
 
+INITIAL_STEP = 1e-9  # m, the first descent step of the largest-force ion
+
 
 class NonConvergence(Exception):
     """Energy descent exhausted its iteration budget above force tolerance."""
@@ -271,7 +273,6 @@ def solve_equilibrium(
     *,
     force_tol=1e-20,
     max_iter=1_000_000,
-    initial_step=1e-9,
     potential=None,
     field=None,
     callback=None,
@@ -317,7 +318,7 @@ def solve_equilibrium(
         energy = chain.energy()
         forces = chain.forces()
         f_max = float(np.maximum.reduce(np.abs(forces)))
-        step = initial_step
+        step = INITIAL_STEP
         for iteration in range(max_iter):
             if f_max < force_tol:
                 return IonCrystal(

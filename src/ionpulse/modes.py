@@ -35,8 +35,8 @@ class ModeData:
     frequencies are ascending in rad/s. Row k of `vectors` is the orthonormal
     mode vector u_k, so vectors[k, i] is the amplitude of ion i in mode k.
     eta[i, k] is the Lamb-Dicke parameter of ion i driven on mode k. All
-    arrays are 0-indexed internally; the public index-based accessors and all
-    serialized files use 1-based ion/mode numbering.
+    arrays are 0-indexed internally; function arguments and serialized files
+    use 1-based ion/mode numbering, which rows() turns into array rows.
     """
 
     frequencies: np.ndarray  # rad/s, ascending
@@ -52,6 +52,14 @@ class ModeData:
     @property
     def n_modes(self):
         return len(self.frequencies)
+
+    def rows(self, indices, kind="ion"):
+        """0-based rows of 1-based ion or mode indices; ValueError names one outside 1..N."""
+        idx = np.asarray(indices, dtype=int)
+        outside = idx[(idx < 1) | (idx > self.n_modes)]
+        if outside.size:
+            raise ValueError(f"{kind} index {outside.flat[0]} outside 1..{self.n_modes}")
+        return idx - 1
 
 
 def build_transverse_matrix(crystal, cfg):
@@ -103,23 +111,6 @@ def solve_modes(matrix, cfg):
     scale = cfg.raman_wavevector * np.sqrt(HBAR / (2.0 * cfg.ion_mass * frequencies))
     eta = vectors.T * scale[None, :]
     return ModeData(frequencies=frequencies, vectors=vectors, eta=eta)
-
-
-def lamb_dicke(modes, ion, mode):
-    """Lamb-Dicke parameter of the given ion driven on the given mode (1-based indices)."""
-    n = modes.n_modes
-    if not 1 <= ion <= n:
-        raise IndexError(f"ion index {ion} outside 1..{n}")
-    if not 1 <= mode <= n:
-        raise IndexError(f"mode index {mode} outside 1..{n}")
-    return float(modes.eta[ion - 1, mode - 1])
-
-
-def mode_frequency(modes, mode):
-    """Frequency in rad/s of the given 1-based mode index."""
-    if not 1 <= mode <= modes.n_modes:
-        raise IndexError(f"mode index {mode} outside 1..{modes.n_modes}")
-    return float(modes.frequencies[mode - 1])
 
 
 def participation_uniformity(modes, mode):

@@ -69,7 +69,6 @@ class OptimizationProblem:
     seed: int = 0
     n_starts: int = 3
     n_intervals: int = DEFAULT_ALPHA_INTERVALS
-    reference_amplitude: float = REFERENCE_RABI  # rad/s, cost is evaluated here
 
     def __post_init__(self):
         i, j = self.ion_pair
@@ -104,7 +103,7 @@ def default_mu_ref(modes, mode=None, offset=-2 * np.pi * 3.7e3):
 
     if mode is None:
         mode = most_uniform_mode(modes)
-    return float(modes.frequencies[mode - 1] + offset)
+    return float(modes.frequencies[modes.rows(mode, "mode")] + offset)
 
 
 def resolve_target_modes(problem):
@@ -129,7 +128,7 @@ class _Objective:
     """
 
     def __init__(self, problem):
-        sched = with_amplitude(problem.base_schedule, problem.reference_amplitude)
+        sched = with_amplitude(problem.base_schedule, REFERENCE_RABI)
         idx = np.array(resolve_target_modes(problem)) - 1
         self.kernel = DisplacementKernel(
             sched, problem.modes.frequencies[idx], problem.n_intervals, time_average=True
@@ -161,11 +160,10 @@ def cost(problem, fm_points):
     """Summed squared time-averaged displacements of the target modes.
 
     Both addressed ions' Lamb-Dicke couplings weight each mode; the amplitude
-    is pinned to the problem's reference (REFERENCE_RABI by default, so
-    values are comparable across problems and calibration happens after
-    optimization). Evaluated through the order-swapped single integral,
-    which agrees with composing integrate_alpha and
-    time_averaged_displacement to quadrature accuracy.
+    is pinned to REFERENCE_RABI, so values are comparable across problems
+    and calibration happens after optimization. Evaluated through the
+    order-swapped single integral, which agrees with composing
+    integrate_alpha and time_averaged_displacement to quadrature accuracy.
     """
     fm = np.asarray(fm_points, dtype=float)
     if fm.shape != (problem.base_schedule.n_oscillations,):
@@ -290,10 +288,9 @@ def _calibrated_amplitude(sched, beta_ref, ion_i, ion_j):
     return float(sched.amp_scale * np.sqrt((np.pi / 4.0) / abs(beta_ref)))
 
 
-def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
-                      alpha_intervals=DEFAULT_ALPHA_INTERVALS,
-                      beta_intervals=DEFAULT_BETA_INTERVALS,
-                      include_trajectories=True, trajectory_modes=None):
+def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALPHA_INTERVALS,
+                      beta_intervals=DEFAULT_BETA_INTERVALS, include_trajectories=True,
+                      trajectory_modes=None):
     """Calibrate the pair and assemble the full GateReport.
 
     The error, its per-mode terms (the mode_errors that motional_error sums)
@@ -307,15 +304,12 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, single_ion=False,
     omega_max = _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)
     calibrated = with_amplitude(sched, omega_max)
     beta = beta_ref * (omega_max / sched.amp_scale) ** 2  # beta grows as amp_scale^2
-    per_mode = mode_errors(calibrated, modes, ion_i, ion_j, both_ions=not single_ion,
-                           n_intervals=alpha_intervals)[:, 0]
+    per_mode = mode_errors(calibrated, modes, ion_i, ion_j, n_intervals=alpha_intervals)[:, 0]
     trajectories = ()
     if include_trajectories:
         if trajectory_modes is None:
             trajectory_modes = range(1, modes.n_modes + 1)
-        idx = np.array(trajectory_modes, dtype=int) - 1
-        if np.any((idx < 0) | (idx >= modes.n_modes)):
-            raise ValueError(f"trajectory_modes must be indices in 1..{modes.n_modes}")
+        idx = modes.rows(trajectory_modes, "mode")
         trajectories = mode_trajectories(
             calibrated, modes.frequencies[idx], modes.eta[ion_i - 1, idx],
             trajectory_modes, alpha_intervals,

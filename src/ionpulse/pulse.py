@@ -312,8 +312,3 @@ def save_waveform_csv(sched, csv_path, samples=2001):
 def with_amplitude(sched, amp_scale):
     """Copy of the schedule at a different peak Rabi frequency."""
     return replace(sched, amp_scale=float(amp_scale))
-
-
-def with_frequency_offset(sched, offset):
-    """Copy of the schedule with mu(t) shifted by a constant offset in rad/s."""
-    return replace(sched, mu_ref=sched.mu_ref + float(offset))

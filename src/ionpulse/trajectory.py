@@ -52,15 +52,14 @@ DEFAULT_BETA_INTERVALS = 2_000
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled phase-space path of one mode: times, alpha(t) and theta(t)."""
+    """Sampled phase-space path of one mode: times and alpha(t)."""
 
     mode: object  # 1-based mode index, or None when unspecified
     times: np.ndarray
     alpha: np.ndarray  # complex displacement samples
-    phase: np.ndarray  # accumulated detuning phase theta(t), rad
 
     def __post_init__(self):
-        for name in ("times", "alpha", "phase"):
+        for name in ("times", "alpha"):
             arr = getattr(self, name)
             # an array that is read-only and owns its data is already frozen, so
             # trajectories can share one time grid; anything else is copied
@@ -83,7 +82,8 @@ class GateReport:
     (|beta| = pi/4); motional_error sums |alpha_k(tau)|^2 over every mode for
     both addressed ions' couplings, also at the calibrated amplitude, and
     mode_errors holds its per-mode terms (they sum to it). trajectories holds
-    one record per traced mode, weighted with the first ion's Lamb-Dicke factor.
+    one record (times and alpha_k(t)) per traced mode, weighted with the first
+    ion's Lamb-Dicke factor.
     """
 
     pair: tuple
@@ -151,7 +151,7 @@ def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, 
     alpha = eta_ik * cumulative_simpson(omega_samples * np.exp(1j * theta), dx)
     if times is None:
         times = dx * np.arange(len(omega_samples))
-    return Trajectory(mode=mode, times=times, alpha=alpha, phase=theta)
+    return Trajectory(mode=mode, times=times, alpha=alpha)
 
 
 def fm_phase(sched, t):
@@ -173,23 +173,15 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
     """Trajectories of the modes at omega_ks, with couplings etas and mode labels."""
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
     detunings = sched.mu_ref - np.asarray(omega_ks, dtype=float)
-    phi = fm_phase(sched, t)
-    drive = np.exp(1j * phi)
+    drive = np.exp(1j * fm_phase(sched, t))
     drive *= amplitude(t, sched)
-    thetas = []
-    for detuning in detunings:
-        theta = np.multiply(t, detuning)
-        theta += phi
-        theta.flags.writeable = False  # frozen, so the record does not copy it
-        thetas.append(theta)
-    del phi  # the phases are all built, so only what the records store grows from here
     trajectories = []
     integrands = _mode_integrands(sched, detunings, drive)
-    for g, theta, eta_ik, label in zip(integrands, thetas, etas, labels):
+    for g, eta_ik, label in zip(integrands, etas, labels):
         alpha = cumulative_simpson(g, dx, overwrite_y=True)
         alpha *= eta_ik
         alpha.flags.writeable = False
-        trajectories.append(Trajectory(mode=label, times=t, alpha=alpha, phase=theta))
+        trajectories.append(Trajectory(mode=label, times=t, alpha=alpha))
     return tuple(trajectories)
 
 
@@ -288,10 +280,11 @@ def mode_errors(sched, modes, ion_i, ion_j, *, both_ions=True,
     offsets[c]. eta_k^2 adds both addressed ions' couplings, or takes the
     first ion's alone when both_ions is False.
     """
+    i, j = modes.rows((ion_i, ion_j))
     endpoints = mode_displacement_integrals(sched, modes.frequencies, n_intervals, offsets)
-    weights = modes.eta[ion_i - 1] ** 2
+    weights = modes.eta[i] ** 2
     if both_ions:
-        weights = weights + modes.eta[ion_j - 1] ** 2
+        weights = weights + modes.eta[j] ** 2
     return weights[:, None] * np.abs(endpoints) ** 2
 
 
@@ -340,22 +333,27 @@ def entangling_angle_sampled(omega_samples, delta_samples, dx, eta_i, eta_j):
 
 def entangling_angle(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERVALS):
     """Signed geometric phase beta_ij in rad accumulated between two ions (1-based)."""
-    if ion_i == ion_j:
+    i, j = modes.rows((ion_i, ion_j))
+    if i == j:
         raise ValueError("the two addressed ions must differ")
     d = mode_angle_integrals(sched, modes.frequencies, n_intervals)
-    coupling = modes.eta[ion_i - 1] * modes.eta[ion_j - 1]
+    coupling = modes.eta[i] * modes.eta[j]
     return 2.0 * float(np.sum(coupling * d))
 
 
 def save_trajectory_csv(traj, csv_path, samples=2001):
     """Downsampled trajectory CSV (t_s, alpha_re, alpha_im) with lossless repr floats.
 
-    The bytes are those of csv.writer (its "\\r\\n" line ends, and no float
-    repr needs quoting), without its per-row calls.
+    The rows are min(samples, N + 1) evenly spaced samples of the N-interval
+    grid, the first and the last (t = tau) among them. The bytes are those of
+    csv.writer (its "\\r\\n" line ends, and no float repr needs quoting),
+    without its per-row calls.
     """
-    stride = max(1, (len(traj.times) - 1) // max(1, samples - 1))
-    alpha = traj.alpha[::stride]
-    columns = (traj.times[::stride].tolist(), alpha.real.tolist(), alpha.imag.tolist())
+    n = len(traj.times) - 1
+    count = min(samples, n + 1)
+    idx = np.arange(count) * n // max(1, count - 1)
+    alpha = traj.alpha[idx]
+    columns = (traj.times[idx].tolist(), alpha.real.tolist(), alpha.imag.tolist())
     with open(csv_path, "w", newline="") as fh:
         fh.write("t_s,alpha_re,alpha_im\r\n")
         # line by line: a joined string would sit on top of the report's trajectories

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,19 +13,22 @@ from ionpulse import (
     ShapeA,
     TrapConfig,
     all_pairs,
+    build_gate_report,
     build_transverse_matrix,
     calibrate_power,
+    default_mu_ref,
     default_offsets,
+    entangling_angle,
     fit_slope,
     motional_error,
     offset_sweep,
     power_map,
     solve_equilibrium,
     solve_modes,
-    with_frequency_offset,
 )
 from ionpulse.modes import most_uniform_mode
 from ionpulse.analysis import save_power_map_csv, save_sweep_csv
+from ionpulse.trajectory import mode_errors
 
 from conftest import DEFAULT_PAIR
 
@@ -97,14 +101,14 @@ def test_sweep_continuity(mode_data, optimized_a):
     assert e1 / e2 < 10.0 and e2 / e1 < 10.0
 
 
-def test_sweep_matches_shifted_schedule(mode_data, optimized_a):
+def test_sweep_matches_shifted_schedule(mode_data, optimized_a, optimized_b):
+    # mu_ref + offset is formed before it multiplies t, so the two agree bit for bit
     offsets = default_offsets(6, 2 * np.pi * 100.0, 2 * np.pi * 1000.0)
-    sweep = offset_sweep(optimized_a, mode_data, DEFAULT_PAIR, offsets)
-    for offset, err in zip(sweep.offsets, sweep.errors):
-        direct = motional_error(
-            with_frequency_offset(optimized_a, offset), mode_data, *DEFAULT_PAIR
-        )
-        assert err == pytest.approx(direct, rel=1e-12)
+    for sched in (optimized_a, optimized_b):
+        sweep = offset_sweep(sched, mode_data, DEFAULT_PAIR, offsets)
+        for offset, err in zip(sweep.offsets, sweep.errors):
+            shifted = replace(sched, mu_ref=sched.mu_ref + offset)
+            assert err == motional_error(shifted, mode_data, *DEFAULT_PAIR)
 
 
 def test_sweep_extra_error_monotone(mode_data, optimized_a):
@@ -192,6 +196,27 @@ def test_power_map_flags_degenerate_pair(chain_12):
     assert pmap.omega_max[1, 4] == pytest.approx(calibrate_power(sched, uncoupled, 2, 5), rel=1e-12)
     with pytest.raises(DegeneratePair):
         calibrate_power(sched, uncoupled, 3, 12)
+
+
+INDEXED_CALLS = {
+    "entangling_angle": lambda sched, modes, k: entangling_angle(sched, modes, k, 6),
+    "motional_error": lambda sched, modes, k: motional_error(sched, modes, 5, k),
+    "mode_errors": lambda sched, modes, k: mode_errors(sched, modes, k, 6, both_ions=False),
+    "calibrate_power": lambda sched, modes, k: calibrate_power(sched, modes, k, 6),
+    "build_gate_report": lambda sched, modes, k: build_gate_report(sched, modes, 5, k),
+    "offset_sweep": lambda sched, modes, k: offset_sweep(sched, modes, (k, 6)),
+    "power_map": lambda sched, modes, k: power_map(sched, modes, pairs=[(k, 3)]),
+    "default_mu_ref": lambda sched, modes, k: default_mu_ref(modes, mode=k),
+}
+
+
+@pytest.mark.parametrize("index", [0, 13])
+@pytest.mark.parametrize("name", INDEXED_CALLS)
+def test_out_of_range_index_refused(chain_12, name, index):
+    # 0 would read row -1 (ion 12) and 13 would read past the end
+    modes, sched = chain_12
+    with pytest.raises(ValueError, match=f"index {index} outside 1..12"):
+        INDEXED_CALLS[name](sched, modes, index)
 
 
 def test_power_map_threads_equivalent(mode_data, optimized_a):

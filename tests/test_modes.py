@@ -9,14 +9,12 @@ from ionpulse import (
     IonCrystal,
     TrapConfig,
     build_transverse_matrix,
-    lamb_dicke,
     solve_modes,
 )
 from ionpulse.constants import HBAR
 from ionpulse.modes import (
     StaleModesFile,
     load_modes,
-    mode_frequency,
     most_uniform_mode,
     participation_uniformity,
     save_modes,
@@ -133,7 +131,7 @@ def test_lamb_dicke_single_ion():
     cfg = TrapConfig(n_ions=1)
     crystal = IonCrystal(positions=np.zeros(1), residual_force=0.0, iterations=0)
     modes = solve_modes(build_transverse_matrix(crystal, cfg), cfg)
-    assert lamb_dicke(modes, 1, 1) == pytest.approx(0.05493, rel=1e-3)
+    assert modes.eta[0, 0] == pytest.approx(0.05493, rel=1e-3)
 
 
 def test_lamb_dicke_sign_and_formula(mode_data, cfg):
@@ -142,8 +140,8 @@ def test_lamb_dicke_sign_and_formula(mode_data, cfg):
     )
     for ion, mode in ((1, 1), (25, 25), (50, 50), (10, 40)):
         expected = mode_data.vectors[mode - 1, ion - 1] * scale[mode - 1]
-        assert lamb_dicke(mode_data, ion, mode) == pytest.approx(expected, rel=1e-12)
-        assert np.sign(lamb_dicke(mode_data, ion, mode)) == np.sign(
+        assert mode_data.eta[ion - 1, mode - 1] == pytest.approx(expected, rel=1e-12)
+        assert np.sign(mode_data.eta[ion - 1, mode - 1]) == np.sign(
             mode_data.vectors[mode - 1, ion - 1]
         )
 
@@ -160,15 +158,6 @@ def test_lamb_dicke_sum_rule(mode_data, cfg):
     )
     np.testing.assert_allclose(sums, expected, rtol=1e-12)
     assert np.all(sums <= bound)
-
-
-def test_lamb_dicke_index_validation(mode_data):
-    with pytest.raises(IndexError):
-        lamb_dicke(mode_data, 0, 1)
-    with pytest.raises(IndexError):
-        lamb_dicke(mode_data, 1, 51)
-    with pytest.raises(IndexError):
-        mode_frequency(mode_data, 51)
 
 
 def test_sign_convention_deterministic(chain, cfg):

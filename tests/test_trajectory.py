@@ -171,7 +171,6 @@ def test_alpha_zero_detuning_straight_line():
 def test_trajectory_starts_at_origin():
     traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3)
     assert traj.alpha[0] == 0.0
-    assert traj.phase[0] == 0.0
     assert traj.times[0] == 0.0
     assert traj.endpoint == traj.alpha[-1]
 
@@ -181,7 +180,7 @@ def test_time_average_constant_trajectory():
 
     t = np.linspace(0.0, TAU, 101)
     c = 0.3 + 0.4j
-    traj = Trajectory(mode=None, times=t, alpha=np.full(101, c), phase=np.zeros(101))
+    traj = Trajectory(mode=None, times=t, alpha=np.full(101, c))
     assert time_averaged_displacement(traj) == pytest.approx(c, rel=1e-12)
 
 
@@ -364,7 +363,7 @@ def test_mode_trajectories_allocate_what_they_store(mode_data, optimized_a):
     trajs, peak = traced_peak(lambda: mode_trajectories(
         optimized_a, mode_data.frequencies, mode_data.eta[24], labels,
     ))
-    stored = trajs[0].times.nbytes + sum(tr.alpha.nbytes + tr.phase.nbytes for tr in trajs)
+    stored = trajs[0].times.nbytes + sum(tr.alpha.nbytes for tr in trajs)
     assert peak <= stored + 2**20
 
 
@@ -408,7 +407,6 @@ def test_gauge_shift_regression(mode_data):
         * np.exp(1j * (theta + shift * t)),
         dx,
     )
-    assert abs(shifted.phase[-1] - (theta[-1] + shift * TAU)) < 1e-9
     assert abs(shifted.endpoint - ramped[-1]) < 1e-12 * sched.amp_scale * TAU
 
 
@@ -431,12 +429,25 @@ def test_trajectory_csv(tmp_path):
     assert float(last[1]) == pytest.approx(traj.endpoint.real, rel=1e-12)
 
 
+@pytest.mark.parametrize("samples", [4, 1500, 3000])
+def test_trajectory_csv_ends_at_gate_end(tmp_path, samples):
+    # the rows are evenly spaced grid samples and the last is alpha(tau), also
+    # when samples - 1 does not divide the 20,000 intervals
+    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(traj, path, samples=samples)
+    rows = path.read_text().strip().splitlines()[1:]
+    assert len(rows) == samples
+    t, re, im = map(float, rows[-1].split(","))
+    assert t == TAU and complex(re, im) == traj.endpoint
+
+
 @pytest.mark.parametrize("samples", [201, 2001, 10**6])
 def test_trajectory_csv_bytes_match_csv_writer(tmp_path, samples):
     traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25)
     alpha = traj.alpha.copy()
     alpha[:4] = [complex(-0.0, 1e-300), complex(1e300, -0.0), 5e-324, -1.0 / 3.0]
-    traj = Trajectory(mode=25, times=traj.times, alpha=alpha, phase=traj.phase)
+    traj = Trajectory(mode=25, times=traj.times, alpha=alpha)
     path = tmp_path / "traj.csv"
     save_trajectory_csv(traj, path, samples=samples)
     stride = max(1, (len(traj.times) - 1) // (samples - 1))
@@ -449,20 +460,22 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, samples):
 
 
 def test_trajectory_copies_writable_arrays():
-    times, alpha, phase = np.linspace(0.0, 1.0, 5), np.zeros(5, complex), np.zeros(5)
-    traj = Trajectory(mode=1, times=times, alpha=alpha, phase=phase)
+    times, alpha = np.linspace(0.0, 1.0, 5), np.zeros(5, complex)
+    traj = Trajectory(mode=1, times=times, alpha=alpha)
     times[:] = 7.0
     alpha[:] = 7.0
     assert traj.times[-1] == 1.0 and traj.endpoint == 0.0
-    for name in ("times", "alpha", "phase"):
+    for name in ("times", "alpha"):
         assert not getattr(traj, name).flags.writeable
 
 
 def test_trajectory_keeps_frozen_arrays():
     times = np.arange(5.0)
     times.setflags(write=False)
-    view = times[:3]  # read-only, but does not own its data
-    first = Trajectory(mode=1, times=times, alpha=np.zeros(5, complex), phase=times)
-    second = Trajectory(mode=2, times=times, alpha=np.zeros(3, complex), phase=view)
-    assert first.times is times and second.times is times
-    assert second.phase is not view and not second.phase.flags.writeable
+    alpha = np.zeros(5, complex)
+    alpha.setflags(write=False)
+    view = alpha[:3]  # read-only, but does not own its data
+    first = Trajectory(mode=1, times=times, alpha=alpha)
+    second = Trajectory(mode=2, times=times, alpha=view)
+    assert first.times is times and second.times is times and first.alpha is alpha
+    assert second.alpha is not view and not second.alpha.flags.writeable
