@@ -73,7 +73,7 @@ from .pulse import (
     save_waveform_csv,
     with_amplitude,
 )
-from .trajectory import save_trajectory_csv
+from .trajectory import save_trajectory_csvs
 
 EXIT_ERROR = 2
 EXIT_MISSING_PREREQ = 3
@@ -513,11 +513,11 @@ def cmd_report(cfg, out_dir, recompute, inputs):
         include_trajectories=bool(selected), trajectory_modes=selected,
     )
     t1 = time.perf_counter()
-    outputs = []
-    for traj in report.trajectories:
-        path = os.path.join(out_dir, f"trajectory_mode_{traj.mode:02d}_{cfg.shape_kind}.csv")
-        save_trajectory_csv(traj, path, samples=cfg.trajectory_samples)
-        outputs.append(path)
+    outputs = [
+        os.path.join(out_dir, f"trajectory_mode_{traj.mode:02d}_{cfg.shape_kind}.csv")
+        for traj in report.trajectories
+    ]
+    save_trajectory_csvs(report.trajectories, outputs, samples=cfg.trajectory_samples)
 
     report_path = os.path.join(out_dir, f"report_{cfg.shape_kind}.json")
     omega_max_hz = report.omega_max / (2 * np.pi)

@@ -61,6 +61,14 @@ class ModeData:
             raise ValueError(f"{kind} index {outside.flat[0]} outside 1..{self.n_modes}")
         return idx - 1
 
+    def pair_rows(self, pairs):
+        """0-based rows (pairs x 2) of 1-based ion pairs; ValueError also names a pair of one ion."""
+        rows = self.rows(pairs).reshape(-1, 2)
+        same = rows[rows[:, 0] == rows[:, 1], 0]
+        if same.size:
+            raise ValueError(f"pair ({same[0] + 1}, {same[0] + 1}) addresses one ion twice")
+        return rows
+
 
 def build_transverse_matrix(crystal, cfg):
     """Symmetric transverse coupling matrix in rad^2/s^2.

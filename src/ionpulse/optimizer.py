@@ -134,7 +134,7 @@ class _Objective:
             sched, problem.modes.frequencies[idx], problem.n_intervals, time_average=True
         )
         self.basis = phase_basis(sched, self.kernel.times)
-        self.tables = self.kernel.tables(sched.mu_ref)
+        (self.tables,) = self.kernel.tables([sched.mu_ref])
         self.drives = self.kernel.drives(1 + len(self.basis))
         i, j = problem.ion_pair
         eta = problem.modes.eta

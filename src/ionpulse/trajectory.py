@@ -19,10 +19,12 @@ basis B.
 The linear phases f t reach about 8.5e3 rad on the default chain, where a
 float64 argument to exp carries ~1e-12 rad of rounding. _phasor_tables
 writes e^{i f t_n} as C[q] F[r], n = q m + r, from a coarse and a fine table
-of about sqrt(N) entries each, evaluated in long double and rounded once.
-That accuracy needs the x86-64 extended long double
-(test_motional_error_matches_long_double_quadrature guards it): with float64
-tables each coarse rounding repeats over a whole block, and the error grows.
+of about sqrt(N) entries each. Every entry's argument is carried in float64
+double-double (Dekker two-products) and reduced exactly modulo a three-part
+2 pi (Cody-Waite), so each entry is rounded once, on any platform: with a
+plain float64 exp, each coarse rounding would repeat over a whole block and
+the error would grow (test_motional_error_matches_long_double_quadrature
+guards this).
 The per-mode trajectories and the angle kernel share one integrand
 Omega e^{i theta_k} (_mode_integrands): a mode's tables multiplied out
 (_expand_phasors) times the drive Omega e^{i fm_phase}, in one reused buffer.
@@ -32,10 +34,10 @@ instead. A weighted drive h_n = w Omega e^{i fm_phase}, padded with zeros to
 Q m samples, is a (Q, m) block matrix H, so G = H F^T (Q x modes) is one
 matrix product for every mode and I_k = sum_q C_k[q] G[q, k]. The mode
 tables e^{-i omega_k t} are built once and shifted to each drive frequency
-mu_ref + offset by that frequency's own tables; several drives (the
-optimizer's residual and Jacobian) stack into one product. Gate-end or
-time-average weights w select the integral, and no modes x samples array is
-formed.
+mu_ref + offset by that frequency's own tables, which one call builds for a
+whole sweep; several drives (the optimizer's residual and Jacobian) stack
+into one product. Gate-end or time-average weights w select the integral,
+and no modes x samples array is formed.
 """
 
 import math
@@ -101,27 +103,70 @@ def _uniform_grid(tau, n_intervals):
     return t, t[1] - t[0]
 
 
+# 2 pi = _TWO_PI_1 + _TWO_PI_2 + _TWO_PI_3 to within 2e-34 (Cody-Waite). The first two
+# parts carry 27 significant bits, so n times either is exact for |n| < 2**26.
+_TWO_PI_1 = 6.283185303211212
+_TWO_PI_2 = 3.968374295837407e-09
+_TWO_PI_3 = 2.2884754904439327e-17
+_MAX_TURNS = 2**26
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a float64 into two 26-bit halves
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""
+    p = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLITTER * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
 def _phasor_tables(freqs, tau, n_intervals):
     """Coarse and fine tables of e^{i f t_n} on the grid t_n = n tau / N.
 
     Sample n = q m + r is coarse[:, q] * fine[:, r], with m = isqrt(N + 1)
     fine entries and ceil((N + 1) / m) coarse ones, so the last block may run
-    past sample N. Both are evaluated in long double from exact multiples of
-    tau / N and rounded once.
+    past sample N. Each entry e^{i f k tau / N} is rounded once from an
+    argument carried in float64 double-double: tau / N is a head and a
+    remainder from a two-product, k tau / N and f t are two-products, and the
+    angle is reduced modulo a three-part 2 pi to h + l with |h| ~<= pi, so
+    e^{i (h + l)} = e^{i h} (1 + i l) up to l^2 ~ 1e-24. A row depends only on
+    its own frequency: it is bitwise the same in a call with any other rows.
     """
-    freqs = np.asarray(freqs, dtype=np.longdouble)
+    freqs = np.asarray(freqs, dtype=float)[:, None]
     n_samples = n_intervals + 1
     m = math.isqrt(n_samples)
-    step = np.longdouble(tau) / n_intervals
+    step = tau / n_intervals
+    p, e = _two_product(step, float(n_intervals))
+    step_lo = ((tau - p) - e) / n_intervals  # tau - p is exact (Sterbenz)
 
-    def table(times):
-        angle = np.multiply.outer(freqs, times)
-        out = np.empty(angle.shape, dtype=complex)
-        out.real = np.cos(angle)
-        out.imag = np.sin(angle)
+    def table(k):
+        t, t_lo = _two_product(k, step)
+        t_lo += k * step_lo
+        angle, angle_lo = _two_product(freqs, t)
+        angle_lo += freqs * t_lo
+        turns = np.rint(angle * (0.5 / math.pi))
+        if np.abs(turns).max(initial=0.0) >= _MAX_TURNS:
+            raise ValueError(f"phases beyond {_MAX_TURNS} turns lose the exact reduction modulo 2 pi")
+        h, l = _two_sum(angle - turns * _TWO_PI_1, -turns * _TWO_PI_2)  # both products exact
+        l += angle_lo - turns * _TWO_PI_3
+        cos, sin = np.cos(h), np.sin(h)
+        out = np.empty(h.shape, dtype=complex)
+        out.real = cos - l * sin
+        out.imag = sin + l * cos
         return out
 
-    return table((m * step) * np.arange(-(-n_samples // m))), table(step * np.arange(m))
+    return table(m * np.arange(-(-n_samples // m), dtype=float)), table(np.arange(m, dtype=float))
 
 
 def _expand_phasors(coarse, fine, out):
@@ -240,10 +285,16 @@ class DisplacementKernel:
         """Zeroed buffer for count drives; write each into its first N + 1 entries."""
         return np.zeros((count, self._coarse.shape[1] * self._fine.shape[1]), dtype=complex)
 
-    def tables(self, drive_freq):
-        """The mode tables shifted to the drive frequency f: e^{i (f - omega_k) t}."""
-        coarse, fine = _phasor_tables([drive_freq], *self._grid)
-        return self._coarse * coarse, self._fine * fine
+    def tables(self, drive_freqs):
+        """Yield the mode tables shifted to each drive frequency f: e^{i (f - omega_k) t}.
+
+        The drive frequencies' own tables come from one _phasor_tables call;
+        each shifted pair (modes x (Q + m) entries) is formed only when its
+        turn comes.
+        """
+        coarse, fine = _phasor_tables(drive_freqs, *self._grid)
+        for drive_coarse, drive_fine in zip(coarse, fine):
+            yield self._coarse * drive_coarse, self._fine * drive_fine
 
     def __call__(self, drives, tables):
         """S (drives x modes) for a drives() buffer and the tables of one drive frequency."""
@@ -267,8 +318,8 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
     n = len(kernel.times)
     np.multiply(kernel.weighted, np.exp(1j * fm_phase(sched, kernel.times)), out=drive[:, :n])
     endpoints = np.empty((len(omega_ks), len(offsets)), dtype=complex)
-    for col, offset in enumerate(offsets):
-        endpoints[:, col] = kernel(drive, kernel.tables(sched.mu_ref + offset))[0]
+    for col, tables in enumerate(kernel.tables(sched.mu_ref + np.asarray(offsets, dtype=float))):
+        endpoints[:, col] = kernel(drive, tables)[0]
     return endpoints
 
 
@@ -280,7 +331,7 @@ def mode_errors(sched, modes, ion_i, ion_j, *, both_ions=True,
     offsets[c]. eta_k^2 adds both addressed ions' couplings, or takes the
     first ion's alone when both_ions is False.
     """
-    i, j = modes.rows((ion_i, ion_j))
+    i, j = modes.pair_rows([(ion_i, ion_j)])[0]
     endpoints = mode_displacement_integrals(sched, modes.frequencies, n_intervals, offsets)
     weights = modes.eta[i] ** 2
     if both_ions:
@@ -333,9 +384,7 @@ def entangling_angle_sampled(omega_samples, delta_samples, dx, eta_i, eta_j):
 
 def entangling_angle(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERVALS):
     """Signed geometric phase beta_ij in rad accumulated between two ions (1-based)."""
-    i, j = modes.rows((ion_i, ion_j))
-    if i == j:
-        raise ValueError("the two addressed ions must differ")
+    i, j = modes.pair_rows([(ion_i, ion_j)])[0]
     d = mode_angle_integrals(sched, modes.frequencies, n_intervals)
     coupling = modes.eta[i] * modes.eta[j]
     return 2.0 * float(np.sum(coupling * d))
@@ -349,12 +398,28 @@ def save_trajectory_csv(traj, csv_path, samples=2001):
     csv.writer (its "\\r\\n" line ends, and no float repr needs quoting),
     without its per-row calls.
     """
-    n = len(traj.times) - 1
-    count = min(samples, n + 1)
-    idx = np.arange(count) * n // max(1, count - 1)
-    alpha = traj.alpha[idx]
-    columns = (traj.times[idx].tolist(), alpha.real.tolist(), alpha.imag.tolist())
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("t_s,alpha_re,alpha_im\r\n")
-        # line by line: a joined string would sit on top of the report's trajectories
-        fh.writelines(f"{t!r},{re!r},{im!r}\r\n" for t, re, im in zip(*columns))
+    save_trajectory_csvs([traj], [csv_path], samples)
+
+
+def save_trajectory_csvs(trajectories, csv_paths, samples=2001):
+    """save_trajectory_csv for each trajectory and path in turn.
+
+    The time column of a grid that consecutive trajectories share (the
+    trajectories of one mode_trajectories call do) is formatted once.
+    """
+    times = stamps = None
+    for traj, csv_path in zip(trajectories, csv_paths, strict=True):
+        n = len(traj.times) - 1
+        count = min(samples, n + 1)
+        idx = np.arange(count) * n // max(1, count - 1)
+        if traj.times is not times:
+            times = traj.times
+            stamps = [f"{t!r}," for t in times[idx].tolist()]
+        alpha = traj.alpha[idx]
+        with open(csv_path, "w", newline="") as fh:
+            fh.write("t_s,alpha_re,alpha_im\r\n")
+            # line by line: a joined string would sit on top of the report's trajectories
+            fh.writelines(
+                f"{t}{re!r},{im!r}\r\n"
+                for t, re, im in zip(stamps, alpha.real.tolist(), alpha.imag.tolist())
+            )

@@ -219,6 +219,26 @@ def test_out_of_range_index_refused(chain_12, name, index):
         INDEXED_CALLS[name](sched, modes, index)
 
 
+PAIR_CALLS = {
+    "entangling_angle": lambda sched, modes, pair: entangling_angle(sched, modes, *pair),
+    "motional_error": lambda sched, modes, pair: motional_error(sched, modes, *pair),
+    "mode_errors": lambda sched, modes, pair: mode_errors(sched, modes, *pair, both_ions=False),
+    "calibrate_power": lambda sched, modes, pair: calibrate_power(sched, modes, *pair),
+    "build_gate_report": lambda sched, modes, pair: build_gate_report(sched, modes, *pair),
+    "offset_sweep": lambda sched, modes, pair: offset_sweep(sched, modes, pair),
+    "power_map": lambda sched, modes, pair: power_map(sched, modes, pairs=[(1, 2), pair]),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_CALLS)
+def test_pair_of_one_ion_refused(chain_12, name):
+    # with both ions the same, the error would count that ion's couplings twice
+    # and the power map would write a diagonal entry
+    modes, sched = chain_12
+    with pytest.raises(ValueError, match=r"pair \(3, 3\) addresses one ion twice"):
+        PAIR_CALLS[name](sched, modes, (3, 3))
+
+
 def test_power_map_threads_equivalent(mode_data, optimized_a):
     pairs = [(1, 2), (10, 30), (25, 26), (5, 45)]
     serial = power_map(optimized_a, mode_data, pairs, threads=1)

@@ -1,5 +1,7 @@
 import csv
 import io
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from ionpulse.trajectory import (
     mode_trajectories,
     phase_basis,
     save_trajectory_csv,
+    save_trajectory_csvs,
 )
 from ionpulse.pulse import amplitude, drive_frequency
 from ionpulse.quadrature import cumulative_simpson, simpson_weights
@@ -100,6 +103,60 @@ def test_phasors_match_complex_exponential(n_intervals):
         # integrate_alpha expands a one-frequency table, and it must match the row
         # that a report's trajectories take from the tables of all modes
         np.testing.assert_array_equal(_phasors([f], TAU, n_intervals)[0], got[k])
+
+
+TABLE_FREQS = [0.0, MU0, -MU0, 2e7, -2e7, 1.3e7, -7.7e6]
+
+
+@pytest.mark.parametrize("n_intervals", [1088, 2000, 20000])
+def test_phasor_table_rows_do_not_depend_on_neighbours(n_intervals):
+    # a sweep builds every drive frequency's tables in one call, and each column
+    # must be bitwise what a single-offset call gives
+    rng = np.random.default_rng(n_intervals)
+    freqs = np.concatenate([TABLE_FREQS, rng.uniform(-2e7, 2e7, 45)])
+    coarse, fine = _phasor_tables(freqs, TAU, n_intervals)
+    for k, f in enumerate(freqs):
+        one_coarse, one_fine = _phasor_tables([f], TAU, n_intervals)
+        np.testing.assert_array_equal(one_coarse[0], coarse[k])
+        np.testing.assert_array_equal(one_fine[0], fine[k])
+
+
+TWO_PI_50 = Decimal("6.2831853071795864769252867665590057683943387987502116419")
+
+
+def decimal_phasor(angle):
+    """e^{i angle} of a Decimal angle, from the series of e^{ix} after reduction modulo 2 pi."""
+    x = angle.remainder_near(TWO_PI_50)
+    parts, term, j = [Decimal(0), Decimal(0)], Decimal(1), 0
+    while abs(term) > Decimal("1e-55"):
+        parts[j % 2] += term if j % 4 < 2 else -term  # i^j cycles 1, i, -1, -i
+        j += 1
+        term = term * x / j
+    return complex(float(parts[0]), float(parts[1]))
+
+
+@pytest.mark.parametrize("n_intervals", [1088, 2000, 20000])
+def test_phasor_tables_match_decimal_reference(n_intervals):
+    # every entry e^{i f k tau / N}, with f and tau exact, against 50-digit decimal
+    # arithmetic: one rounding of each part, on any platform (a float64 argument
+    # would be 1e-12 rad off at 8.5e3 rad, and np.longdouble is float64 on some)
+    coarse, fine = _phasor_tables(TABLE_FREQS, TAU, n_intervals)
+    m = fine.shape[1]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        step = Decimal(TAU) / n_intervals
+        for got, ks in ((coarse, m * np.arange(coarse.shape[1])), (fine, np.arange(m))):
+            expected = np.array([
+                [decimal_phasor(Decimal(f) * int(k) * step) for k in ks] for f in TABLE_FREQS
+            ])
+            assert np.abs(got - expected).max() <= 1e-15
+
+
+def test_phasor_tables_refuse_phases_past_exact_reduction():
+    # 2**26 turns is where multiples of the reduction's leading parts of 2 pi stop being exact
+    _phasor_tables([2 * math.pi * 2**25], 1.0, 4)
+    with pytest.raises(ValueError, match="turns"):
+        _phasor_tables([2 * math.pi * 2**26], 1.0, 4)
 
 
 def test_phase_constant_detuning():
@@ -308,8 +365,8 @@ def long_double_motional_error(sched, modes, ion_i, ion_j, n_intervals=GRID):
 @pytest.mark.parametrize("shape", ["a", "b"])
 def test_motional_error_matches_long_double_quadrature(mode_data, optimized_a, optimized_b, shape):
     # the drive phases reach ~8.5e3 rad; a float64 argument to exp put ~1.5e-11
-    # relative rounding on schedule A's error. This also fails where np.longdouble
-    # is plain float64, which the kernel's phasor tables rely on not being.
+    # relative rounding on schedule A's error. The oracle itself needs an
+    # np.longdouble wider than float64; the kernel's tables do not.
     sched = optimized_a if shape == "a" else optimized_b
     got = motional_error(sched, mode_data, 25, 26)
     expected = long_double_motional_error(sched, mode_data, 25, 26)
@@ -440,6 +497,21 @@ def test_trajectory_csv_ends_at_gate_end(tmp_path, samples):
     assert len(rows) == samples
     t, re, im = map(float, rows[-1].split(","))
     assert t == TAU and complex(re, im) == traj.endpoint
+
+
+def test_trajectory_csvs_match_one_file_writes(tmp_path):
+    # the shared writer formats a time grid once for consecutive trajectories on it;
+    # a trajectory on another grid in between gets its own time column
+    sched = schedule()
+    omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3, 40e3])
+    shared = mode_trajectories(sched, omegas, [0.05, 0.04, 0.03], [1, 2, 3])
+    trajectories = [*shared[:2], integrate_alpha(sched, 0.05, omegas[0], 4000, mode=4), shared[2]]
+    batch = [tmp_path / f"batch_{k}.csv" for k in range(len(trajectories))]
+    save_trajectory_csvs(trajectories, batch, samples=301)
+    for traj, path in zip(trajectories, batch):
+        single = tmp_path / "single.csv"
+        save_trajectory_csv(traj, single, samples=301)
+        assert path.read_bytes() == single.read_bytes()
 
 
 @pytest.mark.parametrize("samples", [201, 2001, 10**6])
