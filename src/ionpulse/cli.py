@@ -7,9 +7,10 @@ ordinary frequencies in Hz; the library converts to rad/s internally.
 
 Subcommands: crystal, modes, optimize, report, sweep, powermap. Each command
 expects its upstream artifacts in the output directory and exits with code 3
-when they are missing or were built for another ion count; pass --recompute to
-rebuild prerequisites in-process. Validation and solver failures exit with
-code 2.
+when they are missing or were built for another ion count. --recompute runs the
+stages it depends on first, each writing its files and manifest and printing
+its line, so the command then reads what they wrote. Validation and solver
+failures exit with code 2.
 
 The output directory resolves in order: --output-dir flag, IONPULSE_OUTPUT_DIR
 environment variable, [output] dir config key, ./ionpulse_out.
@@ -307,14 +308,12 @@ def _check_ion_count(count, name, stage, cfg):
         )
 
 
-def _check_indices(cfg, stage, recompute):
+def _check_indices(cfg, stage):
     """Check the ion and mode indices `stage` reads against [trap] n_ions."""
-    # optimize, or a later stage that rebuilds its schedule under --recompute
-    optimizes = stage == "optimize" or (recompute and stage not in ("crystal", "modes"))
-    if not (optimizes or stage in ("report", "sweep")):
+    if stage not in ("optimize", "report", "sweep"):
         return
     indices = [("ion_i", cfg.ion_i), ("ion_j", cfg.ion_j)]
-    if optimizes or stage == "report":  # report picks the target modes it writes
+    if stage in ("optimize", "report"):  # report picks the target modes it writes
         indices += [("mu_mode", cfg.mu_mode)] if cfg.mu_mode is not None else []
         indices += [("target_modes", k) for k in cfg.target_modes or ()]
     n = cfg.trap.n_ions
@@ -325,18 +324,13 @@ def _check_indices(cfg, stage, recompute):
         raise ConfigError("ion_i and ion_j must differ")
 
 
-def _load_crystal(cfg, out_dir, recompute, inputs):
-    if recompute:
-        return solve_equilibrium(cfg.trap)
+def _load_crystal(cfg, out_dir, inputs):
     crystal = load_crystal(*_require(out_dir, ["positions.csv", "crystal.json"], "crystal", inputs))
     _check_ion_count(crystal.n_ions, "crystal.json", "crystal", cfg)
     return crystal
 
 
-def _load_modes(cfg, out_dir, recompute, inputs):
-    if recompute:
-        crystal = _load_crystal(cfg, out_dir, recompute, inputs)
-        return solve_modes(build_transverse_matrix(crystal, cfg.trap), cfg.trap)
+def _load_modes(cfg, out_dir, inputs):
     try:
         modes = load_modes(*_require(out_dir, ["modes.json"], "modes", inputs))
     except StaleModesFile as exc:
@@ -348,17 +342,11 @@ def _load_modes(cfg, out_dir, recompute, inputs):
     return modes
 
 
-def _load_schedule(cfg, out_dir, recompute, inputs):
-    """Returns (schedule, modes); under --recompute the schedule is optimized and saved."""
-    if recompute:
-        modes = _load_modes(cfg, out_dir, recompute, inputs)
-        schedule, _, _, exhausted = _optimize_and_save(cfg, out_dir, _make_problem(cfg, modes))
-        if exhausted is not None:
-            raise exhausted
-        return schedule, modes
+def _load_schedule(cfg, out_dir, inputs):
+    """Returns (schedule, modes)."""
     name = f"schedule_{cfg.shape_kind}.json"
     schedule = load_schedule(*_require(out_dir, [name], "optimize", inputs))
-    return schedule, _load_modes(cfg, out_dir, recompute, inputs)
+    return schedule, _load_modes(cfg, out_dir, inputs)
 
 
 def _make_problem(cfg, modes):
@@ -382,33 +370,6 @@ def _make_problem(cfg, modes):
     )
 
 
-def _optimize_and_save(cfg, out_dir, problem):
-    """Optimize, then write the schedule, its eval/cost trace and its waveform.
-
-    A spent budget keeps the best point seen: it is written like a converged
-    result, and the BudgetExhausted comes back for the caller to raise (exit
-    code 2) once its own outputs are written. Returns (schedule, trace,
-    written paths, BudgetExhausted or None).
-    """
-    trace = []
-    exhausted = None
-    try:
-        schedule = optimize(problem, callback=lambda n, c, _x: trace.append((n, c)))
-    except BudgetExhausted as exc:
-        exhausted = exc
-        schedule = replace(problem.base_schedule, fm_points=exc.best_fm_points)
-    sched_path = os.path.join(out_dir, f"schedule_{cfg.shape_kind}.json")
-    save_schedule(schedule, sched_path)
-    trace_path = os.path.join(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
-    with open(trace_path, "w", newline="") as fh:
-        fh.write("eval,cost\n")
-        for n, c in trace:
-            fh.write(f"{n},{c!r}\n")
-    wave_path = os.path.join(out_dir, f"waveform_{cfg.shape_kind}.csv")
-    save_waveform_csv(schedule, wave_path, samples=cfg.waveform_samples)
-    return schedule, trace, [sched_path, trace_path, wave_path], exhausted
-
-
 class StageResult(NamedTuple):
     """What a stage hands back to run_stage."""
 
@@ -419,7 +380,7 @@ class StageResult(NamedTuple):
     deferred: Exception = None  # raised once the manifest is written
 
 
-def cmd_crystal(cfg, out_dir, recompute, inputs):
+def cmd_crystal(cfg, out_dir, inputs):
     t0 = time.perf_counter()
     crystal = solve_equilibrium(cfg.trap)
     t1 = time.perf_counter()
@@ -444,9 +405,9 @@ def cmd_crystal(cfg, out_dir, recompute, inputs):
     )
 
 
-def cmd_modes(cfg, out_dir, recompute, inputs):
+def cmd_modes(cfg, out_dir, inputs):
     t0 = time.perf_counter()
-    crystal = _load_crystal(cfg, out_dir, recompute, inputs)
+    crystal = _load_crystal(cfg, out_dir, inputs)
     modes = solve_modes(build_transverse_matrix(crystal, cfg.trap), cfg.trap)
     t1 = time.perf_counter()
     json_path = os.path.join(out_dir, "modes.json")
@@ -463,11 +424,32 @@ def cmd_modes(cfg, out_dir, recompute, inputs):
     )
 
 
-def cmd_optimize(cfg, out_dir, recompute, inputs):
-    modes = _load_modes(cfg, out_dir, recompute, inputs)
+def cmd_optimize(cfg, out_dir, inputs):
+    """Optimize, then write the schedule, its eval/cost trace and its waveform.
+
+    A spent budget keeps the best point seen: it is written like a converged
+    result, and the BudgetExhausted is raised (exit code 2) once the manifest
+    is written.
+    """
+    modes = _load_modes(cfg, out_dir, inputs)
     problem = _make_problem(cfg, modes)
     t0 = time.perf_counter()
-    schedule, trace, outputs, exhausted = _optimize_and_save(cfg, out_dir, problem)
+    trace = []
+    exhausted = None
+    try:
+        schedule = optimize(problem, callback=lambda n, c, _x: trace.append((n, c)))
+    except BudgetExhausted as exc:
+        exhausted = exc
+        schedule = replace(problem.base_schedule, fm_points=exc.best_fm_points)
+    sched_path = os.path.join(out_dir, f"schedule_{cfg.shape_kind}.json")
+    save_schedule(schedule, sched_path)
+    trace_path = os.path.join(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
+    with open(trace_path, "w", newline="") as fh:
+        fh.write("eval,cost\n")
+        for n, c in trace:
+            fh.write(f"{n},{c!r}\n")
+    wave_path = os.path.join(out_dir, f"waveform_{cfg.shape_kind}.csv")
+    save_waveform_csv(schedule, wave_path, samples=cfg.waveform_samples)
     t1 = time.perf_counter()
     report = build_gate_report(
         schedule, modes, cfg.ion_i, cfg.ion_j,
@@ -481,7 +463,7 @@ def cmd_optimize(cfg, out_dir, recompute, inputs):
         f"optimize[{cfg.shape_kind}]: {len(trace)} evaluations, "
         f"final cost {final_cost:.3e}, motional error {report.motional_error:.3e}, "
         f"omega_max {omega_max_hz / 1e3:.1f} kHz",
-        outputs,
+        [sched_path, trace_path, wave_path],
         {
             "shape": cfg.shape_kind,
             "pair": [cfg.ion_i, cfg.ion_j],
@@ -499,8 +481,8 @@ def cmd_optimize(cfg, out_dir, recompute, inputs):
     )
 
 
-def cmd_report(cfg, out_dir, recompute, inputs):
-    schedule, modes = _load_schedule(cfg, out_dir, recompute, inputs)
+def cmd_report(cfg, out_dir, inputs):
+    schedule, modes = _load_schedule(cfg, out_dir, inputs)
     selected = ()
     if cfg.trajectory_modes == "all":
         selected = range(1, modes.n_modes + 1)
@@ -547,8 +529,8 @@ def cmd_report(cfg, out_dir, recompute, inputs):
     )
 
 
-def cmd_sweep(cfg, out_dir, recompute, inputs):
-    schedule, modes = _load_schedule(cfg, out_dir, recompute, inputs)
+def cmd_sweep(cfg, out_dir, inputs):
+    schedule, modes = _load_schedule(cfg, out_dir, inputs)
     offsets = default_offsets(cfg.sweep_points, cfg.sweep_min, cfg.sweep_max)
     t0 = time.perf_counter()
     # sweep at the power `report` calibrates, so the baseline is the reported gate error
@@ -578,8 +560,8 @@ def cmd_sweep(cfg, out_dir, recompute, inputs):
     )
 
 
-def cmd_powermap(cfg, out_dir, recompute, inputs):
-    schedule, modes = _load_schedule(cfg, out_dir, recompute, inputs)
+def cmd_powermap(cfg, out_dir, inputs):
+    schedule, modes = _load_schedule(cfg, out_dir, inputs)
     pairs = all_pairs(modes.n_modes)
     if cfg.powermap_pairs is not None:
         rng = np.random.default_rng(cfg.seed)
@@ -611,36 +593,46 @@ def cmd_powermap(cfg, out_dir, recompute, inputs):
     )
 
 
-_COMMANDS = {
-    "crystal": cmd_crystal,
-    "modes": cmd_modes,
-    "optimize": cmd_optimize,
-    "report": cmd_report,
-    "sweep": cmd_sweep,
-    "powermap": cmd_powermap,
+# stage: (command, the stage whose files it reads)
+_STAGES = {
+    "crystal": (cmd_crystal, None),
+    "modes": (cmd_modes, "crystal"),
+    "optimize": (cmd_optimize, "modes"),
+    "report": (cmd_report, "optimize"),
+    "sweep": (cmd_sweep, "optimize"),
+    "powermap": (cmd_powermap, "optimize"),
 }
 
 
 def run_stage(name, cfg, out_dir, recompute):
-    """Run one stage, print its summary line and write <name>_manifest.json."""
-    _check_indices(cfg, name, recompute)
-    inputs = []
-    result = _COMMANDS[name](cfg, out_dir, recompute, inputs)
-    print(result.line)
-    manifest = {
-        "command": name,
-        "version": __version__,
-        "config_sha256": cfg.config_sha256,
-        "inputs": {os.path.basename(p): _sha256_file(p) for p in inputs},
-        "outputs": sorted(os.path.basename(p) for p in result.outputs),
-        "parameters": result.parameters,
-        "timings_s": result.timings,
-    }
-    with open(os.path.join(out_dir, f"{name}_manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if result.deferred is not None:
-        raise result.deferred
+    """Run stage `name`, under `recompute` after every stage it depends on.
+
+    Each stage prints its summary line and writes <stage>_manifest.json. The
+    indices of every stage in the chain are checked before the first runs.
+    """
+    chain = [name]
+    while recompute and _STAGES[chain[0]][1] is not None:
+        chain.insert(0, _STAGES[chain[0]][1])
+    for stage in chain:
+        _check_indices(cfg, stage)
+    for stage in chain:
+        inputs = []
+        result = _STAGES[stage][0](cfg, out_dir, inputs)
+        print(result.line)
+        manifest = {
+            "command": stage,
+            "version": __version__,
+            "config_sha256": cfg.config_sha256,
+            "inputs": {os.path.basename(p): _sha256_file(p) for p in inputs},
+            "outputs": sorted(os.path.basename(p) for p in result.outputs),
+            "parameters": result.parameters,
+            "timings_s": result.timings,
+        }
+        with open(os.path.join(out_dir, f"{stage}_manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if result.deferred is not None:
+            raise result.deferred
     return 0
 
 
@@ -656,11 +648,11 @@ def build_parser():
     parser.add_argument("--shape", choices=["A", "B"], help="pulse shape override")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _STAGES:
         cmd = sub.add_parser(name, help=f"run the {name} stage")
         cmd.add_argument(
             "--recompute", action="store_true",
-            help="rebuild missing prerequisites in-process instead of failing",
+            help="run the stages this one depends on first, writing their files",
         )
         if name == "powermap":
             cmd.add_argument(

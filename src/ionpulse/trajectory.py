@@ -390,22 +390,16 @@ def entangling_angle(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERV
     return 2.0 * float(np.sum(coupling * d))
 
 
-def save_trajectory_csv(traj, csv_path, samples=2001):
-    """Downsampled trajectory CSV (t_s, alpha_re, alpha_im) with lossless repr floats.
+def save_trajectory_csvs(trajectories, csv_paths, samples=2001):
+    """One downsampled CSV (t_s, alpha_re, alpha_im) per trajectory and path, in
+    lossless repr floats.
 
     The rows are min(samples, N + 1) evenly spaced samples of the N-interval
     grid, the first and the last (t = tau) among them. The bytes are those of
     csv.writer (its "\\r\\n" line ends, and no float repr needs quoting),
-    without its per-row calls.
-    """
-    save_trajectory_csvs([traj], [csv_path], samples)
-
-
-def save_trajectory_csvs(trajectories, csv_paths, samples=2001):
-    """save_trajectory_csv for each trajectory and path in turn.
-
-    The time column of a grid that consecutive trajectories share (the
-    trajectories of one mode_trajectories call do) is formatted once.
+    without its per-row calls. The time column of a grid that consecutive
+    trajectories share (the trajectories of one mode_trajectories call do) is
+    formatted once.
     """
     times = stamps = None
     for traj, csv_path in zip(trajectories, csv_paths, strict=True):

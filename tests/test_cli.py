@@ -71,6 +71,48 @@ def test_recompute_builds_prerequisites(small_config, tmp_path):
     assert run(["-c", small_config, "-o", str(out), "modes", "--recompute"]) == 0
     assert (out / "modes.json").exists()
     assert (out / "spectrum.csv").exists()
+    assert (out / "crystal_manifest.json").exists()  # crystal ran as a stage of its own
+
+
+def test_sweep_recompute_matches_staged_run(small_config, tmp_path, capsys):
+    # --recompute runs crystal, modes and optimize as stages, then sweep reads their files
+    staged, direct = tmp_path / "staged", tmp_path / "direct"
+    for stage in ("crystal", "modes", "optimize", "sweep"):
+        assert run(["-c", small_config, "-o", str(staged), stage]) == 0
+    lines = capsys.readouterr().out
+    assert run(["-c", small_config, "-o", str(direct), "sweep", "--recompute"]) == 0
+    assert capsys.readouterr().out == lines
+    assert sorted(p.name for p in direct.iterdir()) == sorted(p.name for p in staged.iterdir())
+    for name in ("positions.csv", "crystal.json", "modes.json", "spectrum.csv",
+                 "schedule_A.json", "optimize_trace_A.csv", "waveform_A.csv", "sweep_A.csv"):
+        assert (direct / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+def test_recompute_checks_every_stage_before_the_first(tmp_path, capsys):
+    # sweep reads no target modes, but the optimize stage it runs first does
+    path = tmp_path / "bad.ini"
+    path.write_text(SMALL_CONFIG.replace("n_starts = 1", "n_starts = 1\ntarget_modes = 13"))
+    out = tmp_path / "out"
+    assert run(["-c", str(path), "-o", str(out), "sweep", "--recompute"]) == 2
+    printed = capsys.readouterr()
+    assert "target_modes index 13 outside 1..12" in printed.err
+    assert printed.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_staged_sweep_after_recompute_reads_the_recomputed_modes(small_config, tmp_path):
+    # a report --recompute under a new trap writes the modes it designed on, so
+    # a staged sweep under that trap does not pair its schedule with older modes
+    out = tmp_path / "out"
+    for stage in ("crystal", "modes"):
+        assert run(["-c", small_config, "-o", str(out), stage]) == 0
+    wider = tmp_path / "wider.ini"
+    wider.write_text(SMALL_CONFIG.replace("n_ions = 12", "n_ions = 12\ndelta_z_m = 3.5e-6"))
+    assert run(["-c", str(wider), "-o", str(out), "report", "--recompute"]) == 0
+    assert run(["-c", str(wider), "-o", str(out), "sweep"]) == 0
+    report = json.loads((out / "report_A.json").read_text())
+    baseline = json.loads((out / "sweep_manifest.json").read_text())["parameters"]["baseline_error"]
+    assert baseline == report["motional_error"]
 
 
 def test_pipeline_and_determinism(small_config, tmp_path, capsys):
@@ -129,7 +171,8 @@ def test_budget_exhausted_keeps_best_schedule(small_config, tmp_path, capsys):
 
 
 def test_recompute_budget_exhausted_keeps_best_schedule(tmp_path, capsys):
-    # a stage that optimizes in-process under --recompute keeps the best point too
+    # report --recompute runs optimize first, whose spent budget stops the chain
+    # once the best point is written
     out = tmp_path / "out"
     path = tmp_path / "tiny.ini"
     path.write_text(SMALL_CONFIG.replace("max_evals = 40000", "max_evals = 3"))
@@ -245,18 +288,34 @@ def test_readme_config_block_matches_keys():
     assert shown == {(key.section, key.name): key.default for key in KEYS}
 
 
-def test_powermap_with_every_pair_degenerate(tmp_path, capsys):
-    # two intervals resolve no entangling angle, so no pair is computed
+def test_powermap_with_every_pair_degenerate(small_config, tmp_path, capsys):
+    # two intervals resolve no entangling angle, so no pair is computed; the
+    # schedule comes from a finer grid, on which optimize calibrates its pair
+    out = tmp_path / "out"
+    for stage in ("crystal", "modes", "optimize"):
+        assert run(["-c", small_config, "-o", str(out), stage]) == 0
+    capsys.readouterr()
     path = tmp_path / "coarse.ini"
     path.write_text(SMALL_CONFIG.replace("beta_intervals = 1000", "beta_intervals = 2"))
-    out = tmp_path / "out"
-    assert run(["-c", str(path), "-o", str(out), "powermap", "--recompute"]) == 0
+    assert run(["-c", str(path), "-o", str(out), "powermap"]) == 0
     assert "powermap[A]: 0 pairs (66 degenerate)" in capsys.readouterr().out
     assert (out / "powermap_A.csv").read_bytes() == b"ion_i,ion_j,omega_max_hz\r\n"
     params = json.loads((out / "powermap_manifest.json").read_text())["parameters"]
     assert params["pairs"] == 0 and len(params["degenerate_pairs"]) == 66
     for stat in ("min", "max", "mean"):
         assert params[f"omega_max_{stat}_hz"] is None
+
+
+def test_recompute_stops_at_a_degenerate_design_pair(tmp_path, capsys):
+    # powermap --recompute runs optimize, whose calibration of (ion_i, ion_j)
+    # two intervals cannot resolve: the chain stops there
+    path = tmp_path / "coarse.ini"
+    path.write_text(SMALL_CONFIG.replace("beta_intervals = 1000", "beta_intervals = 2"))
+    out = tmp_path / "out"
+    assert run(["-c", str(path), "-o", str(out), "powermap", "--recompute"]) == 2
+    assert "uncoupled" in capsys.readouterr().err
+    assert not (out / "optimize_manifest.json").exists()
+    assert not (out / "powermap_A.csv").exists()
 
 
 def test_report_endpoints_sum_and_sweep_baseline_match_error(small_config, tmp_path):
@@ -437,9 +496,9 @@ def test_modes_json_without_rad_s_is_stale(small_config, tmp_path, capsys):
 
 
 def test_staged_optimize_matches_recompute(tmp_path):
-    # modes.json round-trips the frequencies exactly, so reading it designs the
-    # schedule that solving the modes in process does (on the default chain a
-    # Hz round trip moved 6 of the 50 frequencies, and the schedule with them)
+    # optimize --recompute runs crystal and modes as stages, then reads the
+    # modes.json they wrote: a seeded rerun in a fresh directory designs the
+    # staged schedule byte for byte
     config = tmp_path / "default.ini"
     config.write_text("[optimize]\nn_starts = 1\n")
     staged, direct = tmp_path / "staged", tmp_path / "direct"

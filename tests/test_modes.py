@@ -174,8 +174,8 @@ def test_modes_roundtrip(tmp_path, mode_data):
     path = tmp_path / "modes.json"
     save_modes(mode_data, path)
     loaded = load_modes(path)
-    # bitwise: a staged optimize reads these frequencies, and optimize --recompute
-    # solves them in process; both must design the same schedule
+    # bitwise: optimize designs on the frequencies it reads back, so they must
+    # be the ones the modes stage solved
     np.testing.assert_array_equal(loaded.frequencies, mode_data.frequencies)
     np.testing.assert_array_equal(loaded.vectors, mode_data.vectors)
     np.testing.assert_array_equal(loaded.eta, mode_data.eta)

@@ -26,7 +26,6 @@ from ionpulse.trajectory import (
     mode_errors,
     mode_trajectories,
     phase_basis,
-    save_trajectory_csv,
     save_trajectory_csvs,
 )
 from ionpulse.pulse import amplitude, drive_frequency
@@ -477,7 +476,7 @@ def test_error_grid_self_convergence(mode_data, optimized_a):
 def test_trajectory_csv(tmp_path):
     traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25)
     path = tmp_path / "traj.csv"
-    save_trajectory_csv(traj, path, samples=201)
+    save_trajectory_csvs([traj], [path], samples=201)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "t_s,alpha_re,alpha_im"
     assert len(rows) == 202
@@ -492,7 +491,7 @@ def test_trajectory_csv_ends_at_gate_end(tmp_path, samples):
     # when samples - 1 does not divide the 20,000 intervals
     traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25)
     path = tmp_path / "traj.csv"
-    save_trajectory_csv(traj, path, samples=samples)
+    save_trajectory_csvs([traj], [path], samples=samples)
     rows = path.read_text().strip().splitlines()[1:]
     assert len(rows) == samples
     t, re, im = map(float, rows[-1].split(","))
@@ -510,7 +509,7 @@ def test_trajectory_csvs_match_one_file_writes(tmp_path):
     save_trajectory_csvs(trajectories, batch, samples=301)
     for traj, path in zip(trajectories, batch):
         single = tmp_path / "single.csv"
-        save_trajectory_csv(traj, single, samples=301)
+        save_trajectory_csvs([traj], [single], samples=301)
         assert path.read_bytes() == single.read_bytes()
 
 
@@ -521,7 +520,7 @@ def test_trajectory_csv_bytes_match_csv_writer(tmp_path, samples):
     alpha[:4] = [complex(-0.0, 1e-300), complex(1e300, -0.0), 5e-324, -1.0 / 3.0]
     traj = Trajectory(mode=25, times=traj.times, alpha=alpha)
     path = tmp_path / "traj.csv"
-    save_trajectory_csv(traj, path, samples=samples)
+    save_trajectory_csvs([traj], [path], samples=samples)
     stride = max(1, (len(traj.times) - 1) // (samples - 1))
     reference = io.StringIO(newline="")
     writer = csv.writer(reference)
