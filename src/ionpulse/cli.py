@@ -74,7 +74,7 @@ from .pulse import (
     save_waveform_csv,
     with_amplitude,
 )
-from .trajectory import save_trajectory_csvs
+from .trajectory import DEFAULT_TRAJECTORY_SAMPLES, save_trajectory_csvs
 
 EXIT_ERROR = 2
 EXIT_MISSING_PREREQ = 3
@@ -180,7 +180,8 @@ KEYS = (
     Key("analysis", "alpha_intervals", "20000", "alpha_intervals", _integer(2, even=True)),
     Key("analysis", "beta_intervals", "2000", "beta_intervals", _integer(2, even=True)),
     Key("analysis", "waveform_samples", "2001", "waveform_samples", _integer(2)),
-    Key("analysis", "trajectory_samples", "2001", "trajectory_samples", _integer(2)),
+    Key("analysis", "trajectory_samples", str(DEFAULT_TRAJECTORY_SAMPLES), "trajectory_samples",
+        _integer(2)),
     Key("analysis", "trajectory_modes", "targets", "trajectory_modes",
         _word("targets", "all", "none")),
     Key("output", "dir", "ionpulse_out", "output_dir", _Parser("a path", str)),
@@ -493,13 +494,14 @@ def cmd_report(cfg, out_dir, inputs):
         schedule, modes, cfg.ion_i, cfg.ion_j,
         alpha_intervals=cfg.alpha_intervals, beta_intervals=cfg.beta_intervals,
         include_trajectories=bool(selected), trajectory_modes=selected,
+        trajectory_samples=cfg.trajectory_samples,
     )
     t1 = time.perf_counter()
     outputs = [
         os.path.join(out_dir, f"trajectory_mode_{traj.mode:02d}_{cfg.shape_kind}.csv")
         for traj in report.trajectories
     ]
-    save_trajectory_csvs(report.trajectories, outputs, samples=cfg.trajectory_samples)
+    save_trajectory_csvs(report.trajectories, outputs)
 
     report_path = os.path.join(out_dir, f"report_{cfg.shape_kind}.json")
     omega_max_hz = report.omega_max / (2 * np.pi)

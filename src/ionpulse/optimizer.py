@@ -23,6 +23,7 @@ from .pulse import PulseSchedule, with_amplitude
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
     DEFAULT_BETA_INTERVALS,
+    DEFAULT_TRAJECTORY_SAMPLES,
     DisplacementKernel,
     GateReport,
     entangling_angle,
@@ -290,7 +291,7 @@ def _calibrated_amplitude(sched, beta_ref, ion_i, ion_j):
 
 def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALPHA_INTERVALS,
                       beta_intervals=DEFAULT_BETA_INTERVALS, include_trajectories=True,
-                      trajectory_modes=None):
+                      trajectory_modes=None, trajectory_samples=DEFAULT_TRAJECTORY_SAMPLES):
     """Calibrate the pair and assemble the full GateReport.
 
     The error, its per-mode terms (the mode_errors that motional_error sums)
@@ -298,7 +299,8 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALP
     amplitude; trajectories carry the first ion's coupling. They cover the
     1-based trajectory_modes in the given order, or every mode when it is
     None; each mode is integrated on its own, so a selection holds the same
-    records as the full set.
+    records as the full set. Each keeps trajectory_samples rows of its
+    running integral on the alpha_intervals grid (mode_trajectories' samples).
     """
     beta_ref = entangling_angle(sched, modes, ion_i, ion_j, beta_intervals)
     omega_max = _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)
@@ -312,7 +314,7 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALP
         idx = modes.rows(trajectory_modes, "mode")
         trajectories = mode_trajectories(
             calibrated, modes.frequencies[idx], modes.eta[ion_i - 1, idx],
-            trajectory_modes, alpha_intervals,
+            trajectory_modes, alpha_intervals, trajectory_samples,
         )
     return GateReport(
         pair=(ion_i, ion_j),

@@ -32,7 +32,7 @@ def simpson_weights(n_samples, dx):
     return w * (dx / 3.0)
 
 
-def cumulative_simpson(y, dx, *, overwrite_y=False):
+def cumulative_simpson(y, dx, *, overwrite_y=False, out=None):
     """Running integral of sampled values, fourth-order accurate at every node.
 
     Each interval [t_{j-1}, t_j] is integrated with the parabola through the
@@ -40,12 +40,20 @@ def cumulative_simpson(y, dx, *, overwrite_y=False):
     then the per-interval pieces are cumulatively summed. The first output
     entry is 0. With overwrite_y the samples y[..., 2:] are scaled in place
     (y must then be a writable array), which saves a temporary; the result
-    is the same.
+    is the same. out, an array of y's shape and of the result's dtype that
+    shares no memory with y, receives the result instead of a new array;
+    its values are bitwise those of a fresh call.
     """
     y = np.asarray(y)
     if y.shape[-1] < 3:
         raise ValueError("cumulative Simpson needs at least 3 samples")
-    out = np.empty(y.shape, dtype=np.result_type(y.dtype, np.float64))
+    dtype = np.result_type(y.dtype, np.float64)
+    if out is None:
+        out = np.empty(y.shape, dtype=dtype)
+    elif out.shape != y.shape or out.dtype != dtype:
+        raise ValueError(f"out must be {dtype} of shape {y.shape}, got {out.dtype} of shape {out.shape}")
+    elif np.shares_memory(out, y):
+        raise ValueError("out must not share memory with y")
     out[..., 0] = 0.0
     seg = out[..., 1:]  # the per-interval pieces, summed in place at the end
     seg[..., 0] = (dx / 12.0) * (5.0 * y[..., 0] + 8.0 * y[..., 1] - y[..., 2])

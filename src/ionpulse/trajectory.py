@@ -10,6 +10,8 @@ All integrals run on fixed uniform grids: 20,000 Simpson intervals for
 displacements and a downsampled 2,000-interval grid for the double integral
 (quadratic in grid size when evaluated naively; here the inner integral is
 accumulated once so the cost stays linear without changing the quadrature).
+A stored trajectory keeps only the rows a report writes (2,001 by default):
+its running integral is still taken on the 20,000-interval grid.
 
 Every integral takes theta_k = (mu_ref + offset - omega_k) t + fm_phase from
 one FM phase, fm_phase = int (mu - mu_ref) dt. fm_phase is linear in the
@@ -28,6 +30,8 @@ guards this).
 The per-mode trajectories and the angle kernel share one integrand
 Omega e^{i theta_k} (_mode_integrands): a mode's tables multiplied out
 (_expand_phasors) times the drive Omega e^{i fm_phase}, in one reused buffer.
+A downsampled trajectory's running integral goes into a second buffer that
+every mode reuses, and only the stored rows are copied out of it.
 
 The displacement kernel (DisplacementKernel) keeps the factorization
 instead. A weighted drive h_n = w Omega e^{i fm_phase}, padded with zeros to
@@ -50,6 +54,7 @@ from .quadrature import cumulative_simpson, simpson, simpson_weights
 
 DEFAULT_ALPHA_INTERVALS = 20_000
 DEFAULT_BETA_INTERVALS = 2_000
+DEFAULT_TRAJECTORY_SAMPLES = 2_001
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,8 @@ class GateReport:
     both addressed ions' couplings, also at the calibrated amplitude, and
     mode_errors holds its per-mode terms (they sum to it). trajectories holds
     one record (times and alpha_k(t)) per traced mode, weighted with the first
-    ion's Lamb-Dicke factor.
+    ion's Lamb-Dicke factor, at the rows its CSV writes (see
+    mode_trajectories' samples).
     """
 
     pair: tuple
@@ -214,30 +220,61 @@ def _mode_integrands(sched, detunings, drive):
         yield g[0]
 
 
-def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_INTERVALS):
-    """Trajectories of the modes at omega_ks, with couplings etas and mode labels."""
+def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_INTERVALS,
+                      samples=None):
+    """Trajectories of the modes at omega_ks, with couplings etas and mode labels.
+
+    Every running integral is taken on the grid of n_intervals = N. Each
+    record stores count = min(samples, N + 1) of its samples, at the grid rows
+    k N // (count - 1) for k = 0 .. count - 1: the first at t = 0, the last at
+    tau, and evenly spaced when count - 1 divides N. samples=None stores every
+    grid sample. The records of one call share one read-only time array.
+    """
+    if samples is not None and samples < 2:
+        raise ValueError(f"a trajectory stores t = 0 and tau, so samples >= 2; got {samples}")
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
     detunings = sched.mu_ref - np.asarray(omega_ks, dtype=float)
     drive = np.exp(1j * fm_phase(sched, t))
     drive *= amplitude(t, sched)
+    count = n_intervals + 1 if samples is None else min(samples, n_intervals + 1)
+    times, rows, running = t, None, None
+    if count <= n_intervals:
+        # integrate into one buffer that every mode reuses, and store only the rows
+        rows = np.arange(count) * n_intervals // (count - 1)
+        times = t[rows]
+        times.setflags(write=False)
+        running = np.empty(n_intervals + 1, dtype=complex)
     trajectories = []
     integrands = _mode_integrands(sched, detunings, drive)
     for g, eta_ik, label in zip(integrands, etas, labels):
-        alpha = cumulative_simpson(g, dx, overwrite_y=True)
+        alpha = cumulative_simpson(g, dx, overwrite_y=True, out=running)
+        if rows is not None:
+            alpha = alpha[rows]
         alpha *= eta_ik
         alpha.flags.writeable = False
-        trajectories.append(Trajectory(mode=label, times=t, alpha=alpha))
+        trajectories.append(Trajectory(mode=label, times=times, alpha=alpha))
     return tuple(trajectories)
 
 
-def integrate_alpha(sched, eta_ik, omega_k, n_intervals=DEFAULT_ALPHA_INTERVALS, mode=None):
-    """Phase-space trajectory of the mode at omega_k driven by the schedule."""
-    return mode_trajectories(sched, [omega_k], [eta_ik], [mode], n_intervals)[0]
+def integrate_alpha(sched, eta_ik, omega_k, n_intervals=DEFAULT_ALPHA_INTERVALS, mode=None,
+                    samples=None):
+    """Phase-space trajectory of the mode at omega_k driven by the schedule (see mode_trajectories)."""
+    return mode_trajectories(sched, [omega_k], [eta_ik], [mode], n_intervals, samples)[0]
 
 
 def time_averaged_displacement(traj):
-    """Mean displacement (1/tau) int alpha(t) dt over the stored samples."""
-    dx = traj.times[1] - traj.times[0]
+    """Mean displacement (1/tau) int alpha(t) dt over the stored samples.
+
+    Simpson's rule needs the samples evenly spaced; a trajectory stored at
+    rows that are not (samples - 1 not dividing the intervals) is refused.
+    """
+    steps = np.diff(traj.times)
+    dx = steps[0]
+    if np.ptp(steps) > 1e-6 * dx:
+        raise ValueError(
+            f"time_averaged_displacement needs evenly spaced samples; steps run "
+            f"from {steps.min():.6g} to {steps.max():.6g} s"
+        )
     tau = traj.times[-1]
     return complex(simpson(traj.alpha, dx) / tau)
 
@@ -390,12 +427,11 @@ def entangling_angle(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERV
     return 2.0 * float(np.sum(coupling * d))
 
 
-def save_trajectory_csvs(trajectories, csv_paths, samples=2001):
-    """One downsampled CSV (t_s, alpha_re, alpha_im) per trajectory and path, in
-    lossless repr floats.
+def save_trajectory_csvs(trajectories, csv_paths):
+    """One CSV (t_s, alpha_re, alpha_im) per trajectory and path, every stored
+    sample a row, in lossless repr floats.
 
-    The rows are min(samples, N + 1) evenly spaced samples of the N-interval
-    grid, the first and the last (t = tau) among them. The bytes are those of
+    mode_trajectories' samples picks the rows. The bytes are those of
     csv.writer (its "\\r\\n" line ends, and no float repr needs quoting),
     without its per-row calls. The time column of a grid that consecutive
     trajectories share (the trajectories of one mode_trajectories call do) is
@@ -403,17 +439,13 @@ def save_trajectory_csvs(trajectories, csv_paths, samples=2001):
     """
     times = stamps = None
     for traj, csv_path in zip(trajectories, csv_paths, strict=True):
-        n = len(traj.times) - 1
-        count = min(samples, n + 1)
-        idx = np.arange(count) * n // max(1, count - 1)
         if traj.times is not times:
             times = traj.times
-            stamps = [f"{t!r}," for t in times[idx].tolist()]
-        alpha = traj.alpha[idx]
+            stamps = [f"{t!r}," for t in times.tolist()]
         with open(csv_path, "w", newline="") as fh:
             fh.write("t_s,alpha_re,alpha_im\r\n")
             # line by line: a joined string would sit on top of the report's trajectories
             fh.writelines(
                 f"{t}{re!r},{im!r}\r\n"
-                for t, re, im in zip(stamps, alpha.real.tolist(), alpha.imag.tolist())
+                for t, re, im in zip(stamps, traj.alpha.real.tolist(), traj.alpha.imag.tolist())
             )

@@ -30,7 +30,7 @@ from ionpulse import (
 )
 from ionpulse.modes import most_uniform_mode
 from ionpulse.optimizer import REFERENCE_RABI, _Objective, resolve_target_modes
-from ionpulse.trajectory import phase_basis
+from ionpulse.trajectory import DEFAULT_TRAJECTORY_SAMPLES, phase_basis
 from ionpulse.pulse import amplitude, drive_frequency
 from ionpulse.quadrature import cumulative_simpson, simpson
 
@@ -315,11 +315,20 @@ def test_gate_report(mode_data, optimized_a):
     for k, traj in enumerate(report.trajectories):
         alone = integrate_alpha(
             calibrated, mode_data.eta[DEFAULT_PAIR[0] - 1, k], mode_data.frequencies[k],
-            mode=k + 1,
+            mode=k + 1, samples=DEFAULT_TRAJECTORY_SAMPLES,
         )
         assert traj.mode == alone.mode
         for name in ("times", "alpha"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+
+
+def test_gate_report_stores_the_written_rows(mode_data, optimized_a):
+    # every mode traced on the default chain: 2,001 rows each (1.6 MB) instead
+    # of the 20,001-sample grid the running integrals are taken on (16 MB)
+    report, peak = traced_peak(lambda: build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR))
+    assert len(report.trajectories) == mode_data.n_modes
+    assert all(len(traj.alpha) == len(traj.times) == 2001 for traj in report.trajectories)
+    assert peak < 4e6
 
 
 def test_gate_report_traces_selected_modes(mode_data, optimized_a):

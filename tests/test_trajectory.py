@@ -423,6 +423,47 @@ def test_mode_trajectories_allocate_what_they_store(mode_data, optimized_a):
     assert peak <= stored + 2**20
 
 
+@pytest.mark.parametrize("samples", [4, 1500, 2001, 3000, GRID + 1])
+def test_stored_rows_are_the_full_trajectory_rows(samples):
+    # the running integral is taken on the full grid, and each stored row is
+    # bitwise the full-resolution sample at row k N // (samples - 1)
+    sched = random_fm_schedule(3)
+    omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3, 40e3])
+    etas, labels = [0.05, 0.04, 0.03], [1, 2, 3]
+    full = mode_trajectories(sched, omegas, etas, labels)
+    stored = mode_trajectories(sched, omegas, etas, labels, samples=samples)
+    rows = np.arange(samples) * GRID // (samples - 1)
+    for short, long in zip(stored, full):
+        assert short.times is stored[0].times and not short.times.flags.writeable
+        np.testing.assert_array_equal(short.times, long.times[rows])
+        np.testing.assert_array_equal(short.alpha, long.alpha[rows])
+        assert short.times[0] == 0.0 and short.times[-1] == TAU
+        assert short.endpoint == long.endpoint
+
+
+def test_mode_trajectories_refuse_fewer_than_two_samples():
+    for samples in (0, 1):
+        with pytest.raises(ValueError, match="samples"):
+            integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, samples=samples)
+
+
+def test_time_average_refuses_unevenly_stored_rows():
+    # 1499 does not divide 20,000, so the stored rows are 13 or 14 intervals apart
+    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, samples=1500)
+    with pytest.raises(ValueError, match="evenly spaced"):
+        time_averaged_displacement(traj)
+
+
+def test_time_average_of_evenly_stored_rows():
+    # 2000 divides 20,000: Simpson over every tenth sample agrees with the full grid
+    sched = schedule()
+    full = time_averaged_displacement(integrate_alpha(sched, 0.05, MU0 - 2 * np.pi * 10e3))
+    every_tenth = time_averaged_displacement(
+        integrate_alpha(sched, 0.05, MU0 - 2 * np.pi * 10e3, samples=2001)
+    )
+    assert abs(every_tenth - full) <= 1e-8 * abs(full)
+
+
 def test_displacement_zero_offset_matches_integrate_alpha(mode_data):
     # the kernel factors exp(i theta_k) into the rows' e^{-i w_k t} and the drive's
     # e^{i mu_ref t} e^{i fm_phase}, where integrate_alpha takes
@@ -474,9 +515,9 @@ def test_error_grid_self_convergence(mode_data, optimized_a):
 
 
 def test_trajectory_csv(tmp_path):
-    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25)
+    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25, samples=201)
     path = tmp_path / "traj.csv"
-    save_trajectory_csvs([traj], [path], samples=201)
+    save_trajectory_csvs([traj], [path])
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "t_s,alpha_re,alpha_im"
     assert len(rows) == 202
@@ -487,11 +528,11 @@ def test_trajectory_csv(tmp_path):
 
 @pytest.mark.parametrize("samples", [4, 1500, 3000])
 def test_trajectory_csv_ends_at_gate_end(tmp_path, samples):
-    # the rows are evenly spaced grid samples and the last is alpha(tau), also
-    # when samples - 1 does not divide the 20,000 intervals
-    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25)
+    # the rows are grid samples and the last is alpha(tau), also when
+    # samples - 1 does not divide the 20,000 intervals
+    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25, samples=samples)
     path = tmp_path / "traj.csv"
-    save_trajectory_csvs([traj], [path], samples=samples)
+    save_trajectory_csvs([traj], [path])
     rows = path.read_text().strip().splitlines()[1:]
     assert len(rows) == samples
     t, re, im = map(float, rows[-1].split(","))
@@ -503,24 +544,26 @@ def test_trajectory_csvs_match_one_file_writes(tmp_path):
     # a trajectory on another grid in between gets its own time column
     sched = schedule()
     omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3, 40e3])
-    shared = mode_trajectories(sched, omegas, [0.05, 0.04, 0.03], [1, 2, 3])
-    trajectories = [*shared[:2], integrate_alpha(sched, 0.05, omegas[0], 4000, mode=4), shared[2]]
+    shared = mode_trajectories(sched, omegas, [0.05, 0.04, 0.03], [1, 2, 3], samples=301)
+    trajectories = [
+        *shared[:2], integrate_alpha(sched, 0.05, omegas[0], 4000, mode=4, samples=301), shared[2],
+    ]
     batch = [tmp_path / f"batch_{k}.csv" for k in range(len(trajectories))]
-    save_trajectory_csvs(trajectories, batch, samples=301)
+    save_trajectory_csvs(trajectories, batch)
     for traj, path in zip(trajectories, batch):
         single = tmp_path / "single.csv"
-        save_trajectory_csvs([traj], [single], samples=301)
+        save_trajectory_csvs([traj], [single])
         assert path.read_bytes() == single.read_bytes()
 
 
 @pytest.mark.parametrize("samples", [201, 2001, 10**6])
 def test_trajectory_csv_bytes_match_csv_writer(tmp_path, samples):
-    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25)
+    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25, samples=samples)
     alpha = traj.alpha.copy()
     alpha[:4] = [complex(-0.0, 1e-300), complex(1e300, -0.0), 5e-324, -1.0 / 3.0]
     traj = Trajectory(mode=25, times=traj.times, alpha=alpha)
     path = tmp_path / "traj.csv"
-    save_trajectory_csvs([traj], [path], samples=samples)
+    save_trajectory_csvs([traj], [path])
     stride = max(1, (len(traj.times) - 1) // (samples - 1))
     reference = io.StringIO(newline="")
     writer = csv.writer(reference)
