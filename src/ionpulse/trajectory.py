@@ -256,10 +256,9 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
     return tuple(trajectories)
 
 
-def integrate_alpha(sched, eta_ik, omega_k, n_intervals=DEFAULT_ALPHA_INTERVALS, mode=None,
-                    samples=None):
-    """Phase-space trajectory of the mode at omega_k driven by the schedule (see mode_trajectories)."""
-    return mode_trajectories(sched, [omega_k], [eta_ik], [mode], n_intervals, samples)[0]
+def integrate_alpha(sched, eta_ik, omega_k, n_intervals=DEFAULT_ALPHA_INTERVALS, mode=None):
+    """Phase-space trajectory of the mode at omega_k driven by the schedule."""
+    return mode_trajectories(sched, [omega_k], [eta_ik], [mode], n_intervals)[0]
 
 
 def time_averaged_displacement(traj):

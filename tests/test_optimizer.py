@@ -30,7 +30,7 @@ from ionpulse import (
 )
 from ionpulse.modes import most_uniform_mode
 from ionpulse.optimizer import REFERENCE_RABI, _Objective, resolve_target_modes
-from ionpulse.trajectory import DEFAULT_TRAJECTORY_SAMPLES, phase_basis
+from ionpulse.trajectory import DEFAULT_TRAJECTORY_SAMPLES, mode_trajectories, phase_basis
 from ionpulse.pulse import amplitude, drive_frequency
 from ionpulse.quadrature import cumulative_simpson, simpson
 
@@ -313,9 +313,9 @@ def test_gate_report(mode_data, optimized_a):
     assert not times.flags.writeable
     assert all(traj.times is times for traj in report.trajectories)
     for k, traj in enumerate(report.trajectories):
-        alone = integrate_alpha(
-            calibrated, mode_data.eta[DEFAULT_PAIR[0] - 1, k], mode_data.frequencies[k],
-            mode=k + 1, samples=DEFAULT_TRAJECTORY_SAMPLES,
+        (alone,) = mode_trajectories(
+            calibrated, [mode_data.frequencies[k]], [mode_data.eta[DEFAULT_PAIR[0] - 1, k]],
+            [k + 1], samples=DEFAULT_TRAJECTORY_SAMPLES,
         )
         assert traj.mode == alone.mode
         for name in ("times", "alpha"):

@@ -444,12 +444,12 @@ def test_stored_rows_are_the_full_trajectory_rows(samples):
 def test_mode_trajectories_refuse_fewer_than_two_samples():
     for samples in (0, 1):
         with pytest.raises(ValueError, match="samples"):
-            integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, samples=samples)
+            mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [None], samples=samples)
 
 
 def test_time_average_refuses_unevenly_stored_rows():
     # 1499 does not divide 20,000, so the stored rows are 13 or 14 intervals apart
-    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, samples=1500)
+    traj = mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [None], samples=1500)[0]
     with pytest.raises(ValueError, match="evenly spaced"):
         time_averaged_displacement(traj)
 
@@ -459,7 +459,7 @@ def test_time_average_of_evenly_stored_rows():
     sched = schedule()
     full = time_averaged_displacement(integrate_alpha(sched, 0.05, MU0 - 2 * np.pi * 10e3))
     every_tenth = time_averaged_displacement(
-        integrate_alpha(sched, 0.05, MU0 - 2 * np.pi * 10e3, samples=2001)
+        mode_trajectories(sched, [MU0 - 2 * np.pi * 10e3], [0.05], [None], samples=2001)[0]
     )
     assert abs(every_tenth - full) <= 1e-8 * abs(full)
 
@@ -515,7 +515,7 @@ def test_error_grid_self_convergence(mode_data, optimized_a):
 
 
 def test_trajectory_csv(tmp_path):
-    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25, samples=201)
+    traj = mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [25], samples=201)[0]
     path = tmp_path / "traj.csv"
     save_trajectory_csvs([traj], [path])
     rows = path.read_text().strip().splitlines()
@@ -530,7 +530,7 @@ def test_trajectory_csv(tmp_path):
 def test_trajectory_csv_ends_at_gate_end(tmp_path, samples):
     # the rows are grid samples and the last is alpha(tau), also when
     # samples - 1 does not divide the 20,000 intervals
-    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25, samples=samples)
+    traj = mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [25], samples=samples)[0]
     path = tmp_path / "traj.csv"
     save_trajectory_csvs([traj], [path])
     rows = path.read_text().strip().splitlines()[1:]
@@ -546,7 +546,7 @@ def test_trajectory_csvs_match_one_file_writes(tmp_path):
     omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3, 40e3])
     shared = mode_trajectories(sched, omegas, [0.05, 0.04, 0.03], [1, 2, 3], samples=301)
     trajectories = [
-        *shared[:2], integrate_alpha(sched, 0.05, omegas[0], 4000, mode=4, samples=301), shared[2],
+        *shared[:2], *mode_trajectories(sched, omegas[:1], [0.05], [4], 4000, 301), shared[2],
     ]
     batch = [tmp_path / f"batch_{k}.csv" for k in range(len(trajectories))]
     save_trajectory_csvs(trajectories, batch)
@@ -558,17 +558,17 @@ def test_trajectory_csvs_match_one_file_writes(tmp_path):
 
 @pytest.mark.parametrize("samples", [201, 2001, 10**6])
 def test_trajectory_csv_bytes_match_csv_writer(tmp_path, samples):
-    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3, mode=25, samples=samples)
+    traj = mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [25], samples=samples)[0]
     alpha = traj.alpha.copy()
     alpha[:4] = [complex(-0.0, 1e-300), complex(1e300, -0.0), 5e-324, -1.0 / 3.0]
     traj = Trajectory(mode=25, times=traj.times, alpha=alpha)
     path = tmp_path / "traj.csv"
     save_trajectory_csvs([traj], [path])
-    stride = max(1, (len(traj.times) - 1) // (samples - 1))
+    # the writer writes every stored row
     reference = io.StringIO(newline="")
     writer = csv.writer(reference)
     writer.writerow(["t_s", "alpha_re", "alpha_im"])
-    for t, a in zip(traj.times[::stride], traj.alpha[::stride]):
+    for t, a in zip(traj.times, traj.alpha):
         writer.writerow([repr(float(t)), repr(float(a.real)), repr(float(a.imag))])
     assert path.read_bytes() == reference.getvalue().encode()
 
