@@ -155,8 +155,9 @@ def power_map(sched, modes, pairs=None, n_intervals=DEFAULT_BETA_INTERVALS, thre
     """
     n = modes.n_modes
     if pairs is None:
-        pairs = all_pairs(n)
-    requested = modes.pair_rows(pairs)
+        requested = np.transpose(np.triu_indices(n, 1))  # all_pairs(n), in its order
+    else:
+        requested = modes.pair_rows(pairs)
     d = mode_angle_integrals(sched, modes.frequencies, n_intervals)
     beta = 2.0 * (modes.eta * d) @ modes.eta.T
     lo, hi = np.sort(requested, axis=1).T  # one orientation, so the map stays symmetric

@@ -564,11 +564,12 @@ def cmd_sweep(cfg, out_dir, inputs):
 
 def cmd_powermap(cfg, out_dir, inputs):
     schedule, modes = _load_schedule(cfg, out_dir, inputs)
-    pairs = all_pairs(modes.n_modes)
+    pairs = None  # every pair
     if cfg.powermap_pairs is not None:
+        every = all_pairs(modes.n_modes)
         rng = np.random.default_rng(cfg.seed)
-        size = min(cfg.powermap_pairs, len(pairs))
-        pairs = [pairs[i] for i in sorted(rng.choice(len(pairs), size=size, replace=False))]
+        size = min(cfg.powermap_pairs, len(every))
+        pairs = [every[i] for i in sorted(rng.choice(len(every), size=size, replace=False))]
     t0 = time.perf_counter()
     pmap = power_map(schedule, modes, pairs, n_intervals=cfg.beta_intervals)
     t1 = time.perf_counter()

@@ -107,15 +107,11 @@ def solve_modes(matrix, cfg):
         )
     frequencies = np.sqrt(eigenvalues)
     vectors = eigenvectors.T.copy()  # row k = mode vector
-    for k in range(vectors.shape[0]):
-        total = vectors[k].sum()
-        if abs(total) > 1e-8:
-            if total < 0:
-                vectors[k] = -vectors[k]
-        else:
-            lead = vectors[k][np.abs(vectors[k]) > 1e-8]
-            if lead.size and lead[0] < 0:
-                vectors[k] = -vectors[k]
+    total = vectors.sum(axis=1)
+    significant = np.abs(vectors) > 1e-8
+    lead = np.take_along_axis(vectors, significant.argmax(axis=1)[:, None], axis=1)[:, 0]
+    flip = np.where(np.abs(total) > 1e-8, total < 0, significant.any(axis=1) & (lead < 0))
+    np.negative(vectors, out=vectors, where=flip[:, None])
     scale = cfg.raman_wavevector * np.sqrt(HBAR / (2.0 * cfg.ion_mass * frequencies))
     eta = vectors.T * scale[None, :]
     return ModeData(frequencies=frequencies, vectors=vectors, eta=eta)
@@ -139,8 +135,8 @@ def most_uniform_mode(modes):
     """
     if modes.n_modes == 1:
         return 1
-    ratios = [participation_uniformity(modes, k) for k in range(1, modes.n_modes)]
-    return int(np.argmax(ratios)) + 1
+    u = np.abs(modes.vectors[:-1])  # the common mode is the last row
+    return int(np.argmax(u.min(axis=1) / u.max(axis=1))) + 1
 
 
 def save_modes(modes, json_path):

@@ -8,8 +8,9 @@ ordered double integral of Omega(t2) Omega(t1) sin(theta_k(t2) - theta_k(t1)).
 
 All integrals run on fixed uniform grids: 20,000 Simpson intervals for
 displacements and a downsampled 2,000-interval grid for the double integral
-(quadratic in grid size when evaluated naively; here the inner integral is
-accumulated once so the cost stays linear without changing the quadrature).
+(quadratic in grid size when evaluated naively; here its pairs of samples are
+summed by blocks, so the cost stays near linear without changing the
+quadrature).
 A stored trajectory keeps only the rows a report writes (2,001 by default):
 its running integral is still taken on the 20,000-interval grid.
 
@@ -27,11 +28,11 @@ double-double (Dekker two-products) and reduced exactly modulo a three-part
 plain float64 exp, each coarse rounding would repeat over a whole block and
 the error would grow (test_motional_error_matches_long_double_quadrature
 guards this).
-The per-mode trajectories and the angle kernel share one integrand
-Omega e^{i theta_k} (_mode_integrands): a mode's tables multiplied out
-(_expand_phasors) times the drive Omega e^{i fm_phase}, in one reused buffer.
-A downsampled trajectory's running integral goes into a second buffer that
-every mode reuses, and only the stored rows are copied out of it.
+A per-mode trajectory takes the integrand Omega e^{i theta_k} of its mode
+(_mode_integrands): the mode's tables multiplied out (_expand_phasors) times
+the drive Omega e^{i fm_phase}, in one reused buffer. A downsampled
+trajectory's running integral goes into a second buffer that every mode
+reuses, and only the stored rows are copied out of it.
 
 The displacement kernel (DisplacementKernel) keeps the factorization
 instead. A weighted drive h_n = w Omega e^{i fm_phase}, padded with zeros to
@@ -42,6 +43,14 @@ mu_ref + offset by that frequency's own tables, which one call builds for a
 whole sweep; several drives (the optimizer's residual and Jacobian) stack
 into one product. Gate-end or time-average weights w select the integral,
 and no modes x samples array is formed.
+
+The angle kernel (angle_integrals) keeps it too. Written out, the cumulative
+Simpson rule makes the double sum d_k = sum_n w_n Im(g_n conj G_n) a sum
+over pairs of samples j < n plus two small corrections at the start and
+between neighbours. The pairs in different blocks come from the block sums
+of w D and D (D = Omega e^{i fm_phase}), which the displacement kernel's
+product gives for every mode at once; the pairs inside a block share one
+m x m matrix of the drive alone, met by each mode's fine table.
 """
 
 import math
@@ -335,8 +344,17 @@ class DisplacementKernel:
     def __call__(self, drives, tables):
         """S (drives x modes) for a drives() buffer and the tables of one drive frequency."""
         coarse, fine = tables
-        partial = drives.reshape(-1, fine.shape[1]) @ fine.T
-        return np.einsum("jqk,kq->jk", partial.reshape(len(drives), coarse.shape[1], -1), coarse)
+        return np.einsum("jqk,kq->jk", _block_products(drives, fine), coarse)
+
+
+def _block_products(drives, fine):
+    """sum_r h_j[q m + r] F_k[r] (drives x Q x modes) for zero-padded drives (drives x Q m).
+
+    Every drive and mode in one (drives Q x m) @ (m x modes) product: both
+    kernels take their block sums from here.
+    """
+    m = fine.shape[1]
+    return (drives.reshape(-1, m) @ fine.T).reshape(len(drives), -1, len(fine))
 
 
 def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, offsets=(0.0,)):
@@ -392,21 +410,64 @@ def motional_error(sched, modes, ion_i, ion_j, *, both_ions=True,
 def mode_angle_integrals(sched, omega_ks, n_intervals=DEFAULT_BETA_INTERVALS):
     """Ordered double integral of Omega(t2) Omega(t1) sin(theta_k(t2) - theta_k(t1)) per mode.
 
-    The inner integral over t1 is the running conjugate displacement, so each
-    mode costs one cumulative plus one weighted sum on the downsampled grid.
+    The drive D = Omega e^{i fm_phase} on the downsampled grid meets the
+    coarse x fine tables of the detunings mu_ref - omega_k in block form
+    (angle_integrals): cross-block pairs from the block sums of w D and D,
+    which one (2 Q x m) @ (m x modes) product gives; pairs within a block
+    from one m x m matrix shared by every mode; and two per-mode corrections
+    of the cumulative Simpson rule. No modes x samples array is formed.
     """
-    t, dx = _uniform_grid(sched.gate_time, n_intervals)
-    w_end = simpson_weights(len(t), dx)
+    t, _ = _uniform_grid(sched.gate_time, n_intervals)
     drive = np.exp(1j * fm_phase(sched, t))
     drive *= amplitude(t, sched)
-    detunings = sched.mu_ref - np.asarray(omega_ks, dtype=float)
-    out = np.empty(len(detunings))
-    for pos, g in enumerate(_mode_integrands(sched, detunings, drive)):
-        running = cumulative_simpson(g, dx)
-        np.conj(running, out=running)
-        np.multiply(g, running, out=running)  # in place: no per-mode temporaries on the heap
-        out[pos] = running.imag @ w_end
-    return out
+    return angle_integrals(drive, sched.mu_ref - np.asarray(omega_ks, dtype=float), sched.gate_time)
+
+
+def angle_integrals(drive, detunings, tau):
+    """d_k = sum_n w_n Im(g_n conj G_n), g_n = drive_n e^{i delta_k t_n}, on the uniform grid of tau.
+
+    drive holds N + 1 complex samples D_n, delta_k = detunings[k] (rad/s),
+    w are the Simpson weights and G the cumulative Simpson integral of g:
+    the quadrature that entangling_angle_sampled takes one mode at a time.
+    For n >= 1 the cumulative rule is G_n = dx S_n + (dx/12)(c0 + g_{n-1} -
+    7 g_n) with S_n = sum_{j<=n} g_j and c0 = -8 g_0 + 3 g_1 - g_2. The
+    g_n conj g_n terms are real, so d_k = dx Im sum_{j<n} w_n g_n conj g_j
+    plus the start correction (dx/12) Im(conj(c0) sum_{n>=1} w_n g_n) and the
+    neighbour correction (dx/12) Im(e^{i delta_k dx} sum_{n>=1} w_n D_n
+    conj D_{n-1}).
+
+    With g_n = D_n C_k[q] F_k[r] (n = q m + r, see _phasor_tables), the pairs
+    j < n in different blocks are the block sums W_k[q] of w D and B_k[q]
+    of D, from one product over both drives: sum_q W_k[q] conj(sum_{q'<q}
+    B_k[q']). The pairs in one block share |C_k[q]| = 1, so they are
+    sum_{r'<r} M[r, r'] F_k[r] conj F_k[r'] with a single m x m matrix
+    M[r, r'] = sum_q (w D)[q m + r] conj D[q m + r'] for every mode. No
+    modes x samples array is formed.
+    """
+    n_samples = len(drive)
+    dx = tau / (n_samples - 1)
+    coarse, fine = _phasor_tables(detunings, tau, n_samples - 1)
+    m = fine.shape[1]
+    w = simpson_weights(n_samples, dx)
+    drives = np.zeros((2, coarse.shape[1] * m), dtype=complex)  # rows w D and D, zero-padded
+    np.multiply(w, drive, out=drives[0, :n_samples])
+    drives[1, :n_samples] = drive
+    weighted, plain = _block_products(drives, fine) * coarse.T
+    earlier = np.zeros_like(plain)
+    np.cumsum(plain[:-1], axis=0, out=earlier[1:])
+    pairs = np.einsum("qk,qk->k", weighted, earlier.conj())
+    blocks = drives.reshape(2, -1, m)
+    within = np.tril(blocks[0].T @ blocks[1].conj(), -1)
+    pairs += np.einsum("kr,kr->k", fine, fine.conj() @ within.T)
+
+    start = np.arange(3)
+    phasors = coarse[:, start // m] * fine[:, start % m]  # e^{i delta_k t_n}, n = 0, 1, 2
+    g_start = phasors * drive[:3]
+    c0 = g_start @ np.array([-8.0, 3.0, -1.0])
+    tail = weighted.sum(axis=0) - w[0] * g_start[:, 0]  # sum_{n>=1} w_n g_n
+    neighbours = np.vdot(drive[:-1], drives[0, 1:n_samples])
+    corrections = c0.conj() * tail + phasors[:, 1] * neighbours
+    return dx * pairs.imag + (dx / 12.0) * corrections.imag
 
 
 def entangling_angle_sampled(omega_samples, delta_samples, dx, eta_i, eta_j):

@@ -198,6 +198,26 @@ def test_power_map_flags_degenerate_pair(chain_12):
         calibrate_power(sched, uncoupled, 3, 12)
 
 
+def test_power_map_of_every_pair_is_the_all_pairs_map(chain_12):
+    # pairs=None takes its rows in all_pairs order, degenerate pairs included
+    modes, sched = chain_12
+    eta = modes.eta.copy()
+    eta[11] = 0.0
+    uncoupled = ModeData(frequencies=modes.frequencies, vectors=modes.vectors, eta=eta)
+    default = power_map(sched, uncoupled)
+    explicit = power_map(sched, uncoupled, pairs=all_pairs(12))
+    np.testing.assert_array_equal(default.omega_max, explicit.omega_max)
+    assert default.degenerate_pairs == explicit.degenerate_pairs == tuple((i, 12) for i in range(1, 12))
+
+
+def test_power_map_of_one_ion_is_empty(chain_12):
+    _, sched = chain_12
+    one = ModeData(frequencies=[sched.mu_ref + 2 * np.pi * 3.7e3], vectors=[[1.0]], eta=[[0.1]])
+    pmap = power_map(sched, one)
+    assert pmap.omega_max.shape == (1, 1) and np.isnan(pmap.omega_max[0, 0])
+    assert pmap.degenerate_pairs == () and pmap.computed_pairs() == []
+
+
 INDEXED_CALLS = {
     "entangling_angle": lambda sched, modes, k: entangling_angle(sched, modes, k, 6),
     "motional_error": lambda sched, modes, k: motional_error(sched, modes, 5, k),

@@ -495,16 +495,14 @@ def test_modes_json_without_rad_s_is_stale(small_config, tmp_path, capsys):
     assert not (out / "optimize_manifest.json").exists()
 
 
-def test_staged_optimize_matches_recompute(tmp_path):
+def test_staged_optimize_matches_recompute(small_config, tmp_path):
     # optimize --recompute runs crystal and modes as stages, then reads the
     # modes.json they wrote: a seeded rerun in a fresh directory designs the
     # staged schedule byte for byte
-    config = tmp_path / "default.ini"
-    config.write_text("[optimize]\nn_starts = 1\n")
     staged, direct = tmp_path / "staged", tmp_path / "direct"
     for name in ("crystal", "modes", "optimize"):
-        assert run(["-c", str(config), "-o", str(staged), name]) == 0
-    assert run(["-c", str(config), "-o", str(direct), "optimize", "--recompute"]) == 0
+        assert run(["-c", small_config, "-o", str(staged), name]) == 0
+    assert run(["-c", small_config, "-o", str(direct), "optimize", "--recompute"]) == 0
     assert (staged / "schedule_A.json").read_bytes() == (direct / "schedule_A.json").read_bytes()
 
 

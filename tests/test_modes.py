@@ -7,8 +7,10 @@ from ionpulse import (
     DegenerateSpacing,
     ImaginaryMode,
     IonCrystal,
+    ModeData,
     TrapConfig,
     build_transverse_matrix,
+    solve_equilibrium,
     solve_modes,
 )
 from ionpulse.constants import HBAR
@@ -168,6 +170,41 @@ def test_sign_convention_deterministic(chain, cfg):
     for k in range(a.n_modes):
         total = a.vectors[k].sum()
         assert total > -1e-8
+
+
+def _loop_signs(vectors):
+    """The per-mode sign fix solve_modes vectorizes, as a reference."""
+    vectors = vectors.copy()
+    for k in range(len(vectors)):
+        total = vectors[k].sum()
+        if abs(total) > 1e-8:
+            if total < 0:
+                vectors[k] = -vectors[k]
+        else:
+            lead = vectors[k][np.abs(vectors[k]) > 1e-8]
+            if lead.size and lead[0] < 0:
+                vectors[k] = -vectors[k]
+    return vectors
+
+
+@pytest.mark.parametrize("n_ions", [2, 12, 50])
+def test_signs_and_uniform_mode_match_the_per_mode_loops(n_ions, chain, cfg):
+    # mirror-symmetric chains have antisymmetric modes whose sums vanish, so
+    # both branches of the sign rule run
+    if n_ions != cfg.n_ions:
+        cfg = TrapConfig(n_ions=n_ions)
+        chain = solve_equilibrium(cfg)
+    matrix = build_transverse_matrix(chain, cfg)
+    modes = solve_modes(matrix, cfg)
+    np.testing.assert_array_equal(modes.vectors, _loop_signs(np.linalg.eigh(matrix)[1].T))
+    ratios = [participation_uniformity(modes, k) for k in range(1, n_ions)]
+    assert most_uniform_mode(modes) == int(np.argmax(ratios)) + 1
+
+
+def test_uniform_mode_tie_goes_to_the_first():
+    vectors = [[1.0, 2.0, 4.0], [4.0, 2.0, 1.0], [1.0, 1.0, 1.0]]
+    modes = ModeData(frequencies=[1.0, 2.0, 3.0], vectors=vectors, eta=np.ones((3, 3)))
+    assert most_uniform_mode(modes) == 1
 
 
 def test_modes_roundtrip(tmp_path, mode_data):

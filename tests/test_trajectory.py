@@ -20,6 +20,7 @@ from ionpulse import (
 from ionpulse.trajectory import (
     _expand_phasors,
     _phasor_tables,
+    angle_integrals,
     fm_phase,
     mode_angle_integrals,
     mode_displacement_integrals,
@@ -308,15 +309,49 @@ def test_beta_grid_self_convergence(mode_data):
     assert fine == pytest.approx(coarse, rel=5e-4)
 
 
-def test_mode_angle_integrals_match_sampled_angle(mode_data):
+# m = isqrt(N + 1) fine entries: N = 2 has m = 1, and 5, 1001, 2001 and 2003
+# samples leave a partial, zero-padded last block
+@pytest.mark.parametrize("n_intervals", [2, 4, 1000, 2000, 2002])
+def test_mode_angle_integrals_match_sampled_angle(mode_data, n_intervals):
     # entangling_angle_sampled is the per-mode oracle: with eta_i * eta_j = 1/2 it returns d_k
     for sched in (schedule(), random_fm_schedule(8)):
-        t = np.linspace(0.0, TAU, 2001)
+        t = np.linspace(0.0, TAU, n_intervals + 1)
         omega, mu = amplitude(t, sched), drive_frequency(t, sched)
-        got = mode_angle_integrals(sched, mode_data.frequencies, n_intervals=2000)
+        floor = 0.0
+        if n_intervals <= 4:
+            # d_k is a handful of terms of up to (int |Omega|)^2 each, whose phases
+            # of ~5e3 rad carry ~1e-12 rad of rounding in the oracle's own Simpson
+            # phase; on 2 intervals shape A makes every d_k zero
+            floor = 1e-13 * (simpson_weights(len(t), t[1]) @ omega) ** 2
+        got = mode_angle_integrals(sched, mode_data.frequencies, n_intervals=n_intervals)
         for k, omega_k in enumerate(mode_data.frequencies):
             expected = entangling_angle_sampled(omega, mu - omega_k, t[1] - t[0], 1.0, 0.5)
-            assert got[k] == pytest.approx(expected, rel=1e-12)
+            assert got[k] == pytest.approx(expected, rel=1e-12, abs=floor)
+
+
+@pytest.mark.parametrize("n_intervals", [4, 1088, 2000])
+def test_angle_integrals_of_a_drive_on_at_the_start(n_intervals):
+    # shapes A and B start at zero, so only a drive with Omega(0) != 0 sees the
+    # start term c0 of the cumulative Simpson rule; 1089 samples fill 33 blocks
+    t = np.linspace(0.0, TAU, n_intervals + 1)
+    dx = t[1] - t[0]
+    omega = 2 * np.pi * 80e3 * (1.5 + np.cos(3 * np.pi * t / TAU))
+    offset = 2 * np.pi * 4e3 * np.sin(2 * np.pi * t / TAU)
+    drive = omega * np.exp(1j * cumulative_simpson(offset, dx))
+    detunings = 2 * np.pi * np.array([-60e3, -5e3, 0.0, 3e3, 20e3, 1.1e6])
+    # 1.1 MHz nearly aliases on 1088 intervals: its d_k of ~0.55 is the sum of
+    # terms of up to (int |Omega|)^2 ~ 1e5, so it is held to their rounding
+    scale = (simpson_weights(len(t), dx) @ omega) ** 2
+    got = angle_integrals(drive, detunings, TAU)
+    for k, delta in enumerate(detunings):
+        expected = entangling_angle_sampled(omega, delta + offset, dx, 1.0, 0.5)
+        assert got[k] == pytest.approx(expected, rel=1e-12, abs=1e-15 * scale)
+
+
+def test_angle_integrals_form_no_modes_x_samples_array(mode_data):
+    # a modes x samples array of 50 x 2001 reals alone takes 0.8 MB
+    _, peak = traced_peak(lambda: mode_angle_integrals(random_fm_schedule(8), mode_data.frequencies))
+    assert peak < mode_data.n_modes * 2001 * 8
 
 
 def test_motional_error_zero_amplitude(mode_data):
