@@ -5,12 +5,14 @@ optimize, analysis, output) to the pipeline and emits plot-ready CSV/JSON
 artifacts plus a manifest per command. All frequencies at this interface are
 ordinary frequencies in Hz; the library converts to rad/s internally.
 
-Subcommands: crystal, modes, optimize, report, sweep, powermap. Each command
-expects its upstream artifacts in the output directory and exits with code 3
-when they are missing or were built for another ion count. --recompute runs the
-stages it depends on first, each writing its files and manifest and printing
-its line, so the command then reads what they wrote. Validation and solver
-failures exit with code 2.
+Subcommands: crystal, modes, optimize, report, sweep, powermap. One table,
+_STAGES, declares each: its command, the stages whose files it loads, the ion
+and mode indices it checks and the files it hands on with their loader.
+run_stage reads the upstream files from the output directory and exits with
+code 3 when one is missing or was built for another ion count. --recompute
+runs the stages it depends on first, each writing its files and manifest and
+printing its line, so the command then reads what they wrote. Validation and
+solver failures exit with code 2.
 
 The output directory resolves in order: --output-dir flag, IONPULSE_OUTPUT_DIR
 environment variable, [output] dir config key, ./ionpulse_out.
@@ -151,7 +153,7 @@ class Key(NamedTuple):
 # value as None: TrapConfig's own default, or the optimizer's automatic choice.
 # TrapConfig and ShapeB check the ranges of the values they take.
 KEYS = (
-    Key("trap", "n_ions", "50", "trap.n_ions", _integer()),
+    Key("trap", "n_ions", "50", "trap.n_ions", _integer(2)),  # a gate needs a pair
     Key("trap", "delta_z_m", "3e-6", "trap.delta_z", _number()),
     Key("trap", "scale_r", "0.95", "trap.scale_r", _number()),
     Key("trap", "cutoff_s", "0.98", "trap.cutoff_s", _number()),
@@ -167,7 +169,7 @@ KEYS = (
     Key("pulse", "amp_hz", "100e3", "amp_scale", _number(positive=True, hz=True)),
     Key("pulse", "shape_b_levels", "0.55, 1.0, 0.55", "shape_b.step_levels", _list(_number())),
     Key("pulse", "shape_b_ramp_fraction", "0.16", "shape_b.ramp_fraction", _number()),
-    Key("optimize", "ion_i", "25", "ion_i", _integer()),  # indices: see _check_indices
+    Key("optimize", "ion_i", "25", "ion_i", _integer()),  # indices: see _STAGES
     Key("optimize", "ion_j", "26", "ion_j", _integer()),
     Key("optimize", "seed", "1", "seed", _integer(0)),
     Key("optimize", "max_evals", "120000", "max_evals", _integer(1)),
@@ -288,66 +290,43 @@ def _check_writable(out_dir):
         raise ConfigError(f"output directory {out_dir!r} is not writable: {exc}") from exc
 
 
-def _require(out_dir, names, stage, inputs):
-    """Check that the files `stage` writes all exist; record and return their paths."""
-    paths = [os.path.join(out_dir, name) for name in names]
-    for path in paths:
-        if not os.path.exists(path):
-            raise MissingPrerequisite(
-                f"missing prerequisite {os.path.basename(path)!r}; run `ionpulse {stage}` "
-                "first or pass --recompute"
-            )
-    inputs.extend(paths)
-    return paths
-
-
-def _check_ion_count(count, name, stage, cfg):
-    if count != cfg.trap.n_ions:
-        raise MissingPrerequisite(
-            f"stale prerequisite {name!r} holds {count} ions but [trap] n_ions is "
-            f"{cfg.trap.n_ions}; rerun `ionpulse {stage}` or pass --recompute"
-        )
-
-
-def _check_indices(cfg, stage):
-    """Check the ion and mode indices `stage` reads against [trap] n_ions."""
-    if stage not in ("optimize", "report", "sweep"):
-        return
-    indices = [("ion_i", cfg.ion_i), ("ion_j", cfg.ion_j)]
-    if stage in ("optimize", "report"):  # report picks the target modes it writes
-        indices += [("mu_mode", cfg.mu_mode)] if cfg.mu_mode is not None else []
-        indices += [("target_modes", k) for k in cfg.target_modes or ()]
+def _check_indices(cfg, fields):
+    """Check the ion and mode indices in the RunConfig `fields` against [trap] n_ions."""
     n = cfg.trap.n_ions
-    for label, k in indices:
-        if not 1 <= k <= n:
-            raise ConfigError(f"{label} index {k} outside 1..{n}")
-    if cfg.ion_i == cfg.ion_j:
+    for field in fields:
+        value = getattr(cfg, field)  # an index, a tuple of them, or None
+        for k in (value,) if isinstance(value, int) else value or ():
+            if not 1 <= k <= n:
+                raise ConfigError(f"{field} index {k} outside 1..{n}")
+    if "ion_j" in fields and cfg.ion_i == cfg.ion_j:
         raise ConfigError("ion_i and ion_j must differ")
 
 
-def _load_crystal(cfg, out_dir, inputs):
-    crystal = load_crystal(*_require(out_dir, ["positions.csv", "crystal.json"], "crystal", inputs))
-    _check_ion_count(crystal.n_ions, "crystal.json", "crystal", cfg)
-    return crystal
+def _hand_off(cfg, out_dir, stage):
+    """Paths of the files `stage` hands on, its _STAGES `files` under [pulse] shape."""
+    return [os.path.join(out_dir, name.format(shape=cfg.shape_kind))
+            for name in _STAGES[stage].files]
 
 
-def _load_modes(cfg, out_dir, inputs):
+def _load(cfg, out_dir, stage):
+    """Read back what `stage` hands on; a missing or stale file raises MissingPrerequisite."""
+    row = _STAGES[stage]
+    paths = _hand_off(cfg, out_dir, stage)
+    for path in paths:
+        if not os.path.exists(path):
+            raise MissingPrerequisite(f"missing prerequisite {os.path.basename(path)!r}; "
+                                      f"run `ionpulse {stage}` first or pass --recompute")
+    stale = f"stale prerequisite {os.path.basename(paths[-1])!r}"  # it records the count
+    rerun = f"rerun `ionpulse {stage}` or pass --recompute"
     try:
-        modes = load_modes(*_require(out_dir, ["modes.json"], "modes", inputs))
+        loaded = row.load(*paths)
     except StaleModesFile as exc:
+        raise MissingPrerequisite(f"{stale} stores no frequencies in rad/s; {rerun}") from exc
+    count = getattr(loaded, row.count) if row.count else cfg.trap.n_ions
+    if count != cfg.trap.n_ions:
         raise MissingPrerequisite(
-            "stale prerequisite 'modes.json' stores no frequencies in rad/s; "
-            "rerun `ionpulse modes` or pass --recompute"
-        ) from exc
-    _check_ion_count(modes.n_modes, "modes.json", "modes", cfg)
-    return modes
-
-
-def _load_schedule(cfg, out_dir, inputs):
-    """Returns (schedule, modes)."""
-    name = f"schedule_{cfg.shape_kind}.json"
-    schedule = load_schedule(*_require(out_dir, [name], "optimize", inputs))
-    return schedule, _load_modes(cfg, out_dir, inputs)
+            f"{stale} holds {count} ions but [trap] n_ions is {cfg.trap.n_ions}; {rerun}")
+    return loaded
 
 
 def _make_problem(cfg, modes):
@@ -381,12 +360,11 @@ class StageResult(NamedTuple):
     deferred: Exception = None  # raised once the manifest is written
 
 
-def cmd_crystal(cfg, out_dir, inputs):
+def cmd_crystal(cfg, out_dir):
     t0 = time.perf_counter()
     crystal = solve_equilibrium(cfg.trap)
     t1 = time.perf_counter()
-    csv_path = os.path.join(out_dir, "positions.csv")
-    json_path = os.path.join(out_dir, "crystal.json")
+    csv_path, json_path = _hand_off(cfg, out_dir, "crystal")
     save_crystal(crystal, csv_path, json_path)
     spacing = crystal.spacings
     mean_um = spacing.mean() * 1e6
@@ -406,12 +384,11 @@ def cmd_crystal(cfg, out_dir, inputs):
     )
 
 
-def cmd_modes(cfg, out_dir, inputs):
+def cmd_modes(cfg, out_dir, crystal):
     t0 = time.perf_counter()
-    crystal = _load_crystal(cfg, out_dir, inputs)
     modes = solve_modes(build_transverse_matrix(crystal, cfg.trap), cfg.trap)
     t1 = time.perf_counter()
-    json_path = os.path.join(out_dir, "modes.json")
+    [json_path] = _hand_off(cfg, out_dir, "modes")
     csv_path = os.path.join(out_dir, "spectrum.csv")
     save_modes(modes, json_path)
     save_spectrum_csv(modes, csv_path)
@@ -425,14 +402,13 @@ def cmd_modes(cfg, out_dir, inputs):
     )
 
 
-def cmd_optimize(cfg, out_dir, inputs):
+def cmd_optimize(cfg, out_dir, modes):
     """Optimize, then write the schedule, its eval/cost trace and its waveform.
 
     A spent budget keeps the best point seen: it is written like a converged
     result, and the BudgetExhausted is raised (exit code 2) once the manifest
     is written.
     """
-    modes = _load_modes(cfg, out_dir, inputs)
     problem = _make_problem(cfg, modes)
     t0 = time.perf_counter()
     trace = []
@@ -442,7 +418,7 @@ def cmd_optimize(cfg, out_dir, inputs):
     except BudgetExhausted as exc:
         exhausted = exc
         schedule = replace(problem.base_schedule, fm_points=exc.best_fm_points)
-    sched_path = os.path.join(out_dir, f"schedule_{cfg.shape_kind}.json")
+    [sched_path] = _hand_off(cfg, out_dir, "optimize")
     save_schedule(schedule, sched_path)
     trace_path = os.path.join(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
     with open(trace_path, "w", newline="") as fh:
@@ -482,8 +458,7 @@ def cmd_optimize(cfg, out_dir, inputs):
     )
 
 
-def cmd_report(cfg, out_dir, inputs):
-    schedule, modes = _load_schedule(cfg, out_dir, inputs)
+def cmd_report(cfg, out_dir, schedule, modes):
     selected = ()
     if cfg.trajectory_modes == "all":
         selected = range(1, modes.n_modes + 1)
@@ -531,8 +506,7 @@ def cmd_report(cfg, out_dir, inputs):
     )
 
 
-def cmd_sweep(cfg, out_dir, inputs):
-    schedule, modes = _load_schedule(cfg, out_dir, inputs)
+def cmd_sweep(cfg, out_dir, schedule, modes):
     offsets = default_offsets(cfg.sweep_points, cfg.sweep_min, cfg.sweep_max)
     t0 = time.perf_counter()
     # sweep at the power `report` calibrates, so the baseline is the reported gate error
@@ -562,8 +536,7 @@ def cmd_sweep(cfg, out_dir, inputs):
     )
 
 
-def cmd_powermap(cfg, out_dir, inputs):
-    schedule, modes = _load_schedule(cfg, out_dir, inputs)
+def cmd_powermap(cfg, out_dir, schedule, modes):
     pairs = None  # every pair
     if cfg.powermap_pairs is not None:
         every = all_pairs(modes.n_modes)
@@ -596,32 +569,54 @@ def cmd_powermap(cfg, out_dir, inputs):
     )
 
 
-# stage: (command, the stage whose files it reads)
+class Stage(NamedTuple):
+    """One row of _STAGES. run_stage checks `indices`, loads what each stage in
+    `reads` hands on (see _load) and passes it to `command`."""
+
+    command: object  # (cfg, out_dir, *what the `reads` stages hand on) -> StageResult
+    reads: tuple = ()  # in argument order; --recompute runs the first one before this
+    indices: tuple = ()  # RunConfig index fields checked against [trap] n_ions
+    files: tuple = ()  # the files it hands on, "{shape}" being [pulse] shape
+    load: object = None  # (*paths of `files`) -> what it hands on
+    count: str = ""  # the attribute of what `load` returns that must equal [trap] n_ions
+
+
+_PAIR = ("ion_i", "ion_j")
+_DRIVE = ("mu_mode", "target_modes")  # report resolves the target modes it writes
+
+# Each stage's inputs, index checks and hand-off files, declared here and
+# nowhere else. The loaders are lambdas, so each library name is looked up
+# when it is called.
 _STAGES = {
-    "crystal": (cmd_crystal, None),
-    "modes": (cmd_modes, "crystal"),
-    "optimize": (cmd_optimize, "modes"),
-    "report": (cmd_report, "optimize"),
-    "sweep": (cmd_sweep, "optimize"),
-    "powermap": (cmd_powermap, "optimize"),
+    "crystal": Stage(cmd_crystal, files=("positions.csv", "crystal.json"),
+                     load=lambda *paths: load_crystal(*paths), count="n_ions"),
+    "modes": Stage(cmd_modes, ("crystal",), files=("modes.json",),
+                   load=lambda path: load_modes(path), count="n_modes"),
+    "optimize": Stage(cmd_optimize, ("modes",), _PAIR + _DRIVE, ("schedule_{shape}.json",),
+                      lambda path: load_schedule(path)),
+    "report": Stage(cmd_report, ("optimize", "modes"), _PAIR + _DRIVE),
+    "sweep": Stage(cmd_sweep, ("optimize", "modes"), _PAIR),
+    "powermap": Stage(cmd_powermap, ("optimize", "modes")),
 }
 
 
 def run_stage(name, cfg, out_dir, recompute):
     """Run stage `name`, under `recompute` after every stage it depends on.
 
-    Each stage prints its summary line and writes <stage>_manifest.json. The
-    indices of every stage in the chain are checked before the first runs.
+    Each stage prints its summary line and writes <stage>_manifest.json, which
+    hashes the files it loaded. The indices of every stage in the chain are
+    checked before the first runs.
     """
     chain = [name]
-    while recompute and _STAGES[chain[0]][1] is not None:
-        chain.insert(0, _STAGES[chain[0]][1])
+    while recompute and _STAGES[chain[0]].reads:
+        chain.insert(0, _STAGES[chain[0]].reads[0])
     for stage in chain:
-        _check_indices(cfg, stage)
+        _check_indices(cfg, _STAGES[stage].indices)
     for stage in chain:
-        inputs = []
-        result = _STAGES[stage][0](cfg, out_dir, inputs)
+        reads = _STAGES[stage].reads
+        result = _STAGES[stage].command(cfg, out_dir, *[_load(cfg, out_dir, up) for up in reads])
         print(result.line)
+        inputs = [path for upstream in reads for path in _hand_off(cfg, out_dir, upstream)]
         manifest = {
             "command": stage,
             "version": __version__,

@@ -2,6 +2,7 @@ import configparser
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +62,9 @@ def test_crystal_command(small_config, tmp_path, capsys):
 def test_missing_prerequisite_exit_code(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["-c", small_config, "-o", str(out), "modes"]) == 3
-    err = capsys.readouterr().err
-    assert "prerequisite" in err
+    assert capsys.readouterr().err == (
+        "error: missing prerequisite 'positions.csv'; run `ionpulse crystal` first "
+        "or pass --recompute\n")
     assert not (out / "modes.json").exists()
 
 
@@ -211,20 +213,48 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_bad_mode_index(tmp_path, capsys):
-    path = tmp_path / "bad.ini"
-    path.write_text("[trap]\nn_ions = 10\n\n[optimize]\nion_i = 11\n")
-    # optimize is the first stage that reads ion_i; the check precedes its prerequisites
-    assert run(["-c", str(path), "-o", str(tmp_path / "out"), "optimize"]) == 2
-    assert "outside" in capsys.readouterr().err
+# every stage against both index fields; _REFUSED holds the stages that check the
+# field against n_ions (report resolves the target modes it writes)
+_STAGE_NAMES = ("crystal", "modes", "optimize", "report", "sweep", "powermap")
+_INDEX_CASES = [(stage, field) for stage in _STAGE_NAMES for field in ("ion_i", "mu_mode")]
+_REFUSED = {("optimize", "ion_i"), ("report", "ion_i"), ("sweep", "ion_i"),
+            ("optimize", "mu_mode"), ("report", "mu_mode")}
 
 
-def test_stages_ignore_indices_they_do_not_read(tmp_path):
-    # the default ion_i = 25 lies outside a 12-ion chain, but crystal and modes never read it
-    path = tmp_path / "small.ini"
-    path.write_text("[trap]\nn_ions = 12\n")
-    for stage in ("crystal", "modes"):
-        assert run(["-c", str(path), "-o", str(tmp_path / "out"), stage]) == 0
+def _index_13_config(tmp_path, field):
+    """SMALL_CONFIG with `field` at 13, outside its 12 ions."""
+    path = tmp_path / f"{field}_13.ini"
+    path.write_text(SMALL_CONFIG.replace("ion_i = 5", "ion_i = 13") if field == "ion_i"
+                    else SMALL_CONFIG.replace("shape = A", "shape = A\nmu_mode = 13"))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def designed_dir(tmp_path_factory):
+    """An output directory holding what crystal, modes and optimize write for SMALL_CONFIG."""
+    config = tmp_path_factory.mktemp("config") / "run.ini"
+    config.write_text(SMALL_CONFIG)
+    out = tmp_path_factory.mktemp("designed")
+    for stage in ("crystal", "modes", "optimize"):
+        assert run(["-c", str(config), "-o", str(out), stage]) == 0
+    return out
+
+
+@pytest.mark.parametrize("stage, field", [case for case in _INDEX_CASES if case in _REFUSED])
+def test_bad_mode_index(tmp_path, capsys, stage, field):
+    # the check precedes the stage's prerequisites, so a fresh directory exits 2, not 3
+    out = tmp_path / "out"
+    assert run(["-c", _index_13_config(tmp_path, field), "-o", str(out), stage]) == 2
+    assert capsys.readouterr().err == f"error: {field} index 13 outside 1..12\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage, field", [case for case in _INDEX_CASES if case not in _REFUSED])
+def test_stages_ignore_indices_they_do_not_read(designed_dir, tmp_path, stage, field):
+    out = tmp_path / "out"
+    shutil.copytree(designed_dir, out)
+    assert run(["-c", _index_13_config(tmp_path, field), "-o", str(out), stage]) == 0
+    assert (out / f"{stage}_manifest.json").exists()
 
 
 def test_bad_target_modes(tmp_path, capsys):
@@ -245,6 +275,7 @@ _BAD_VALUES = [
     ("optimize", "seed", "-1"), ("trap", "omega_x_hz", "nan"), ("trap", "delta_z_m", "nan"),
     ("pulse", "n_oscillations", "0"), ("optimize", "max_evals", "0"), ("pulse", "shape", "C"),
     ("pulse", "shape_b_levels", "1,2"),  # refused although the shape is A
+    ("trap", "n_ions", "1"),  # every gate addresses a pair
 ]
 
 
@@ -472,8 +503,9 @@ def test_stale_upstream_ion_count(small_config, tmp_path, capsys, stage, upstrea
     fewer.write_text(SMALL_CONFIG.replace("n_ions = 12", "n_ions = 10"))
     capsys.readouterr()
     assert run(["-c", str(fewer), "-o", str(out), stage]) == 3
-    err = capsys.readouterr().err
-    assert repr(stale) in err and "--recompute" in err
+    assert capsys.readouterr().err == (
+        f"error: stale prerequisite {stale!r} holds 12 ions but [trap] n_ions is 10; "
+        f"rerun `ionpulse {upstream[-1]}` or pass --recompute\n")
     assert not (out / f"{stage}_manifest.json").exists()
     if stage == "modes":
         assert run(["-c", str(fewer), "-o", str(out), stage, "--recompute"]) == 0
@@ -490,8 +522,9 @@ def test_modes_json_without_rad_s_is_stale(small_config, tmp_path, capsys):
     path.write_text(json.dumps(payload))
     capsys.readouterr()
     assert run(["-c", small_config, "-o", str(out), "optimize"]) == 3
-    err = capsys.readouterr().err
-    assert "'modes.json'" in err and "--recompute" in err
+    assert capsys.readouterr().err == (
+        "error: stale prerequisite 'modes.json' stores no frequencies in rad/s; "
+        "rerun `ionpulse modes` or pass --recompute\n")
     assert not (out / "optimize_manifest.json").exists()
 
 
