@@ -20,6 +20,7 @@ environment variable, [output] dir config key, ./ionpulse_out.
 
 import argparse
 import configparser
+import csv
 import hashlib
 import json
 import os
@@ -308,8 +309,13 @@ def _hand_off(cfg, out_dir, stage):
             for name in _STAGES[stage].files]
 
 
+# what a loader raises on a truncated or unparsable file (json's errors are ValueErrors)
+_MALFORMED = (ValueError, LookupError, TypeError, StopIteration, csv.Error)
+
+
 def _load(cfg, out_dir, stage):
-    """Read back what `stage` hands on; a missing or stale file raises MissingPrerequisite."""
+    """Read back what `stage` hands on; a missing, malformed or stale file raises
+    MissingPrerequisite."""
     row = _STAGES[stage]
     paths = _hand_off(cfg, out_dir, stage)
     for path in paths:
@@ -322,6 +328,9 @@ def _load(cfg, out_dir, stage):
         loaded = row.load(*paths)
     except StaleModesFile as exc:
         raise MissingPrerequisite(f"{stale} stores no frequencies in rad/s; {rerun}") from exc
+    except _MALFORMED as exc:
+        names = " or ".join(repr(os.path.basename(path)) for path in paths)
+        raise MissingPrerequisite(f"malformed prerequisite {names} ({exc}); {rerun}") from exc
     count = getattr(loaded, row.count) if row.count else cfg.trap.n_ions
     if count != cfg.trap.n_ions:
         raise MissingPrerequisite(

@@ -32,35 +32,25 @@ def simpson_weights(n_samples, dx):
     return w * (dx / 3.0)
 
 
-def cumulative_simpson(y, dx, *, overwrite_y=False, out=None):
+def cumulative_simpson(y, dx):
     """Running integral of sampled values, fourth-order accurate at every node.
 
     Each interval [t_{j-1}, t_j] is integrated with the parabola through the
     sample triple ending at j (starting at j for the very first interval),
     then the per-interval pieces are cumulatively summed. The first output
-    entry is 0. With overwrite_y the samples y[..., 2:] are scaled in place
-    (y must then be a writable array), which saves a temporary; the result
-    is the same. out, an array of y's shape and of the result's dtype that
-    shares no memory with y, receives the result instead of a new array;
-    its values are bitwise those of a fresh call.
+    entry is 0.
     """
     y = np.asarray(y)
     if y.shape[-1] < 3:
         raise ValueError("cumulative Simpson needs at least 3 samples")
-    dtype = np.result_type(y.dtype, np.float64)
-    if out is None:
-        out = np.empty(y.shape, dtype=dtype)
-    elif out.shape != y.shape or out.dtype != dtype:
-        raise ValueError(f"out must be {dtype} of shape {y.shape}, got {out.dtype} of shape {out.shape}")
-    elif np.shares_memory(out, y):
-        raise ValueError("out must not share memory with y")
+    out = np.empty(y.shape, dtype=np.result_type(y.dtype, np.float64))
     out[..., 0] = 0.0
     seg = out[..., 1:]  # the per-interval pieces, summed in place at the end
     seg[..., 0] = (dx / 12.0) * (5.0 * y[..., 0] + 8.0 * y[..., 1] - y[..., 2])
     interior = seg[..., 1:]  # (-y[j-2] + 8 y[j-1] + 5 y[j]) dx/12, built in place
     np.multiply(y[..., 1:-1], 8.0, out=interior)
     interior -= y[..., :-2]
-    interior += np.multiply(y[..., 2:], 5.0, out=y[..., 2:] if overwrite_y else None)
+    interior += 5.0 * y[..., 2:]
     interior *= dx / 12.0
     np.cumsum(seg, axis=-1, out=seg)
     return out

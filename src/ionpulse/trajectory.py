@@ -11,8 +11,9 @@ displacements and a downsampled 2,000-interval grid for the double integral
 (quadratic in grid size when evaluated naively; here its pairs of samples are
 summed by blocks, so the cost stays near linear without changing the
 quadrature).
-A stored trajectory keeps only the rows a report writes (2,001 by default):
-its running integral is still taken on the 20,000-interval grid.
+A stored trajectory keeps only the rows a report writes (2,001 by default),
+and only those rows of its running integral on the 20,000-interval grid are
+computed.
 
 Every integral takes theta_k = (mu_ref + offset - omega_k) t + fm_phase from
 one FM phase, fm_phase = int (mu - mu_ref) dt. fm_phase is linear in the
@@ -28,14 +29,9 @@ double-double (Dekker two-products) and reduced exactly modulo a three-part
 plain float64 exp, each coarse rounding would repeat over a whole block and
 the error would grow (test_motional_error_matches_long_double_quadrature
 guards this).
-A per-mode trajectory takes the integrand Omega e^{i theta_k} of its mode
-(_mode_integrands): the mode's tables multiplied out (_expand_phasors) times
-the drive Omega e^{i fm_phase}, in one reused buffer. A downsampled
-trajectory's running integral goes into a second buffer that every mode
-reuses, and only the stored rows are copied out of it.
 
-The displacement kernel (DisplacementKernel) keeps the factorization
-instead. A weighted drive h_n = w Omega e^{i fm_phase}, padded with zeros to
+The displacement kernel (DisplacementKernel) keeps the factorization. A
+weighted drive h_n = w Omega e^{i fm_phase}, padded with zeros to
 Q m samples, is a (Q, m) block matrix H, so G = H F^T (Q x modes) is one
 matrix product for every mode and I_k = sum_q C_k[q] G[q, k]. The mode
 tables e^{-i omega_k t} are built once and shifted to each drive frequency
@@ -51,6 +47,15 @@ between neighbours. The pairs in different blocks come from the block sums
 of w D and D (D = Omega e^{i fm_phase}), which the displacement kernel's
 product gives for every mode at once; the pairs inside a block share one
 m x m matrix of the drive alone, met by each mode's fine table.
+
+The trajectory kernel (mode_trajectories) reads the same tables, one mode at
+a time. The drive D is cut into blocks that run from one stored row to the
+next, and a zero-padded matrix of them is shared by every mode. Each mode
+meets it with its phasors on one block (one matrix-vector product), turns
+the block sums by its phasors at the stored rows and adds them up (one
+cumsum); the cumulative Simpson rule's corrections, at the start and at a
+row's own sample and the one before it, are added at the stored rows. No
+modes x samples array and no full-grid running integral is formed.
 """
 
 import math
@@ -184,21 +189,6 @@ def _phasor_tables(freqs, tau, n_intervals):
     return table(m * np.arange(-(-n_samples // m), dtype=float)), table(np.arange(m, dtype=float))
 
 
-def _expand_phasors(coarse, fine, out):
-    """Write the samples coarse[:, q] * fine[:, r] (n = q m + r) into out (rows x samples).
-
-    A table row does not depend on the other frequencies, so the row of one
-    mode among many expands bitwise as that mode's table alone does.
-    """
-    m = fine.shape[1]
-    blocks, rest = divmod(out.shape[1], m)
-    body = out[:, : blocks * m].reshape(len(out), blocks, m)  # a view: no padded buffer
-    np.multiply(coarse[:, :blocks, None], fine[:, None, :], out=body)
-    if rest:
-        np.multiply(coarse[:, blocks, None], fine[:, :rest], out=out[:, blocks * m:])
-    return out
-
-
 def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, mode=None):
     """Trajectory from sampled Rabi frequency and detuning on a uniform grid.
 
@@ -219,46 +209,94 @@ def fm_phase(sched, t):
     return cumulative_simpson(fm_offset(t, sched), t[1] - t[0])
 
 
-def _mode_integrands(sched, detunings, drive):
-    """Yield drive * e^{i d_k t} for each detuning d_k, every one into the same buffer."""
-    coarse, fine = _phasor_tables(detunings, sched.gate_time, len(drive) - 1)
-    g = np.empty((1, len(drive)), dtype=complex)
-    for k in range(len(detunings)):
-        _expand_phasors(coarse[k:k + 1], fine[k:k + 1], g)
-        g *= drive
-        yield g[0]
+def _start_terms(coarse, fine, drive):
+    """e^{i delta_k t_n} and g_n = drive_n e^{i delta_k t_n} for n = 0, 1, 2 (modes x 3),
+    and c0 = -8 g_0 + 3 g_1 - g_2, the cumulative Simpson rule's start term."""
+    start = np.arange(3)
+    m = fine.shape[1]
+    phasors = coarse[:, start // m] * fine[:, start % m]
+    g_start = phasors * drive[:3]
+    return phasors, g_start, g_start @ np.array([-8.0, 3.0, -1.0])
+
+
+_ROW_PASS = 2_048  # stored rows per pass: a 2,001-row report is one pass
+
+
+def _drive_blocks(drive, rows, width):
+    """Zero-padded (len(rows) - 1, width) matrix: row p holds drive[rows[p]:rows[p + 1]]."""
+    blocks = np.zeros((len(rows) - 1, width), dtype=complex)
+    blocks[np.arange(width) < np.diff(rows)[:, None]] = drive[rows[0]:rows[-1]]
+    return blocks
 
 
 def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_INTERVALS,
                       samples=None):
     """Trajectories of the modes at omega_ks, with couplings etas and mode labels.
 
-    Every running integral is taken on the grid of n_intervals = N. Each
-    record stores count = min(samples, N + 1) of its samples, at the grid rows
-    k N // (count - 1) for k = 0 .. count - 1: the first at t = 0, the last at
-    tau, and evenly spaced when count - 1 divides N. samples=None stores every
-    grid sample. The records of one call share one read-only time array.
+    Each record stores count = min(samples, N + 1) rows of the cumulative
+    Simpson integral on the grid of n_intervals = N, at the grid rows
+    n_p = p N // (count - 1) for p = 0 .. count - 1: the first at t = 0, the
+    last at tau, and evenly spaced when count - 1 divides N. samples=None
+    stores every grid sample. The records of one call share one read-only
+    time array.
+
+    Only the stored rows are computed. For n >= 1 the cumulative rule is
+    G_n = dx S_n + (dx/12)(c0 + g_{n-1} - 7 g_n) with S_n = sum_{j<=n} g_j,
+    g_n = D_n e^{i delta_k t_n} (D = Omega e^{i fm_phase}) and c0 = -8 g_0 +
+    3 g_1 - g_2 (see angle_integrals). Block p of the drive holds the samples
+    from row n_p up to n_{p+1}, so sum_{j<n_p} g_j adds up the block sums
+    e^{i delta_k t_{n_p}} sum_r D_{n_p + r} e^{i delta_k r dx}: one product of
+    the zero-padded block matrix with the mode's phasors on one block, and
+    one cumsum. The g_{n-1} and g_n terms are taken at the stored rows. The
+    rows go in passes of at most _ROW_PASS, so a pass's scratch stays near
+    0.3 MB even when every sample is stored. A record depends only on its own
+    mode's table rows, so it is bitwise the same in a call with any other
+    modes.
     """
     if samples is not None and samples < 2:
         raise ValueError(f"a trajectory stores t = 0 and tau, so samples >= 2; got {samples}")
+    count = n_intervals + 1 if samples is None else min(samples, n_intervals + 1)
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
-    detunings = sched.mu_ref - np.asarray(omega_ks, dtype=float)
+    times = t[np.arange(count) * n_intervals // (count - 1)]
+    times.setflags(write=False)
     drive = np.exp(1j * fm_phase(sched, t))
     drive *= amplitude(t, sched)
-    count = n_intervals + 1 if samples is None else min(samples, n_intervals + 1)
-    times, rows, running = t, None, None
-    if count <= n_intervals:
-        # integrate into one buffer that every mode reuses, and store only the rows
-        rows = np.arange(count) * n_intervals // (count - 1)
-        times = t[rows]
-        times.setflags(write=False)
-        running = np.empty(n_intervals + 1, dtype=complex)
+    del t  # times holds its rows; the full grid would be 160 kB of scratch through the passes
+    detunings = sched.mu_ref - np.asarray(omega_ks, dtype=float)
+    coarse, fine = _phasor_tables(detunings, sched.gate_time, n_intervals)
+    m = fine.shape[1]
+    width = -(-n_intervals // (count - 1))  # the longest block
+    block_q, block_r = divmod(np.arange(width), m)
+    start, _, c0 = _start_terms(coarse, fine, drive)
+    c0 *= dx / 12.0
+    back = start[:, 1].conj()  # e^{-i delta_k dx}: g_{n-1} in the frame of row n
+    records = list(zip(detunings, etas, labels))
+    alphas = [np.empty(count, dtype=complex) for _ in records]
+    running = np.zeros(len(records), dtype=complex)  # dx sum_{j<n} g_j, n the last row done
+    for first in range(0, count - 1, _ROW_PASS):
+        rows = np.arange(first, min(first + _ROW_PASS, count - 1) + 1) * n_intervals // (count - 1)
+        blocks = _drive_blocks(drive, rows, width)
+        blocks *= dx
+        before = drive[rows[1:] - 1] * (dx / 12.0)
+        # dx S_n holds dx g_n, and the rule adds -7 dx/12 g_n
+        here = drive[rows[1:]] * ((12.0 - 7.0) * dx / 12.0)
+        row_q, row_r = divmod(rows, m)
+        for k, (coarse_k, fine_k, alpha) in enumerate(zip(coarse, fine, alphas)):
+            phasors = coarse_k[row_q] * fine_k[row_r]
+            # np.dot, not @: matmul took 5x longer on one-sample blocks
+            sums = np.dot(blocks, coarse_k[block_q] * fine_k[block_r])
+            sums *= phasors[:-1]
+            sums[0] += running[k]
+            np.cumsum(sums, out=sums)  # dx sum_{j<n_p} g_j at the rows after the first
+            running[k] = sums[-1]
+            ends = before * back[k]
+            ends += here
+            ends *= phasors[1:]
+            ends += c0[k]
+            np.add(sums, ends, out=alpha[first + 1:first + len(rows)])
     trajectories = []
-    integrands = _mode_integrands(sched, detunings, drive)
-    for g, eta_ik, label in zip(integrands, etas, labels):
-        alpha = cumulative_simpson(g, dx, overwrite_y=True, out=running)
-        if rows is not None:
-            alpha = alpha[rows]
+    for alpha, (_, eta_ik, label) in zip(alphas, records):
+        alpha[0] = 0.0
         alpha *= eta_ik
         alpha.flags.writeable = False
         trajectories.append(Trajectory(mode=label, times=times, alpha=alpha))
@@ -460,10 +498,7 @@ def angle_integrals(drive, detunings, tau):
     within = np.tril(blocks[0].T @ blocks[1].conj(), -1)
     pairs += np.einsum("kr,kr->k", fine, fine.conj() @ within.T)
 
-    start = np.arange(3)
-    phasors = coarse[:, start // m] * fine[:, start % m]  # e^{i delta_k t_n}, n = 0, 1, 2
-    g_start = phasors * drive[:3]
-    c0 = g_start @ np.array([-8.0, 3.0, -1.0])
+    phasors, g_start, c0 = _start_terms(coarse, fine, drive)
     tail = weighted.sum(axis=0) - w[0] * g_start[:, 0]  # sum_{n>=1} w_n g_n
     neighbours = np.vdot(drive[:-1], drives[0, 1:n_samples])
     corrections = c0.conj() * tail + phasors[:, 1] * neighbours

@@ -528,6 +528,25 @@ def test_modes_json_without_rad_s_is_stale(small_config, tmp_path, capsys):
     assert not (out / "optimize_manifest.json").exists()
 
 
+def test_malformed_prerequisite_exit_code(small_config, tmp_path, capsys):
+    # an interrupted write leaves a truncated file: it is refused like a stale one,
+    # naming the file and the stage that rewrites it
+    out = tmp_path / "out"
+    for name in ("crystal", "modes", "optimize"):
+        assert run(["-c", small_config, "-o", str(out), name]) == 0
+    for stage, cut, size, upstream in (("report", "schedule_A.json", 100, "optimize"),
+                                       ("modes", "positions.csv", 50, "crystal")):
+        path = out / cut
+        path.write_bytes(path.read_bytes()[:size])
+        (out / f"{stage}_manifest.json").unlink(missing_ok=True)
+        capsys.readouterr()
+        assert run(["-c", small_config, "-o", str(out), stage]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed prerequisite ") and f"{cut!r}" in err, err
+        assert err.endswith(f"; rerun `ionpulse {upstream}` or pass --recompute\n"), err
+        assert not (out / f"{stage}_manifest.json").exists()
+
+
 def test_staged_optimize_matches_recompute(small_config, tmp_path):
     # optimize --recompute runs crystal and modes as stages, then reads the
     # modes.json they wrote: a seeded rerun in a fresh directory designs the
