@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Record perfbench runs of one tree, or of two trees alternated, as BENCH_<label>.json.
+
+    python3 bench/record.py --label panel [--seeds 10] [--seconds 20] [--base DIR]
+
+Each run is `python3 perfbench/run.py --workload W --seed S --seconds T`,
+started in the tree it measures; this script only reads the run's output
+(its "round(s)" line, the facts line and the final JSON line). Per workload
+the record keeps every run, and the median and interquartile range of
+wall_s, setup_s, peak_rss_mb and gate_error, with the failed and attempted
+operations and the rounds each run completed. With --base, every seed runs
+both trees on the same argv, the two in turn (which goes first alternates
+with the seed), the base tree's record is BENCH_baseline.json, and the
+record of this tree compares each metric pair by pair with it. Standard library only; it gates nothing.
+"""
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("gate_design", "gate_analysis", "chain_scan")
+METRICS = ("wall_s", "setup_s", "peak_rss_mb", "gate_error")  # all lower-is-better
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repo root")
+    parser.add_argument("--seeds", type=int, default=10, help="seeds 1..N per workload")
+    parser.add_argument("--seconds", type=float, default=20.0, help="run.py --seconds")
+    parser.add_argument("--base", type=Path, help="a second checkout to alternate with this one")
+    return parser.parse_args(argv)
+
+
+def run_once(tree, argv):
+    """One perfbench run in `tree`: its metric values, counts, rounds and facts."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", *argv], cwd=tree,
+        capture_output=True, text=True, check=False,
+    )
+    lines = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        sys.exit(f"error: {' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    result, facts = json.loads(lines[-1]), json.loads(lines[-2])["facts"]
+    rounds = next(int(m.group(1)) for line in lines
+                  if (m := re.match(r"workload \S+ seed \d+: (\d+) round", line)))
+    run = {name: result["metrics"][name]["value"] for name in METRICS}
+    run.update(failed=result["failed"], attempted=result["attempted"], rounds=rounds)
+    return run, facts
+
+
+def quartiles(values):
+    """(median, q3 - q1) of the values, with statistics' default (exclusive) quartiles."""
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q2, q3 - q1
+
+
+def summarize(runs):
+    summary = {"runs": runs, "median": {}, "iqr": {}}
+    for name in METRICS:
+        values = [run[name] for run in runs if run[name] is not None]
+        if values:
+            summary["median"][name], summary["iqr"][name] = quartiles(values)
+    summary["failed"] = sum(run["failed"] for run in runs)
+    summary["attempted"] = sum(run["attempted"] for run in runs)
+    summary["rounds"] = [run["rounds"] for run in runs]
+    return summary
+
+
+def compare(runs, base_runs):
+    """Per metric: pairs where this tree is lower, the median change, the base's IQR."""
+    out = {}
+    for name in METRICS:
+        pairs = [(run[name], base[name]) for run, base in zip(runs, base_runs)
+                 if run[name] is not None and base[name] is not None]
+        if not pairs:
+            continue
+        base_values = [base for _, base in pairs]
+        out[name] = {
+            "lower_in": sum(new < old for new, old in pairs),
+            "pairs": len(pairs),
+            "median_change": statistics.median(new - old for new, old in pairs),
+            "base_median": quartiles(base_values)[0],
+            "base_iqr": quartiles(base_values)[1],
+        }
+    return out
+
+
+def describe(tree):
+    """`git describe --always --dirty` of the tree, or None outside a clone."""
+    try:
+        proc = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
+                              capture_output=True, text=True, check=False)
+    except OSError:
+        return None
+    return proc.stdout.strip() or None
+
+
+def record(label, tree, argv_of, seeds, facts, workloads):
+    return {
+        "label": label,
+        "tree": describe(tree),
+        "argv": argv_of("WORKLOAD", "SEED"),
+        "seeds": seeds,
+        "facts": facts,
+        "workloads": {name: summarize(runs) for name, runs in workloads.items()},
+    }
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    trees = [("this", ROOT)] + ([("base", args.base.resolve())] if args.base else [])
+    seeds = list(range(1, args.seeds + 1))
+
+    def argv_of(workload, seed):
+        return ["--workload", str(workload), "--seed", str(seed), "--seconds", f"{args.seconds:g}"]
+
+    runs = {key: {name: [] for name in WORKLOADS} for key, _ in trees}
+    facts = {}
+    for workload in WORKLOADS:
+        for seed in seeds:
+            order = trees if seed % 2 else trees[::-1]
+            for key, tree in order:
+                run, facts[key] = run_once(tree, argv_of(workload, seed))
+                runs[key][workload].append({"seed": seed, **run})
+                print(f"{workload} seed {seed} {key}: wall_s {run['wall_s']}, "
+                      f"gate_error {run['gate_error']}, {run['failed']} failed", flush=True)
+
+    this = record(args.label, ROOT, argv_of, seeds, facts["this"], runs["this"])
+    if args.base:
+        base = record("baseline", args.base, argv_of, seeds, facts["base"], runs["base"])
+        this["versus"] = {"label": "baseline", **{
+            name: compare(runs["this"][name], runs["base"][name]) for name in WORKLOADS}}
+        write(base)
+    write(this)
+    return 0
+
+
+def write(rec):
+    path = ROOT / f"BENCH_{rec['label']}.json"
+    path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {path.name}")
+
+
+if __name__ == "__main__":
+    sys.exit(main())

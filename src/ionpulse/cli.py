@@ -355,7 +355,6 @@ def _make_problem(cfg, modes):
         max_evals=cfg.max_evals,
         seed=cfg.seed,
         n_starts=cfg.n_starts,
-        n_intervals=cfg.alpha_intervals,
     )
 
 
@@ -422,8 +421,9 @@ def cmd_optimize(cfg, out_dir, modes):
     t0 = time.perf_counter()
     trace = []
     exhausted = None
+    rule = {}
     try:
-        schedule = optimize(problem, callback=lambda n, c, _x: trace.append((n, c)))
+        schedule = optimize(problem, callback=lambda n, c, _x: trace.append((n, c)), _rule=rule)
     except BudgetExhausted as exc:
         exhausted = exc
         schedule = replace(problem.base_schedule, fm_points=exc.best_fm_points)
@@ -443,7 +443,7 @@ def cmd_optimize(cfg, out_dir, modes):
         include_trajectories=False,
     )
     t2 = time.perf_counter()
-    final_cost = min(c for _, c in trace)
+    final_cost = rule["cost"]
     omega_max_hz = report.omega_max / (2 * np.pi)
     return StageResult(
         f"optimize[{cfg.shape_kind}]: {len(trace)} evaluations, "
@@ -456,6 +456,8 @@ def cmd_optimize(cfg, out_dir, modes):
             "target_modes": list(resolve_target_modes(problem)),
             "evaluations": len(trace),
             "final_cost": final_cost,
+            "rule_nodes": rule["nodes"],
+            "rule_gap": rule["gap"],
             "motional_error": report.motional_error,
             "beta_rad": report.beta,
             "omega_max_hz": omega_max_hz,

@@ -3,12 +3,28 @@
 The optimizer adjusts the free turning points of the FM pattern to minimize
 the summed squared time-averaged displacements of the modes nearest the
 drive frequency, which closes their trajectories and removes the first-order
-sensitivity to constant frequency offsets. The FM phase is fm_points @ B on
-the phase basis B (trajectory.phase_basis), built once per run, so the
-target-mode displacements and their exact Jacobian cost one matrix product,
-and Levenberg-Marquardt on the stacked real and imaginary displacements
-converges in tens to hundreds of evaluations per start. Runs are
-deterministic for a fixed seed.
+sensitivity to constant frequency offsets. Runs are deterministic for a
+fixed seed.
+
+Swapping the order of integration turns a mode's time-averaged
+displacement into one integral of (1 - t/tau) Omega e^{i theta_k}. The
+objective takes it on Gauss-Legendre panels (GAUSS_ORDER nodes each) between
+the drive's breakpoints (pulse.breakpoints), where the drive is analytic;
+shape A's first and last panels are graded, t = h s^2, to smooth its t^1.5
+envelope ends. The FM phase there is the closed form fm_points @ B on the
+phase basis B (trajectory.phase_basis), and the target modes' weighted
+phasors e^{i (mu_ref - omega_k) t} form one nodes x modes matrix, both built
+once per rule. An evaluation is one exp over the nodes, the n_oscillations
+basis drives, and one (1 + n_oscillations) x nodes @ nodes x modes product
+for the displacements and their exact Jacobian; Levenberg-Marquardt on the
+stacked real and imaginary parts converges in tens to hundreds of
+evaluations per start.
+
+The node count follows from the target modes' largest detuning phase
+|mu_ref - omega_k| tau: no panel spans more than PANEL_RADIANS of it. At the
+end of each start the cost is compared with a rule of twice the sub-panels;
+if they differ by more than RULE_TOL of the cost, the finer rule takes over
+and the start continues from where it stopped.
 
 Power calibration exploits that the entangling angle is exactly quadratic in
 the peak Rabi frequency: the amplitude that yields |beta| = pi/4 follows from
@@ -19,12 +35,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulse import PulseSchedule, with_amplitude
+from .pulse import PulseSchedule, ShapeA, amplitude, breakpoints, with_amplitude
+from .quadrature import gauss_legendre_panels
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
     DEFAULT_BETA_INTERVALS,
     DEFAULT_TRAJECTORY_SAMPLES,
-    DisplacementKernel,
     GateReport,
     entangling_angle,
     mode_errors,
@@ -38,6 +54,10 @@ FM_BOUND = 2 * np.pi * 10e3  # rad/s, trial points never leave the schedule sani
 XTOL = 1e-8  # a start has converged once |step| <= XTOL * (|x| + XTOL), as in MINPACK
 INITIAL_DAMPING = 1e-3  # relative to the diagonal of J^T J
 DEGENERATE_BETA = 1e-12  # rad, below this the pair is treated as uncoupled
+GAUSS_ORDER = 12  # Gauss-Legendre nodes per panel of the objective's rule
+PANEL_RADIANS = 8.0  # a panel spans at most this much of the fastest target mode's phase
+RULE_TOL = 1e-6  # a start's cost and the doubled rule's may differ by this much of the cost
+COST_FLOOR = 1e-20  # the rule gap is taken relative to max(cost, COST_FLOOR): below it is rounding
 
 
 class BudgetExhausted(Exception):
@@ -69,7 +89,6 @@ class OptimizationProblem:
     max_evals: int = 120_000
     seed: int = 0
     n_starts: int = 3
-    n_intervals: int = DEFAULT_ALPHA_INTERVALS
 
     def __post_init__(self):
         i, j = self.ion_pair
@@ -116,40 +135,60 @@ def resolve_target_modes(problem):
 
 
 class _Objective:
-    """Target-mode residuals and their exact Jacobian on the FM phase basis.
+    """Target-mode residuals and their exact Jacobian on one Gauss-Legendre panel rule.
 
-    With the time-average displacement kernel, the drive h = w Omega
-    e^{i x @ B} at the drive frequency mu_ref gives each target mode's
-    time-averaged displacement A_k, and the drives i h B_j give dA_k/dx_j.
-    The 1 + n_oscillations drives share one buffer, so one kernel call (a
-    single (drives Q x m) @ (m x modes) product over the blocks of the
-    coarse x fine phasor tables) yields the residuals and the Jacobian, and
-    no modes x samples array is formed. Each mode is weighted by
-    sqrt(eta_i^2 + eta_j^2); the cost is sum |A_k|^2.
+    The interval between neighbouring breakpoints i holds sub_panels[i]
+    panels; None takes the fewest that keep each panel within PANEL_RADIANS
+    of the fastest target mode's phase. With the weights w of that rule,
+    phasors[n, k] = s_k w_n (1 - t_n/tau) Omega(t_n) e^{i delta_k t_n}, with
+    delta_k = mu_ref - omega_k and s_k = sqrt(eta_i^2 + eta_j^2), so the drive
+    e^{i x @ B} gives the weighted time-averaged displacements A_k and the
+    drives i B_j e^{i x @ B} give dA_k/dx_j. The 1 + n_oscillations drives
+    share one buffer and meet the phasors in one product; the cost is
+    sum |A_k|^2.
     """
 
-    def __init__(self, problem):
+    def __init__(self, problem, sub_panels=None):
         sched = with_amplitude(problem.base_schedule, REFERENCE_RABI)
         idx = np.array(resolve_target_modes(problem)) - 1
-        self.kernel = DisplacementKernel(
-            sched, problem.modes.frequencies[idx], problem.n_intervals, time_average=True
+        detunings = sched.mu_ref - problem.modes.frequencies[idx]
+        edges = breakpoints(sched)
+        if sub_panels is None:
+            fastest = np.abs(detunings).max()
+            sub_panels = np.maximum(np.ceil(np.diff(edges) * fastest / PANEL_RADIANS), 1).astype(int)
+        self.problem, self.sub_panels = problem, sub_panels
+        t, weighted = gauss_legendre_panels(
+            edges, sub_panels, GAUSS_ORDER, graded_ends=isinstance(sched.amp_shape, ShapeA)
         )
-        self.basis = phase_basis(sched, self.kernel.times)
-        (self.tables,) = self.kernel.tables([sched.mu_ref])
-        self.drives = self.kernel.drives(1 + len(self.basis))
+        self.basis = phase_basis(sched, t)
+        weighted *= (1.0 - t / sched.gate_time) * amplitude(t, sched)
         i, j = problem.ion_pair
         eta = problem.modes.eta
-        self.scale = np.sqrt(eta[i - 1, idx] ** 2 + eta[j - 1, idx] ** 2)
+        scale = np.sqrt(eta[i - 1, idx] ** 2 + eta[j - 1, idx] ** 2)
+        self.phasors = np.exp(1j * np.outer(t, detunings))
+        self.phasors *= weighted[:, None] * scale
+        self.drives = np.empty((1 + len(self.basis), len(t)), dtype=complex)
+
+    @property
+    def nodes(self):
+        return self.basis.shape[1]
+
+    def refined(self):
+        """The objective on the rule with twice the sub-panels."""
+        return _Objective(self.problem, 2 * self.sub_panels)
+
+    def cost(self, fm_points):
+        """sum |A_k|^2 at fm_points, without the Jacobian."""
+        displacements = np.exp(1j * (fm_points @ self.basis)) @ self.phasors
+        return float(np.vdot(displacements, displacements).real)
 
     def __call__(self, fm_points):
         """Stacked real and imaginary residuals and their Jacobian at fm_points."""
-        n = len(self.kernel.times)
-        head, rest = self.drives[0, :n], self.drives[1:, :n]
+        head, rest = self.drives[0], self.drives[1:]
         np.multiply(1j, fm_points @ self.basis, out=head)
         np.exp(head, out=head)
-        head *= self.kernel.weighted
         np.multiply(self.basis, head, out=rest)  # the Jacobian drives without their factor i
-        both = self.kernel(self.drives, self.tables) * self.scale
+        both = self.drives @ self.phasors
         residual, grad = both[0], both[1:].T  # dA/dx = i grad
         return (
             np.concatenate([residual.real, residual.imag]),
@@ -163,16 +202,29 @@ def cost(problem, fm_points):
     Both addressed ions' Lamb-Dicke couplings weight each mode; the amplitude
     is pinned to REFERENCE_RABI, so values are comparable across problems
     and calibration happens after optimization. Evaluated through the
-    order-swapped single integral, which agrees with composing
-    integrate_alpha and time_averaged_displacement to quadrature accuracy.
+    order-swapped single integral on the objective's panel rule, doubled
+    until the doubling moves the cost by at most RULE_TOL of it; it agrees
+    with composing integrate_alpha and time_averaged_displacement to
+    quadrature accuracy.
     """
     fm = np.asarray(fm_points, dtype=float)
     if fm.shape != (problem.base_schedule.n_oscillations,):
         raise ValueError(
             f"fm_points must hold {problem.base_schedule.n_oscillations} values"
         )
-    residuals, _ = _Objective(problem)(fm)
-    return float(residuals @ residuals)
+    objective = _Objective(problem)
+    value = objective.cost(fm)
+    while True:
+        objective = objective.refined()
+        finer = objective.cost(fm)
+        if _rule_gap(value, finer) <= RULE_TOL:
+            return value
+        value = finer
+
+
+def _rule_gap(value, finer):
+    """How far the doubled rule's cost `finer` is from `value`, relative to the cost."""
+    return abs(finer - value) / max(value, COST_FLOOR)
 
 
 def _levenberg_marquardt(objective, x0, budget, callback, eval_offset):
@@ -226,19 +278,27 @@ def _levenberg_marquardt(objective, x0, budget, callback, eval_offset):
             growth *= 2.0
 
 
-def optimize(problem, callback=None):
+def optimize(problem, callback=None, *, _rule=None):
     """Minimize the residual-motion cost over the free FM turning points.
 
     Runs Levenberg-Marquardt from the flat pattern, plus n_starts - 1 seeded
     jittered restarts, and returns the base schedule with the best turning
     points found (amp_scale untouched). One residual-plus-Jacobian
     evaluation counts as one of max_evals; callback, when given, receives
-    (eval_index, cost, fm_points) for every evaluation.
+    (eval_index, cost, fm_points) for every evaluation. Each start ends with
+    the check against the doubled rule (see the module docstring), which
+    refines the rule and continues the start when it fails; the check's
+    evaluation counts against nothing. When a start refines the rule, the
+    best point of the earlier starts is re-costed on it, so starts are
+    compared on one rule. _rule, a dict when given, receives the final rule's
+    node count, the best point's cost on it and that cost's relative gap to
+    the doubled rule ("nodes", "cost", "gap"), for the CLI's manifest.
 
     Raises BudgetExhausted when max_evals runs out before every start
     converges; the exception carries the best point seen.
     """
     objective = _Objective(problem)
+    finer = objective.refined()
     rng = np.random.default_rng(problem.seed)
     n_free = problem.base_schedule.n_oscillations
     starts = [np.zeros(n_free)]
@@ -249,16 +309,26 @@ def optimize(problem, callback=None):
     best_x, best_f = None, np.inf
     used = 0
     all_converged = True
-    for x0 in starts:
-        x, fx, evals, converged = _levenberg_marquardt(
-            objective, x0, problem.max_evals - used, callback, used
-        )
-        used += evals
+    for x in starts:
+        while True:
+            x, fx, evals, converged = _levenberg_marquardt(
+                objective, x, problem.max_evals - used, callback, used
+            )
+            used += evals
+            refine = _rule_gap(fx, finer.cost(x)) > RULE_TOL
+            if not (converged and refine and used < problem.max_evals):
+                break
+            objective, finer = finer, finer.refined()
+            if best_x is not None:
+                best_f = objective.cost(best_x)
         all_converged &= converged
         if fx < best_f:
             best_x, best_f = x, fx
         if used >= problem.max_evals:
             break
+    if _rule is not None:
+        gap = _rule_gap(best_f, finer.cost(best_x))
+        _rule.update(nodes=objective.nodes, cost=best_f, gap=gap)
     if not all_converged:
         raise BudgetExhausted(
             f"stopped after {used} evaluations at cost {best_f:.3e} without converging",

@@ -179,6 +179,49 @@ def fm_offset(t, sched):
     return out if np.ndim(t) else float(out)
 
 
+def fm_phase_closed_form(t, sched):
+    """Running FM phase int_0^t (mu - mu_ref) dt' in rad at arbitrary times t in [0, tau].
+
+    On the arc from turning time t_j (offset v0) to t_j + width (offset v1),
+    with u = (t - t_j) / width, the raised-cosine blend integrates to
+    Phi_j + width [v0 u + (v1 - v0)/2 (u - sin(pi u)/pi)], where Phi_j sums
+    width (v0 + v1)/2 over the earlier arcs. Past tau/2 the mirror symmetry
+    gives Phi(t) = 2 Phi(tau/2) - Phi(tau - t).
+    """
+    tau = sched.gate_time
+    tf = _fold(t, tau)
+    free = sched.fm_points
+    if sched.n_oscillations == 1:
+        out = free[0] * np.asarray(t, dtype=float)
+        return out if np.ndim(t) else float(out)
+    n_seg = sched.n_turning_points - 1
+    width = tau / n_seg
+    x = tf / width
+    idx = np.minimum(x.astype(int), n_seg // 2 - 1)
+    u = x - idx
+    ends = width * np.concatenate([[0.0], np.cumsum(0.5 * (free[:-1] + free[1:]))])
+    v0, v1 = free[idx], free[idx + 1]
+    half = ends[idx] + width * (v0 * u + 0.5 * (v1 - v0) * (u - np.sin(np.pi * u) / np.pi))
+    out = np.where(tf < t, 2.0 * ends[-1] - half, half)
+    return out if np.ndim(t) else float(out)
+
+
+def breakpoints(sched):
+    """Sorted times in [0, tau] where the FM pattern or the envelope switches formula.
+
+    They are 0, tau and the turning times, plus the ends of shape B's four
+    ramps; between two neighbours the drive is analytic. (One oscillation has
+    the single turning time 0.)
+    """
+    times = [[0.0, sched.gate_time], turning_times(sched)]
+    shape = sched.amp_shape
+    if isinstance(shape, ShapeB):
+        w = shape.ramp_fraction
+        ends = np.array([w, w + (1.0 - 4.0 * w) / 3.0, (1.0 + 2.0 * w) / 3.0])
+        times.append(sched.gate_time * np.concatenate([ends, 1.0 - ends]))
+    return np.unique(np.concatenate(times))
+
+
 def drive_frequency(t, sched):
     """Instantaneous drive frequency mu(t) in rad/s."""
     return sched.mu_ref + fm_offset(t, sched)

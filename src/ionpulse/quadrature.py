@@ -1,8 +1,9 @@
-"""Composite Simpson quadrature on uniform grids.
+"""Composite Simpson quadrature on uniform grids, and Gauss-Legendre panels.
 
-Every integral in this package runs on a fixed uniform time grid, so only the
-uniform-spacing rules are needed. Both routines accept real or complex
-samples and operate along the last axis.
+The gate integrals run on fixed uniform time grids with the Simpson rules,
+which accept real or complex samples and operate along the last axis. The
+optimizer's objective runs on Gauss-Legendre panels between the drive's
+breakpoints (gauss_legendre_panels).
 """
 
 import numpy as np
@@ -54,3 +55,29 @@ def cumulative_simpson(y, dx):
     interior *= dx / 12.0
     np.cumsum(seg, axis=-1, out=seg)
     return out
+
+
+def gauss_legendre_panels(edges, sub_panels, order, graded_ends=False):
+    """Nodes and weights (ascending) of Gauss-Legendre panels between sorted edges.
+
+    The interval between edges[i] and edges[i + 1] is cut into sub_panels[i]
+    equal panels of `order` nodes each. With graded_ends, the first and the
+    last panel take their nodes in s on [0, 1] with t = h s^2 from the outer
+    edge (weights 2 h s w), so an integrand that grows like t^1.5 from that
+    edge is smooth in s.
+    """
+    s, w = np.polynomial.legendre.leggauss(order)
+    s, w = 0.5 * (s + 1.0), 0.5 * w  # on [0, 1]
+    nodes, weights = [], []
+    for a, b, count in zip(edges[:-1], edges[1:], sub_panels):
+        cuts = np.linspace(a, b, count + 1)
+        h = np.diff(cuts)[:, None]
+        nodes.append(cuts[:-1, None] + h * s)
+        weights.append(h * w)
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    if graded_ends:
+        h = (edges[1] - edges[0]) / sub_panels[0]
+        nodes[0], weights[0] = edges[0] + h * s**2, 2.0 * h * s * w
+        h = (edges[-1] - edges[-2]) / sub_panels[-1]
+        nodes[-1], weights[-1] = edges[-1] - h * s[::-1] ** 2, 2.0 * h * (s * w)[::-1]
+    return nodes.ravel(), weights.ravel()

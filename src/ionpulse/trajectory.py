@@ -6,19 +6,22 @@ with theta_k the integrated detuning mu - omega_k. The geometric (entangling)
 phase between the two qubits is twice the eta-weighted sum over modes of the
 ordered double integral of Omega(t2) Omega(t1) sin(theta_k(t2) - theta_k(t1)).
 
-All integrals run on fixed uniform grids: 20,000 Simpson intervals for
+The integrals here run on fixed uniform grids: 20,000 Simpson intervals for
 displacements and a downsampled 2,000-interval grid for the double integral
 (quadratic in grid size when evaluated naively; here its pairs of samples are
 summed by blocks, so the cost stays near linear without changing the
 quadrature).
 A stored trajectory keeps only the rows a report writes (2,001 by default),
 and only those rows of its running integral on the 20,000-interval grid are
-computed.
+computed. (The optimizer's objective takes its one integral on
+Gauss-Legendre panels instead; see the optimizer module.)
 
-Every integral takes theta_k = (mu_ref + offset - omega_k) t + fm_phase from
-one FM phase, fm_phase = int (mu - mu_ref) dt. fm_phase is linear in the
-turning points, fm_points @ B; only the optimizer's Jacobian needs the phase
-basis B.
+Every integral here takes theta_k = (mu_ref + offset - omega_k) t + fm_phase
+from one FM phase, fm_phase = int (mu - mu_ref) dt, the running Simpson
+integral on the grid. The phase is linear in the turning points: at any
+times it is fm_points @ B, with the phase basis B (phase_basis) taken from
+its closed form (pulse.fm_phase_closed_form). Only the optimizer's panel
+rule uses B.
 
 The linear phases f t reach about 8.5e3 rad on the default chain, where a
 float64 argument to exp carries ~1e-12 rad of rounding. _phasor_tables
@@ -36,9 +39,7 @@ Q m samples, is a (Q, m) block matrix H, so G = H F^T (Q x modes) is one
 matrix product for every mode and I_k = sum_q C_k[q] G[q, k]. The mode
 tables e^{-i omega_k t} are built once and shifted to each drive frequency
 mu_ref + offset by that frequency's own tables, which one call builds for a
-whole sweep; several drives (the optimizer's residual and Jacobian) stack
-into one product. Gate-end or time-average weights w select the integral,
-and no modes x samples array is formed.
+whole sweep. No modes x samples array is formed.
 
 The angle kernel (angle_integrals) keeps it too. Written out, the cumulative
 Simpson rule makes the double sum d_k = sum_n w_n Im(g_n conj G_n) a sum
@@ -63,7 +64,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulse import amplitude, fm_offset
+from .pulse import amplitude, fm_offset, fm_phase_closed_form
 from .quadrature import cumulative_simpson, simpson, simpson_weights
 
 DEFAULT_ALPHA_INTERVALS = 20_000
@@ -326,15 +327,16 @@ def time_averaged_displacement(traj):
 
 
 def phase_basis(sched, t):
-    """Linear FM phase basis B (n_oscillations x samples) on the uniform grid t.
+    """Linear FM phase basis B (n_oscillations x len(t)) at arbitrary times t in [0, tau].
 
-    Each raised-cosine arc blends two turning points linearly, so fm_offset is
-    linear in fm_points and fm_phase(sched, t) = fm_points @ B. Row m is the
-    fm_phase of the pattern whose m-th free turning point is 1 rad/s and the
-    rest 0. Only the optimizer's Jacobian needs it.
+    Each raised-cosine arc blends two turning points linearly, so the FM
+    phase is linear in fm_points: fm_points @ B. Row m is the closed-form
+    phase (pulse.fm_phase_closed_form) of the pattern whose m-th free turning
+    point is 1 rad/s and the rest 0. Only the optimizer's objective needs it.
     """
     return np.stack([
-        fm_phase(replace(sched, fm_points=unit), t) for unit in np.eye(sched.n_oscillations)
+        fm_phase_closed_form(t, replace(sched, fm_points=unit))
+        for unit in np.eye(sched.n_oscillations)
     ])
 
 
@@ -343,10 +345,9 @@ class DisplacementKernel:
 
     The sums run over the uniform grid of n_intervals, with drive frequency f
     and mode frequencies omega_k. weighted holds w Omega, the Simpson weights
-    w (scaled by 1 - t/tau with time_average) times the Rabi frequency, so
-    the drive h = weighted * e^{i fm_phase} at f = mu_ref + offset gives each
-    mode's gate-end displacement int_0^tau Omega e^{i theta_k}, or with
-    time_average its mean (1/tau) int_0^tau alpha_k dt.
+    w times the Rabi frequency, so the drive h = weighted * e^{i fm_phase} at
+    f = mu_ref + offset gives each mode's gate-end displacement
+    int_0^tau Omega e^{i theta_k}.
 
     The mode phasors stay in coarse x fine tables C_k[q] F_k[r]
     (n = q m + r, see _phasor_tables), which take modes x (Q + m) entries.
@@ -355,11 +356,9 @@ class DisplacementKernel:
     S_jk = sum_q C_k[q] G_j[q, k]. No modes x samples array is formed.
     """
 
-    def __init__(self, sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS, *, time_average=False):
+    def __init__(self, sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTERVALS):
         self.times, dx = _uniform_grid(sched.gate_time, n_intervals)
         self.weighted = simpson_weights(len(self.times), dx)
-        if time_average:
-            self.weighted *= 1.0 - self.times / sched.gate_time
         self.weighted *= amplitude(self.times, sched)
         self._grid = (sched.gate_time, n_intervals)
         self._coarse, self._fine = _phasor_tables(-np.asarray(omega_ks, dtype=float), *self._grid)

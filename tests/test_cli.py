@@ -422,7 +422,7 @@ _STAGE_SCHEMA = {
         rf"optimize\[A\]: \d+ evaluations, final cost {_FLOAT}, "
         rf"motional error {_FLOAT}, omega_max \d+\.\d kHz",
         {"shape", "pair", "target_modes", "evaluations", "final_cost", "motional_error",
-         "beta_rad", "omega_max_hz", "seed", "budget_exhausted"},
+         "beta_rad", "omega_max_hz", "seed", "budget_exhausted", "rule_nodes", "rule_gap"},
         {"optimize", "report"},
         {"modes.json"},
         ["optimize_trace_A.csv", "schedule_A.json", "waveform_A.csv"],

@@ -14,6 +14,7 @@ from ionpulse import (
     OptimizationProblem,
     PulseSchedule,
     ShapeA,
+    ShapeB,
     TrapConfig,
     build_gate_report,
     build_transverse_matrix,
@@ -25,14 +26,15 @@ from ionpulse import (
     motional_error,
     nearest_modes,
     optimize,
+    solve_equilibrium,
     solve_modes,
     with_amplitude,
 )
 from ionpulse.modes import most_uniform_mode
-from ionpulse.optimizer import REFERENCE_RABI, _Objective, resolve_target_modes
+from ionpulse.optimizer import REFERENCE_RABI, RULE_TOL, _Objective, resolve_target_modes
 from ionpulse.trajectory import DEFAULT_TRAJECTORY_SAMPLES, mode_trajectories, phase_basis
-from ionpulse.pulse import amplitude, drive_frequency
-from ionpulse.quadrature import cumulative_simpson, simpson
+from ionpulse.pulse import amplitude, breakpoints, drive_frequency, fm_phase_closed_form
+from ionpulse.quadrature import cumulative_simpson, gauss_legendre_panels, simpson
 
 from conftest import DEFAULT_PAIR, make_problem, traced_peak
 
@@ -114,7 +116,10 @@ def test_phase_basis_reproduces_drive_phase(base_schedule_a):
         fm = rng.uniform(-2 * np.pi * 5e3, 2 * np.pi * 5e3, 8)
         sched = replace(base_schedule_a, fm_points=fm)
         direct = cumulative_simpson(drive_frequency(t, sched), dx)
-        assert np.abs(reference + fm @ basis - direct).max() <= 1e-8
+        # the closed-form basis against the running Simpson integral of mu(t) on the
+        # 20,001-sample grid: 1.9e-10 rad apart at most (x86-64), the O(h^3) phase error
+        # of the Simpson rule plus the rounding of its ~8.5e3 rad running sum
+        assert np.abs(reference + fm @ basis - direct).max() <= 5e-10
 
 
 def test_jacobian_matches_finite_difference(mode_data, base_schedule_a):
@@ -132,8 +137,10 @@ def test_jacobian_matches_finite_difference(mode_data, base_schedule_a):
 
 
 def test_objective_forms_no_modes_x_samples_array(mode_data, base_schedule_a):
-    # it keeps the phase basis and one buffer of 1 + n_oscillations padded drives;
-    # the time-average rows of the 10 target modes were 3.2 MB on their own
+    # it keeps the phase basis, one buffer of 1 + n_oscillations drives and one
+    # nodes x modes matrix on the panel rule's 504 nodes (185 kB together); building it
+    # and one evaluation peaked at 319 kB (x86-64). The time-average rows of the 10
+    # target modes on the 20,001-sample grid would be 3.2 MB on their own
     problem = make_problem(mode_data, base_schedule_a)
     fm = np.random.default_rng(13).uniform(-2 * np.pi * 2e3, 2 * np.pi * 2e3, 8)
 
@@ -143,7 +150,10 @@ def test_objective_forms_no_modes_x_samples_array(mode_data, base_schedule_a):
         return objective
 
     objective, peak = traced_peak(build_and_evaluate)
-    assert peak <= objective.basis.nbytes + objective.drives.nbytes + 2**20
+    assert objective.phasors.shape == (objective.nodes, 10)
+    assert objective.nodes < 1000
+    kept = objective.basis.nbytes + objective.drives.nbytes + objective.phasors.nbytes
+    assert peak <= kept + 2**18
 
 
 def test_optimization_reduces_cost(mode_data, base_schedule_a, optimized_a):
@@ -392,7 +402,9 @@ def test_gate_report_evaluates_the_angle_once(mode_data, base_schedule_a, monkey
 
 
 def test_phase_basis_built_once_per_optimize(mode_data, base_schedule_a, monkeypatch):
-    # only the optimizer's Jacobian needs the basis; every evaluation path takes fm_phase
+    # only the optimizer's objective needs the basis, once per panel rule: on the
+    # default chain, the first rule and the doubled rule of its checks (no start
+    # needs a refinement there). Every evaluation path takes fm_phase
     import ionpulse.optimizer as opt
     import ionpulse.trajectory as traj
     from ionpulse.analysis import offset_sweep, power_map
@@ -408,13 +420,134 @@ def test_phase_basis_built_once_per_optimize(mode_data, base_schedule_a, monkeyp
     monkeypatch.setattr(opt, "phase_basis", counted)
     problem = OptimizationProblem(
         base_schedule=base_schedule_a, modes=mode_data, ion_pair=DEFAULT_PAIR,
-        seed=2, n_starts=2, n_intervals=4000,
+        seed=2, n_starts=2,
     )
     sched = optimize(problem)
-    assert calls == [8]
+    assert calls == [8, 8]
     calls.clear()
     motional_error(sched, mode_data, *DEFAULT_PAIR, n_intervals=4000)
     offset_sweep(sched, mode_data, DEFAULT_PAIR, n_intervals=4000)
     build_gate_report(sched, mode_data, *DEFAULT_PAIR, alpha_intervals=4000)
     power_map(sched, mode_data, pairs=[DEFAULT_PAIR, (1, 50)])
     assert calls == []
+
+
+@pytest.fixture(scope="module")
+def ci_modes():
+    """The CI pipeline's 12-ion chain."""
+    cfg = TrapConfig(n_ions=12)
+    return solve_modes(build_transverse_matrix(solve_equilibrium(cfg), cfg), cfg)
+
+
+def ci_problem(modes, shape):
+    """The CI pipeline's problem (pair 5, 6; seed 3; one start), whose target modes
+    reach |mu_ref - omega_k| tau = 862 rad."""
+    base = PulseSchedule(
+        gate_time=500e-6, amp_shape=shape, amp_scale=REFERENCE_RABI,
+        mu_ref=default_mu_ref(modes), fm_points=np.zeros(8),
+    )
+    return OptimizationProblem(base_schedule=base, modes=modes, ion_pair=(5, 6), seed=3, n_starts=1)
+
+
+def reference_cost(problem, fm_points):
+    """The cost from its definition, on Gauss panels far finer than the objective's:
+    96 panels of 16 nodes between neighbouring breakpoints (and the gate's ends),
+    under 0.7 rad each here."""
+    sched = replace(with_amplitude(problem.base_schedule, REFERENCE_RABI), fm_points=fm_points)
+    edges = np.union1d(breakpoints(sched), [0.0, sched.gate_time])
+    t, w = gauss_legendre_panels(
+        edges, np.full(len(edges) - 1, 96), 16, isinstance(sched.amp_shape, ShapeA)
+    )
+    idx = np.array(resolve_target_modes(problem)) - 1
+    theta = np.outer(t, sched.mu_ref - problem.modes.frequencies[idx])
+    theta += fm_phase_closed_form(t, sched)[:, None]
+    averages = (w * (1.0 - t / sched.gate_time) * amplitude(t, sched)) @ np.exp(1j * theta)
+    i, j = problem.ion_pair
+    weights = problem.modes.eta[i - 1, idx] ** 2 + problem.modes.eta[j - 1, idx] ** 2
+    return float(weights @ np.abs(averages) ** 2)
+
+
+def test_rule_converges_on_the_ci_config(ci_modes):
+    # a rule held at 336 nodes ends this start at an own cost of 1.15e-8, 54% off its
+    # cost on the reference rule. The rule of 1,344 nodes ends 9e-10 of the cost from
+    # its doubling and 1e-9 from the reference (x86-64)
+    problem = ci_problem(ci_modes, ShapeA())
+    rule = {}
+    sched = optimize(problem, _rule=rule)
+    own = rule["cost"]
+    assert rule["gap"] <= RULE_TOL
+    assert abs(reference_cost(problem, sched.fm_points) - own) <= RULE_TOL * own
+
+
+def test_coarse_rule_is_refined(ci_modes, monkeypatch):
+    # one panel per breakpoint interval (240 nodes for shape B) fails the check
+    # against the doubled rule, and the start goes on with the finer rule until it passes
+    import ionpulse.optimizer as opt
+
+    problem = ci_problem(ci_modes, ShapeB())
+    monkeypatch.setattr(opt, "PANEL_RADIANS", 1e9)
+    assert _Objective(problem).nodes == 240
+    rule = {}
+    sched = optimize(problem, _rule=rule)
+    assert rule["nodes"] > 240 and rule["gap"] <= RULE_TOL
+    # the reported cost is the schedule's on the accepted rule (to the rounding of the
+    # residuals' sum), whatever the rejected coarse rule's costs in the trace were
+    own = rule["cost"]
+    accepted = _Objective(problem, rule_sub_panels(problem, rule["nodes"]))
+    assert own == pytest.approx(accepted.cost(sched.fm_points), rel=1e-12, abs=0.0)
+    assert abs(reference_cost(problem, sched.fm_points) - own) <= RULE_TOL * own
+    # cost() doubles its rule the same way, so it agrees with the reference too
+    assert abs(cost(problem, sched.fm_points) - own) <= RULE_TOL * own
+
+
+def rule_sub_panels(problem, nodes):
+    """The sub-panels of the first rule, doubled until the rule holds `nodes` nodes."""
+    objective = _Objective(problem)
+    while objective.nodes < nodes:
+        objective = objective.refined()
+    assert objective.nodes == nodes
+    return objective.sub_panels
+
+
+def test_later_start_compared_on_the_refined_rule(ci_modes, monkeypatch):
+    # the flat start is let through on the coarse rule, and the jittered start refines
+    # it; the flat start's point is then re-costed on the finer rule, so the two are
+    # compared, and the best reported, on the rule both end on
+    import ionpulse.optimizer as opt
+
+    problem = replace(ci_problem(ci_modes, ShapeB()), n_starts=2)
+    monkeypatch.setattr(opt, "PANEL_RADIANS", 24.0)
+    monkeypatch.setattr(opt, "RULE_TOL", 1.0)
+    ends, lm = [], opt._levenberg_marquardt
+
+    def first_start_passes(*args):
+        x, fx, evals, converged = lm(*args)
+        ends.append(x)
+        if len(ends) > 1:
+            opt.RULE_TOL = RULE_TOL  # from the second start's check on
+        return x, fx, evals, converged
+
+    monkeypatch.setattr(opt, "_levenberg_marquardt", first_start_passes)
+    rule = {}
+    sched = optimize(problem, _rule=rule)
+    assert len(ends) > 2  # the second start was refined
+    accepted = _Objective(problem, rule_sub_panels(problem, rule["nodes"]))
+    flat, jittered = accepted.cost(ends[0]), accepted.cost(ends[-1])
+    assert accepted.cost(sched.fm_points) == min(flat, jittered)
+    assert rule["cost"] == pytest.approx(min(flat, jittered), rel=1e-12, abs=0.0)
+    assert rule["gap"] <= RULE_TOL
+
+
+@pytest.mark.parametrize("shape", [ShapeA(), ShapeB()])
+def test_one_oscillation_covers_the_whole_gate(ci_modes, shape):
+    # a single oscillation is a constant offset; the rule still spans [0, tau], so
+    # the objective's cost is the reference cost (shape B's last ramp included)
+    base = replace(ci_problem(ci_modes, shape).base_schedule, fm_points=np.zeros(1),
+                   n_oscillations=1)
+    problem = replace(ci_problem(ci_modes, shape), base_schedule=base)
+    fm = np.array([2 * np.pi * 1.5e3])
+    assert cost(problem, fm) == pytest.approx(reference_cost(problem, fm), rel=RULE_TOL, abs=0.0)
+    rule = {}
+    sched = optimize(problem, _rule=rule)
+    assert rule["gap"] <= RULE_TOL
+    assert rule["cost"] == pytest.approx(reference_cost(problem, sched.fm_points), rel=RULE_TOL, abs=0.0)

@@ -15,7 +15,8 @@ from ionpulse import (
     turning_points,
     turning_times,
 )
-from ionpulse.quadrature import simpson
+from ionpulse.pulse import breakpoints, fm_phase_closed_form
+from ionpulse.quadrature import cumulative_simpson, simpson
 
 TAU = 500e-6
 MU0 = 2 * np.pi * 2.7e6
@@ -307,3 +308,50 @@ def test_waveform_csv(tmp_path):
     assert float(mid[0]) == pytest.approx(TAU / 2, rel=1e-12)
     assert float(mid[1]) == pytest.approx(sched.amp_scale / (2 * np.pi), rel=1e-12)
     assert float(mid[2]) == pytest.approx(500.0, rel=1e-12)
+
+
+def test_fm_phase_closed_form_matches_fine_simpson():
+    # against the running Simpson integral of mu - mu_ref on 200,000 intervals, whose
+    # O(h^3) error is ~5e-16 rad here: at most 4.6e-13 rad apart (x86-64), the
+    # rounding of the running sum. Without the sin(pi u)/pi term of each arc the
+    # phases are ~0.6 rad apart. (A single oscillation is the constant offset, whose
+    # phase is fm_points[0] t.)
+    t = np.linspace(0.0, TAU, 200_001)
+    rng = np.random.default_rng(21)
+    flat = schedule(fm=[2 * np.pi * 3e3], n_osc=1)
+    np.testing.assert_array_equal(fm_phase_closed_form(t, flat), flat.fm_points[0] * t)
+    for n_osc in (2, 3, 8):
+        for _ in range(3):
+            sched = schedule(fm=rng.uniform(-2 * np.pi * 10e3, 2 * np.pi * 10e3, n_osc), n_osc=n_osc)
+            reference = cumulative_simpson(fm_offset(t, sched), t[1] - t[0])
+            got = fm_phase_closed_form(t, sched)
+            np.testing.assert_allclose(got, reference, rtol=0.0, atol=2e-12)
+            assert fm_phase_closed_form(t[1234], sched) == got[1234]
+
+
+def test_breakpoints_split_the_drive_into_analytic_pieces():
+    a = schedule()
+    np.testing.assert_array_equal(breakpoints(a), turning_times(a))
+    b = schedule(shape=ShapeB(ramp_fraction=0.1))
+    ramp_ends = TAU * np.array([0.1, 0.3, 0.4, 0.6, 0.7, 0.9])  # plateaus of 0.2 tau
+    np.testing.assert_allclose(breakpoints(b), np.union1d(turning_times(b), ramp_ends), rtol=1e-15)
+    # each ramp end joins a ramp and a plateau: the envelope is flat on one side only
+    h = 1e-3 * TAU
+    levels = amplitude(np.concatenate([ramp_ends - h, ramp_ends + h]), b).reshape(2, -1)
+    flat = np.isin(levels, b.amp_scale * np.array([0.55, 1.0]))
+    assert np.all(flat.sum(axis=0) == 1)
+
+
+@pytest.mark.parametrize("shape", [ShapeA(), ShapeB(ramp_fraction=0.1)])
+def test_breakpoints_span_the_gate_with_one_oscillation(shape):
+    # one oscillation has the single turning time 0; the edges still close at tau,
+    # so a rule between them covers the whole gate (shape B's last ramp included)
+    sched = schedule(shape=shape, fm=[2 * np.pi * 1e3], n_osc=1)
+    edges = breakpoints(sched)
+    assert edges[0] == 0.0 and edges[-1] == TAU and np.all(np.diff(edges) > 0)
+    if isinstance(shape, ShapeB):
+        np.testing.assert_allclose(
+            edges[1:-1], TAU * np.array([0.1, 0.3, 0.4, 0.6, 0.7, 0.9]), rtol=1e-15
+        )
+    else:
+        assert len(edges) == 2
