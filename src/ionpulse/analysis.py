@@ -98,8 +98,14 @@ def offset_sweep(sched, modes, pair, offsets=None, *, both_ions=True,
     The baseline error is taken at zero offset; each sweep point shifts the
     whole pattern mu(t) by the offset. All points and the baseline are
     column sums of one mode_errors call, so each equals motional_error with
-    that frequency_offset exactly. threads is accepted for interface
-    compatibility and does not affect the sweep.
+    that frequency_offset exactly. Every offset runs on the same detuning
+    tables, as a short series in the within-block phase (see
+    trajectory.mode_displacement_integrals): a point costs a small
+    contraction, not a pass over the grid. So a point matches motional_error
+    of the schedule whose mu_ref is shifted by the offset to rounding, not
+    bit for bit, and an offset beyond trajectory.max_offset of the grid
+    raises ValueError. threads is accepted for interface compatibility and
+    does not affect the sweep.
     """
     ion_i, ion_j = pair
     if offsets is None:

@@ -77,7 +77,7 @@ from .pulse import (
     save_waveform_csv,
     with_amplitude,
 )
-from .trajectory import DEFAULT_TRAJECTORY_SAMPLES, save_trajectory_csvs
+from .trajectory import DEFAULT_TRAJECTORY_SAMPLES, max_offset, save_trajectory_csvs
 
 EXIT_ERROR = 2
 EXIT_MISSING_PREREQ = 3
@@ -261,6 +261,12 @@ def load_config(path=None, overrides=None):
         raise ConfigError("[analysis] sweep_min_hz must be below sweep_max_hz, got "
                           f"{texts['analysis', 'sweep_min_hz']!r} and "
                           f"{texts['analysis', 'sweep_max_hz']!r}")
+    limit = max_offset(fields["gate_time"], fields["alpha_intervals"])
+    if fields["sweep_max"] > limit:
+        raise ConfigError(f"[analysis] sweep_max_hz {texts['analysis', 'sweep_max_hz']!r} is above "
+                          f"{limit / (2 * np.pi):.6g} Hz, the largest offset the sweep takes on "
+                          f"alpha_intervals = {fields['alpha_intervals']} over gate_time_s = "
+                          f"{texts['pulse', 'gate_time_s']}")
     trap = _build(TrapConfig, "trap", values["trap"])
     shape_b = _build(ShapeB, "pulse", values["shape_b"])  # checked for shape A too
     resolved = json.dumps([[*name, text] for name, text in texts.items()])

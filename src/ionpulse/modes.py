@@ -144,7 +144,8 @@ def save_modes(modes, json_path):
 
     Frequencies are stored in rad/s as repr floats, which load_modes reads
     back exactly, and in Hz for reading; the Hz values do not survive the
-    2 pi round trip bit for bit.
+    2 pi round trip bit for bit. The text is json.dump's, encoded in one
+    json.dumps call (its C encoder; json.dump encodes in Python).
     """
     payload = {
         "frequencies_rad_s": modes.frequencies.tolist(),
@@ -153,8 +154,7 @@ def save_modes(modes, json_path):
         "eta": modes.eta.tolist(),
     }
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_modes(json_path):

@@ -268,6 +268,7 @@ _BAD_VALUES = [
     ("analysis", "alpha_intervals", "0"), ("analysis", "alpha_intervals", "4001"),
     ("analysis", "beta_intervals", "1"), ("analysis", "sweep_min_hz", "0"),
     ("analysis", "sweep_min_hz", "3000"), ("analysis", "sweep_max_hz", "inf"),
+    ("analysis", "sweep_max_hz", "400e3"),  # past the sweep's 363.8 kHz on the default grid
     ("analysis", "sweep_points", "0"), ("analysis", "sweep_points", "1"),
     ("analysis", "sweep_points", "-3"), ("analysis", "waveform_samples", "0"),
     ("analysis", "trajectory_samples", "1"), ("analysis", "trajectory_samples", "2.5"),

@@ -218,6 +218,23 @@ def test_modes_roundtrip(tmp_path, mode_data):
     np.testing.assert_array_equal(loaded.eta, mode_data.eta)
 
 
+def test_modes_file_bytes_are_json_dump(tmp_path, mode_data):
+    # save_modes encodes in one json.dumps call; the file keeps json.dump's bytes
+    path = tmp_path / "modes.json"
+    save_modes(mode_data, path)
+    payload = {
+        "frequencies_rad_s": mode_data.frequencies.tolist(),
+        "frequencies_hz": [f / (2 * np.pi) for f in mode_data.frequencies.tolist()],
+        "vectors": mode_data.vectors.tolist(),
+        "eta": mode_data.eta.tolist(),
+    }
+    expected = tmp_path / "expected.json"
+    with open(expected, "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == expected.read_bytes()
+
+
 def test_modes_without_rad_s_are_stale(tmp_path, mode_data):
     path = tmp_path / "modes.json"
     save_modes(mode_data, path)

@@ -317,7 +317,7 @@ def test_gate_report(mode_data, optimized_a):
     recomputed = motional_error(
         with_amplitude(optimized_a, report.omega_max), mode_data, *DEFAULT_PAIR
     )
-    assert report.motional_error == pytest.approx(recomputed, rel=1e-12)
+    assert report.motional_error == recomputed
     calibrated = with_amplitude(optimized_a, report.omega_max)
     times = report.trajectories[0].times
     assert not times.flags.writeable
@@ -399,6 +399,24 @@ def test_gate_report_evaluates_the_angle_once(mode_data, base_schedule_a, monkey
     direct = real(with_amplitude(base_schedule_a, report.omega_max), mode_data, *DEFAULT_PAIR)
     assert report.beta == pytest.approx(direct, rel=1e-12)
     assert report.omega_max == calibrate_power(base_schedule_a, mode_data, *DEFAULT_PAIR)
+
+
+def test_gate_report_builds_its_drive_once(mode_data, optimized_a, monkeypatch):
+    # the calibrated drive Omega e^{i fm_phase} on the 20,001-sample grid feeds both the
+    # gate-end errors and the trajectories; the angle takes its own 2,001-sample grid
+    import ionpulse.trajectory as traj
+
+    grids = []
+    real = traj.fm_phase
+
+    def counted(sched, t):
+        grids.append(len(t))
+        return real(sched, t)
+
+    monkeypatch.setattr(traj, "fm_phase", counted)
+    report = build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR)
+    assert len(report.trajectories) == mode_data.n_modes
+    assert sorted(grids) == [2001, 20001]
 
 
 def test_phase_basis_built_once_per_optimize(mode_data, base_schedule_a, monkeypatch):

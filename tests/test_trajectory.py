@@ -18,9 +18,11 @@ from ionpulse import (
     time_averaged_displacement,
 )
 from ionpulse.trajectory import (
+    MAX_BLOCK_PHASE,
     _phasor_tables,
     angle_integrals,
     fm_phase,
+    max_offset,
     mode_angle_integrals,
     mode_displacement_integrals,
     mode_errors,
@@ -378,10 +380,9 @@ def test_motional_error_matches_trajectory_sum(mode_data):
                 sched, mode_data.eta[ion - 1, k], mode_data.frequencies[k]
             )
             total += abs(traj.endpoint) ** 2
-    # the batched path factors exp(i theta_k) into the kernel rows' e^{-i w_k t}
-    # and the drive's e^{i mu_ref t} e^{i fm_phase}, and ends with composite
-    # rather than cumulative Simpson; it agrees with the per-mode composition,
-    # whose phasor is e^{i (mu_ref - w_k) t} e^{i fm_phase}, to quadrature rounding
+    # the batched path sums the whole grid in blocks and ends with composite
+    # rather than cumulative Simpson; it agrees with the per-mode composition
+    # to quadrature rounding
     got = motional_error(sched, mode_data, 25, 26)
     assert got == pytest.approx(total, rel=1e-7)
 
@@ -438,10 +439,13 @@ def test_displacement_offsets_match_single_offset_calls(mode_data):
 def test_displacement_blocks_match_materialized_exponential(mode_data, n_intervals, n_modes):
     # the kernel contracts (Q, m) blocks of the drive with coarse x fine tables and
     # never forms the modes x samples phasors; 1089 samples fill 33 blocks of 33
-    # exactly, the other counts pad the last block with zeros
+    # exactly, the other counts pad the last block with zeros. An offset enters as a
+    # coarse phase and a series in the within-block phase: on the 20,000-interval
+    # grid, 300 kHz is a within-block phase of 6.6 rad, near MAX_BLOCK_PHASE
+    offsets_hz = [0.0, -700.0] + ([20e3, 300e3] if n_intervals == 20000 else [])
     sched = random_fm_schedule(7)
     omegas = mode_data.frequencies[24:25] if n_modes == 1 else mode_data.frequencies
-    offsets = [0.0, -2 * np.pi * 700.0]
+    offsets = 2 * np.pi * np.array(offsets_hz)
     got = mode_displacement_integrals(sched, omegas, n_intervals, offsets)
     t = np.linspace(0.0, TAU, n_intervals + 1)
     envelope = simpson_weights(len(t), t[1] - t[0]) * amplitude(t, sched)
@@ -450,6 +454,20 @@ def test_displacement_blocks_match_materialized_exponential(mode_data, n_interva
         theta = np.multiply.outer(sched.mu_ref + offset - omegas, t) + phi
         expected = np.exp(1j * theta) @ envelope
         np.testing.assert_allclose(got[:, col], expected, rtol=0.0, atol=1e-11 * sched.amp_scale * TAU)
+
+
+@pytest.mark.parametrize("n_intervals", [1088, 20000])
+def test_offset_past_the_series_range_refused(mode_data, n_intervals):
+    limit = max_offset(TAU, n_intervals)
+    m = math.isqrt(n_intervals + 1)
+    assert limit * (m - 1) * TAU / n_intervals == pytest.approx(MAX_BLOCK_PHASE, rel=1e-15)
+    sched = schedule()
+    mode_displacement_integrals(sched, mode_data.frequencies[:2], n_intervals, [-limit, limit])
+    for offsets in ([0.0, 1.001 * limit], [-1.001 * limit]):
+        with pytest.raises(ValueError, match=f"{limit / (2 * np.pi):.6g} Hz"):
+            mode_displacement_integrals(sched, mode_data.frequencies[:2], n_intervals, offsets)
+    with pytest.raises(ValueError, match="Hz"):
+        motional_error(sched, mode_data, 25, 26, n_intervals=n_intervals, frequency_offset=1.001 * limit)
 
 
 def test_sweep_columns_form_no_modes_x_samples_array(mode_data, optimized_a):
@@ -524,12 +542,11 @@ def test_time_average_of_evenly_stored_rows():
 
 
 def test_displacement_zero_offset_matches_integrate_alpha(mode_data):
-    # the kernel factors exp(i theta_k) into the rows' e^{-i w_k t} and the drive's
-    # e^{i mu_ref t} e^{i fm_phase}, where integrate_alpha takes
-    # e^{i (mu_ref - w_k) t} e^{i fm_phase}, and it ends with composite rather
-    # than cumulative Simpson; the two quadratures
-    # agree to ~3e-11 of the displacement scale Omega tau on every mode (far
-    # detuned modes close to ~1e-4 of that scale, so their relative gap is larger)
+    # the kernel ends with composite rather than cumulative Simpson, and sums
+    # the grid in blocks where integrate_alpha takes a running sum; the two
+    # quadratures agree to ~3e-11 of the displacement scale Omega tau on every
+    # mode (far detuned modes close to ~1e-4 of that scale, so their relative
+    # gap is larger)
     for sched in (schedule(), random_fm_schedule(6)):
         endpoints = mode_displacement_integrals(sched, mode_data.frequencies)[:, 0]
         for k, omega_k in enumerate(mode_data.frequencies):
