@@ -9,11 +9,11 @@ pairs and all pair angles come from one matrix product, so the full
 1225-pair map costs little more than a single pair.
 """
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import write_csv
 from .optimizer import DEGENERATE_BETA
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
@@ -180,21 +180,11 @@ def power_map(sched, modes, pairs=None, n_intervals=DEFAULT_BETA_INTERVALS, thre
 
 def save_sweep_csv(sweep, csv_path):
     """Sweep CSV (offset_hz, error, extra_error)."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["offset_hz", "error", "extra_error"])
-        for offset, err in zip(sweep.offsets, sweep.errors):
-            writer.writerow([
-                repr(float(offset / (2 * np.pi))),
-                repr(float(err)),
-                repr(float(err - sweep.baseline)),
-            ])
+    rows = np.column_stack([sweep.offsets / (2 * np.pi), sweep.errors, sweep.errors - sweep.baseline])
+    write_csv(csv_path, ["offset_hz", "error", "extra_error"], rows.tolist())
 
 
 def save_power_map_csv(pmap, csv_path):
     """Power map CSV (ion_i, ion_j, omega_max_hz), upper triangle, finite entries."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ion_i", "ion_j", "omega_max_hz"])
-        for i, j, value in pmap.computed_pairs():
-            writer.writerow([i, j, repr(float(value / (2 * np.pi)))])
+    write_csv(csv_path, ["ion_i", "ion_j", "omega_max_hz"],
+              ((i, j, value / (2 * np.pi)) for i, j, value in pmap.computed_pairs()))

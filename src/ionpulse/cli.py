@@ -40,6 +40,7 @@ from .analysis import (
     save_power_map_csv,
     save_sweep_csv,
 )
+from .artifacts import write_json, write_text
 from .crystal import (
     IonEscape,
     NonConvergence,
@@ -436,10 +437,7 @@ def cmd_optimize(cfg, out_dir, modes):
     [sched_path] = _hand_off(cfg, out_dir, "optimize")
     save_schedule(schedule, sched_path)
     trace_path = os.path.join(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
-    with open(trace_path, "w", newline="") as fh:
-        fh.write("eval,cost\n")
-        for n, c in trace:
-            fh.write(f"{n},{c!r}\n")
+    write_text(trace_path, ["eval,cost\n", *(f"{n},{c!r}\n" for n, c in trace)])
     wave_path = os.path.join(out_dir, f"waveform_{cfg.shape_kind}.csv")
     save_waveform_csv(schedule, wave_path, samples=cfg.waveform_samples)
     t1 = time.perf_counter()
@@ -497,16 +495,13 @@ def cmd_report(cfg, out_dir, schedule, modes):
 
     report_path = os.path.join(out_dir, f"report_{cfg.shape_kind}.json")
     omega_max_hz = report.omega_max / (2 * np.pi)
-    payload = {
+    write_json(report_path, {
         "pair": list(report.pair),
         "beta_rad": report.beta,
         "motional_error": report.motional_error,
         "omega_max_hz": omega_max_hz,
         "mode_endpoint_sq": list(report.mode_errors),
-    }
-    with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     outputs.append(report_path)
     return StageResult(
         f"report[{cfg.shape_kind}]: pair ({cfg.ion_i},{cfg.ion_j}) "
@@ -634,7 +629,7 @@ def run_stage(name, cfg, out_dir, recompute):
         result = _STAGES[stage].command(cfg, out_dir, *[_load(cfg, out_dir, up) for up in reads])
         print(result.line)
         inputs = [path for upstream in reads for path in _hand_off(cfg, out_dir, upstream)]
-        manifest = {
+        write_json(os.path.join(out_dir, f"{stage}_manifest.json"), {
             "command": stage,
             "version": __version__,
             "config_sha256": cfg.config_sha256,
@@ -642,10 +637,7 @@ def run_stage(name, cfg, out_dir, recompute):
             "outputs": sorted(os.path.basename(p) for p in result.outputs),
             "parameters": result.parameters,
             "timings_s": result.timings,
-        }
-        with open(os.path.join(out_dir, f"{stage}_manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        })
         if result.deferred is not None:
             raise result.deferred
     return 0

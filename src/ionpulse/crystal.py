@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .constants import (
     COULOMB_CONSTANT,
     ELEMENTARY_CHARGE,
@@ -353,19 +354,9 @@ def solve_equilibrium(
 
 def save_crystal(crystal, csv_path, json_path):
     """Write positions as CSV (index, z_m) and solver metadata as JSON."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "z_m"])
-        for i, z in enumerate(crystal.positions, start=1):
-            writer.writerow([i, repr(float(z))])
-    meta = {
-        "n_ions": crystal.n_ions,
-        "residual_force_n": crystal.residual_force,
-        "iterations": crystal.iterations,
-    }
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_csv(csv_path, ["index", "z_m"], enumerate(crystal.positions.tolist(), start=1))
+    write_json(json_path, {"n_ions": crystal.n_ions, "residual_force_n": crystal.residual_force,
+                           "iterations": crystal.iterations})
 
 
 def load_crystal(csv_path, json_path):

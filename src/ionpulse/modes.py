@@ -7,12 +7,13 @@ collective modes; the highest-frequency one is the common (center-of-mass)
 mode at exactly omega_x, since each matrix row sums to omega_x^2.
 """
 
-import csv
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv, write_text
 from .constants import HBAR
 
 
@@ -144,8 +145,8 @@ def save_modes(modes, json_path):
 
     Frequencies are stored in rad/s as repr floats, which load_modes reads
     back exactly, and in Hz for reading; the Hz values do not survive the
-    2 pi round trip bit for bit. The text is json.dump's, encoded in one
-    json.dumps call (its C encoder; json.dump encodes in Python).
+    2 pi round trip bit for bit. The text is json.dump's, written one top-level
+    value at a time, each by the C encoder of json.dumps.
     """
     payload = {
         "frequencies_rad_s": modes.frequencies.tolist(),
@@ -153,8 +154,9 @@ def save_modes(modes, json_path):
         "vectors": modes.vectors.tolist(),
         "eta": modes.eta.tolist(),
     }
-    with open(json_path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    members = (f"{', ' if n else ''}{json.dumps(key)}: {json.dumps(payload[key])}"
+               for n, key in enumerate(sorted(payload)))
+    write_text(json_path, itertools.chain(["{"], members, ["}\n"]))
 
 
 def load_modes(json_path):
@@ -175,8 +177,5 @@ def load_modes(json_path):
 
 def save_spectrum_csv(modes, csv_path):
     """Write the mode spectrum as CSV (mode, frequency_hz), 1-based mode index."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "frequency_hz"])
-        for k, f in enumerate(modes.frequencies, start=1):
-            writer.writerow([k, repr(float(f / (2 * np.pi)))])
+    write_csv(csv_path, ["mode", "frequency_hz"],
+              enumerate((modes.frequencies / (2 * np.pi)).tolist(), start=1))

@@ -11,13 +11,13 @@ t -> min(t, tau - t), which makes the symmetry hold exactly in floating
 point rather than approximately.
 """
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .artifacts import write_csv, write_json
 from .quadrature import simpson
 
 
@@ -303,17 +303,14 @@ def save_schedule(sched, json_path):
             "step_levels": list(shape.step_levels),
             "ramp_fraction": shape.ramp_fraction,
         }
-    payload = {
+    write_json(json_path, {
         "gate_time_s": sched.gate_time,
         "shape": shape_block,
         "amp_scale_hz": sched.amp_scale / (2 * np.pi),
         "mu_ref_hz": sched.mu_ref / (2 * np.pi),
         "fm_points_hz": [v / (2 * np.pi) for v in sched.fm_points.tolist()],
         "n_oscillations": sched.n_oscillations,
-    }
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_schedule(json_path):
@@ -343,13 +340,8 @@ def load_schedule(json_path):
 def save_waveform_csv(sched, csv_path, samples=2001):
     """Sampled waveform CSV (t_s, omega_hz, mu_offset_hz) for plotting."""
     t = np.linspace(0.0, sched.gate_time, samples)
-    om = amplitude(t, sched) / (2 * np.pi)
-    off = fm_offset(t, sched) / (2 * np.pi)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "omega_hz", "mu_offset_hz"])
-        for row in zip(t, om, off):
-            writer.writerow([repr(float(v)) for v in row])
+    rows = np.column_stack([t, amplitude(t, sched) / (2 * np.pi), fm_offset(t, sched) / (2 * np.pi)])
+    write_csv(csv_path, ["t_s", "omega_hz", "mu_offset_hz"], rows.tolist())
 
 
 def with_amplitude(sched, amp_scale):

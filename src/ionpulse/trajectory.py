@@ -63,12 +63,14 @@ row's own sample and the one before it, are added at the stored rows. No
 modes x samples array and no full-grid running integral is formed.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from .artifacts import write_text
 from .pulse import amplitude, fm_offset, fm_phase_closed_form
 from .quadrature import cumulative_simpson, simpson, simpson_weights
 
@@ -162,42 +164,44 @@ def _two_sum(a, b):
     return s, (a - (s - b_virtual)) + (b - b_virtual)
 
 
-def _phasor_tables(freqs, tau, n_intervals):
-    """Coarse and fine tables of e^{i f t_n} on the grid t_n = n tau / N.
+def _phasor_table(freqs, k, tau, n_intervals):
+    """e^{i f k tau / N} (freqs x k) for grid indices k (floats) of the grid of N intervals.
 
-    Sample n = q m + r is coarse[:, q] * fine[:, r], with m = isqrt(N + 1)
-    fine entries and ceil((N + 1) / m) coarse ones, so the last block may run
-    past sample N. Each entry e^{i f k tau / N} is rounded once from an
-    argument carried in float64 double-double: tau / N is a head and a
-    remainder from a two-product, k tau / N and f t are two-products, and the
-    angle is reduced modulo a three-part 2 pi to h + l with |h| ~<= pi, so
-    e^{i (h + l)} = e^{i h} (1 + i l) up to l^2 ~ 1e-24. A row depends only on
-    its own frequency: it is bitwise the same in a call with any other rows.
+    Each entry is rounded once from an argument carried in float64
+    double-double: tau / N is a head and a remainder from a two-product,
+    k tau / N and f t are two-products, and the angle is reduced modulo a
+    three-part 2 pi to h + l with |h| ~<= pi, so e^{i (h + l)} = e^{i h} (1 + i l)
+    up to l^2 ~ 1e-24. An entry depends only on its own f and k: it is bitwise
+    the same in a call with any other rows or columns.
     """
     freqs = np.asarray(freqs, dtype=float)[:, None]
-    n_samples = n_intervals + 1
-    m = math.isqrt(n_samples)
     step = tau / n_intervals
     p, e = _two_product(step, float(n_intervals))
     step_lo = ((tau - p) - e) / n_intervals  # tau - p is exact (Sterbenz)
+    t, t_lo = _two_product(k, step)
+    t_lo += k * step_lo
+    angle, angle_lo = _two_product(freqs, t)
+    angle_lo += freqs * t_lo
+    turns = np.rint(angle * (0.5 / math.pi))
+    if np.abs(turns).max(initial=0.0) >= _MAX_TURNS:
+        raise ValueError(f"phases beyond {_MAX_TURNS} turns lose the exact reduction modulo 2 pi")
+    h, l = _two_sum(angle - turns * _TWO_PI_1, -turns * _TWO_PI_2)  # both products exact
+    l += angle_lo - turns * _TWO_PI_3
+    cos, sin = np.cos(h), np.sin(h)
+    out = np.empty(h.shape, dtype=complex)
+    out.real = cos - l * sin
+    out.imag = sin + l * cos
+    return out
 
-    def table(k):
-        t, t_lo = _two_product(k, step)
-        t_lo += k * step_lo
-        angle, angle_lo = _two_product(freqs, t)
-        angle_lo += freqs * t_lo
-        turns = np.rint(angle * (0.5 / math.pi))
-        if np.abs(turns).max(initial=0.0) >= _MAX_TURNS:
-            raise ValueError(f"phases beyond {_MAX_TURNS} turns lose the exact reduction modulo 2 pi")
-        h, l = _two_sum(angle - turns * _TWO_PI_1, -turns * _TWO_PI_2)  # both products exact
-        l += angle_lo - turns * _TWO_PI_3
-        cos, sin = np.cos(h), np.sin(h)
-        out = np.empty(h.shape, dtype=complex)
-        out.real = cos - l * sin
-        out.imag = sin + l * cos
-        return out
 
-    return table(m * np.arange(-(-n_samples // m), dtype=float)), table(np.arange(m, dtype=float))
+def _phasor_tables(freqs, tau, n_intervals):
+    """Coarse and fine _phasor_table of e^{i f t_n}: sample n = q m + r is coarse[:, q] *
+    fine[:, r], with m = isqrt(N + 1) fine entries and ceil((N + 1) / m) coarse
+    ones, so the last block may run past sample N."""
+    n_samples = n_intervals + 1
+    m = math.isqrt(n_samples)
+    return (_phasor_table(freqs, m * np.arange(-(-n_samples // m), dtype=float), tau, n_intervals),
+            _phasor_table(freqs, np.arange(m, dtype=float), tau, n_intervals))
 
 
 def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, mode=None):
@@ -456,7 +460,8 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
     steps = np.multiply.outer(offsets * (m * dx), 1.0 / np.maximum(powers, 1))
     steps[:, 0] = 1.0
     coeffs = np.cumprod(steps, axis=1) * np.array([1, 1j, -1, -1j])[powers % 4]
-    shifts, _ = _phasor_tables(offsets, tau, n_intervals)
+    # e^{i delta q m dx}: the coarse rows of the offsets' tables only
+    shifts = _phasor_table(offsets, m * np.arange(coarse.shape[1], dtype=float), tau, n_intervals)
     endpoints = np.empty((len(fine), len(offsets)), dtype=complex)
     for col, (order, shift) in enumerate(zip(orders, shifts)):
         terms = np.multiply.outer(coeffs[col, :order], shift)  # a_p e^{i delta q m dx} (P_c x Q)
@@ -573,24 +578,17 @@ def entangling_angle(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERV
 
 
 def save_trajectory_csvs(trajectories, csv_paths):
-    """One CSV (t_s, alpha_re, alpha_im) per trajectory and path, every stored
-    sample a row, in lossless repr floats.
-
-    mode_trajectories' samples picks the rows. The bytes are those of
-    csv.writer (its "\\r\\n" line ends, and no float repr needs quoting),
-    without its per-row calls. The time column of a grid that consecutive
-    trajectories share (the trajectories of one mode_trajectories call do) is
-    formatted once.
-    """
+    """One CSV (t_s, alpha_re, alpha_im) per trajectory and path, a row per stored
+    sample (mode_trajectories' samples), in write_csv's bytes. The time column of
+    a grid that consecutive trajectories share (those of one mode_trajectories
+    call do) is formatted once."""
     times = stamps = None
     for traj, csv_path in zip(trajectories, csv_paths, strict=True):
         if traj.times is not times:
             times = traj.times
             stamps = [f"{t!r}," for t in times.tolist()]
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("t_s,alpha_re,alpha_im\r\n")
-            # line by line: a joined string would sit on top of the report's trajectories
-            fh.writelines(
-                f"{t}{re!r},{im!r}\r\n"
-                for t, re, im in zip(stamps, traj.alpha.real.tolist(), traj.alpha.imag.tolist())
-            )
+        # line by line: a joined string would sit on top of the report's trajectories
+        write_text(csv_path, itertools.chain(["t_s,alpha_re,alpha_im\r\n"], (
+            f"{t}{re!r},{im!r}\r\n"
+            for t, re, im in zip(stamps, traj.alpha.real.tolist(), traj.alpha.imag.tolist())
+        )))

@@ -1,4 +1,6 @@
 import configparser
+import csv
+import io
 import json
 import os
 import re
@@ -117,6 +119,32 @@ def test_staged_sweep_after_recompute_reads_the_recomputed_modes(small_config, t
     assert baseline == report["motional_error"]
 
 
+def reencoded(path):
+    """The file's content encoded again as each stage wrote it before they shared
+    ionpulse.artifacts: csv.writer rows with repr(float) cells (ints plain), the
+    optimize trace's "\n" rows, compact sorted JSON for modes.json, and indent-2
+    sorted JSON plus a newline for every other JSON file."""
+    text = io.StringIO(newline="")
+    if path.name.startswith("optimize_trace_"):
+        header, *rows = path.read_text().split("\n")[:-1]
+        text.write(f"{header}\n")
+        for row in rows:
+            n, c = row.split(",")
+            text.write(f"{int(n)},{float(c)!r}\n")
+    elif path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        writer = csv.writer(text)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([int(c) if c.lstrip("-").isdigit() else repr(float(c)) for c in row])
+    else:
+        indent = None if path.name == "modes.json" else 2
+        json.dump(json.loads(path.read_text()), text, indent=indent, sort_keys=True)
+        text.write("\n")
+    return text.getvalue().encode()
+
+
 def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["-c", small_config, "-o", str(out), "crystal"]) == 0
@@ -154,6 +182,13 @@ def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     map_rows = (out / "powermap_A.csv").read_text().strip().splitlines()
     assert map_rows[0] == "ion_i,ion_j,omega_max_hz"
     assert len(map_rows) == 1 + 12 * 11 // 2
+
+    # every file keeps the bytes of the writer it had before, and none is left half-written
+    written = sorted(out.iterdir())
+    assert not [path for path in written if path.suffix == ".tmp"]
+    assert {path.suffix for path in written} == {".csv", ".json"}
+    for path in written:
+        assert path.read_bytes() == reencoded(path), path.name
 
 
 def test_budget_exhausted_keeps_best_schedule(small_config, tmp_path, capsys):

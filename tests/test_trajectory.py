@@ -19,6 +19,7 @@ from ionpulse import (
 )
 from ionpulse.trajectory import (
     MAX_BLOCK_PHASE,
+    _phasor_table,
     _phasor_tables,
     angle_integrals,
     fm_phase,
@@ -132,6 +133,16 @@ def test_phasor_table_rows_do_not_depend_on_neighbours(n_intervals):
         one_coarse, one_fine = _phasor_tables([f], TAU, n_intervals)
         np.testing.assert_array_equal(one_coarse[0], coarse[k])
         np.testing.assert_array_equal(one_fine[0], fine[k])
+
+
+@pytest.mark.parametrize("n_intervals", [1088, 2000, 20000])
+def test_coarse_rows_alone_match_the_tables(n_intervals):
+    # a sweep builds only its offsets' coarse rows; they are bitwise the coarse
+    # table that _phasor_tables builds next to the fine one
+    offsets = 2 * np.pi * np.concatenate([[0.0, -2e3], np.geomspace(10.0, 2e3, 48)])
+    coarse, _ = _phasor_tables(offsets, TAU, n_intervals)
+    indices = math.isqrt(n_intervals + 1) * np.arange(coarse.shape[1], dtype=float)
+    np.testing.assert_array_equal(_phasor_table(offsets, indices, TAU, n_intervals), coarse)
 
 
 TWO_PI_50 = Decimal("6.2831853071795864769252867665590057683943387987502116419")
