@@ -8,9 +8,11 @@ started in the tree it measures; this script only reads the run's output
 (its "round(s)" line, the facts line and the final JSON line). Per workload
 the record keeps every run, and the median and interquartile range of
 wall_s, setup_s, peak_rss_mb and gate_error, with the failed and attempted
-operations and the rounds each run completed. With --base, every seed runs
-both trees on the same argv, the two in turn (which goes first alternates
-with the seed), the base tree's record is BENCH_baseline.json, and the
+operations and the rounds each run completed, and the per-layer metrics of
+one `--trace 1` run at seed TRACE_SEED, so a change's saving can be traced to
+its layer. With --base, every seed runs both trees on the same argv, the two
+in turn (which goes first alternates with the seed), the base tree's record
+is BENCH_<label>_base.json (so no earlier record is overwritten), and the
 record of this tree compares each metric pair by pair with it. Standard library only; it gates nothing.
 """
 
@@ -25,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("gate_design", "gate_analysis", "chain_scan")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "gate_error")  # all lower-is-better
+TRACE_SEED = 1
 
 
 def parse_args(argv=None):
@@ -36,8 +39,8 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
-def run_once(tree, argv):
-    """One perfbench run in `tree`: its metric values, counts, rounds and facts."""
+def perfbench(tree, argv):
+    """The stdout lines of one perfbench run in `tree`; exits when the run fails."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", *argv], cwd=tree,
         capture_output=True, text=True, check=False,
@@ -45,12 +48,26 @@ def run_once(tree, argv):
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"error: {' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return lines
+
+
+def run_once(tree, argv):
+    """One perfbench run in `tree`: its metric values, counts, rounds and facts."""
+    lines = perfbench(tree, argv)
     result, facts = json.loads(lines[-1]), json.loads(lines[-2])["facts"]
     rounds = next(int(m.group(1)) for line in lines
                   if (m := re.match(r"workload \S+ seed \d+: (\d+) round", line)))
     run = {name: result["metrics"][name]["value"] for name in METRICS}
     run.update(failed=result["failed"], attempted=result["attempted"], rounds=rounds)
     return run, facts
+
+
+def trace_once(tree, workload):
+    """One `--trace 1` run of the workload in `tree` at TRACE_SEED: every per-layer metric."""
+    result = json.loads(perfbench(tree, ["--workload", workload, "--seed", str(TRACE_SEED),
+                                         "--trace", "1"])[-1])
+    return {"seed": TRACE_SEED, "failed": result["failed"], "attempted": result["attempted"],
+            "metrics": {name: metric["value"] for name, metric in result["metrics"].items()}}
 
 
 def quartiles(values):
@@ -102,14 +119,14 @@ def describe(tree):
     return proc.stdout.strip() or None
 
 
-def record(label, tree, argv_of, seeds, facts, workloads):
+def record(label, tree, argv_of, seeds, facts, workloads, traces):
     return {
         "label": label,
         "tree": describe(tree),
         "argv": argv_of("WORKLOAD", "SEED"),
         "seeds": seeds,
         "facts": facts,
-        "workloads": {name: summarize(runs) for name, runs in workloads.items()},
+        "workloads": {name: {**summarize(runs), "trace": traces[name]} for name, runs in workloads.items()},
     }
 
 
@@ -122,6 +139,7 @@ def main(argv=None):
         return ["--workload", str(workload), "--seed", str(seed), "--seconds", f"{args.seconds:g}"]
 
     runs = {key: {name: [] for name in WORKLOADS} for key, _ in trees}
+    traces = {key: {} for key, _ in trees}
     facts = {}
     for workload in WORKLOADS:
         for seed in seeds:
@@ -131,11 +149,16 @@ def main(argv=None):
                 runs[key][workload].append({"seed": seed, **run})
                 print(f"{workload} seed {seed} {key}: wall_s {run['wall_s']}, "
                       f"gate_error {run['gate_error']}, {run['failed']} failed", flush=True)
+        for key, tree in trees:
+            traces[key][workload] = trace_once(tree, workload)
+            print(f"{workload} traced {key}: trace.wall_s {traces[key][workload]['metrics']['trace.wall_s']}",
+                  flush=True)
 
-    this = record(args.label, ROOT, argv_of, seeds, facts["this"], runs["this"])
+    this = record(args.label, ROOT, argv_of, seeds, facts["this"], runs["this"], traces["this"])
     if args.base:
-        base = record("baseline", args.base, argv_of, seeds, facts["base"], runs["base"])
-        this["versus"] = {"label": "baseline", **{
+        base = record(f"{args.label}_base", args.base, argv_of, seeds, facts["base"], runs["base"],
+                      traces["base"])
+        this["versus"] = {"label": base["label"], **{
             name: compare(runs["this"][name], runs["base"][name]) for name in WORKLOADS}}
         write(base)
     write(this)

@@ -42,7 +42,6 @@ from .trajectory import (
     DEFAULT_BETA_INTERVALS,
     DEFAULT_TRAJECTORY_SAMPLES,
     GateReport,
-    _grid_drive,
     entangling_angle,
     mode_errors,
     mode_trajectories,
@@ -372,26 +371,24 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALP
     None; each mode is integrated on its own, so a selection holds the same
     records as the full set. Each keeps trajectory_samples rows of its
     running integral on the alpha_intervals grid (mode_trajectories' samples).
-    The calibrated drive Omega e^{i fm_phase} on that grid and every mode's
-    detuning tables are built once, and both the errors and the trajectories
-    read them.
+    The angle, the errors and the trajectories all read the schedule's kernel
+    entry (trajectory._kernel_entry): e^{i fm_phase}, the envelope and every
+    mode's detuning tables on each grid are built once per FM pattern, and the
+    trajectories take their modes' rows of the tables the errors used.
     """
     beta_ref = entangling_angle(sched, modes, ion_i, ion_j, beta_intervals)
     omega_max = _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)
     calibrated = with_amplitude(sched, omega_max)
     beta = beta_ref * (omega_max / sched.amp_scale) ** 2  # beta grows as amp_scale^2
-    shared = _grid_drive(calibrated, modes.frequencies, alpha_intervals)
-    per_mode = mode_errors(calibrated, modes, ion_i, ion_j, n_intervals=alpha_intervals,
-                           _drive=shared)[:, 0]
+    per_mode = mode_errors(calibrated, modes, ion_i, ion_j, n_intervals=alpha_intervals)[:, 0]
     trajectories = ()
     if include_trajectories:
         if trajectory_modes is None:
             trajectory_modes = range(1, modes.n_modes + 1)
         idx = modes.rows(trajectory_modes, "mode")
-        shared = shared.rows(idx)  # the other modes' tables go before the trajectories fill
         trajectories = mode_trajectories(
             calibrated, modes.frequencies[idx], modes.eta[ion_i - 1, idx],
-            trajectory_modes, alpha_intervals, trajectory_samples, _drive=shared,
+            trajectory_modes, alpha_intervals, trajectory_samples,
         )
     return GateReport(
         pair=(ion_i, ion_j),

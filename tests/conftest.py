@@ -23,6 +23,7 @@ from ionpulse import (
     optimize,
     solve_equilibrium,
 )
+from ionpulse import trajectory
 from ionpulse.modes import solve_modes
 from ionpulse.optimizer import REFERENCE_RABI
 
@@ -38,6 +39,19 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def clear_entry():
+    """Drop the resident trajectory kernel entry."""
+    trajectory._entry = None
+
+
+def cold(fn):
+    """fn, called with the kernel entry cleared, so it builds its grid inputs itself."""
+    def call():
+        clear_entry()
+        return fn()
+    return call
 
 
 @pytest.fixture(scope="session")
