@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .artifacts import write_csv
-from .optimizer import DEGENERATE_BETA
+from .optimizer import calibrated_amplitudes
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
     DEFAULT_BETA_INTERVALS,
@@ -167,13 +167,9 @@ def power_map(sched, modes, pairs=None, n_intervals=DEFAULT_BETA_INTERVALS, thre
     d = mode_angle_integrals(sched, modes.frequencies, n_intervals)
     beta = 2.0 * (modes.eta * d) @ modes.eta.T
     lo, hi = np.sort(requested, axis=1).T  # one orientation, so the map stays symmetric
-    abs_beta = np.abs(beta[lo, hi])
-    degenerate = abs_beta < DEGENERATE_BETA
-    held = ~degenerate
+    omega_max, degenerate = calibrated_amplitudes(sched.amp_scale, beta[lo, hi])
     matrix = np.full((n, n), np.nan)
-    matrix[lo[held], hi[held]] = matrix[hi[held], lo[held]] = (
-        sched.amp_scale * np.sqrt((np.pi / 4.0) / abs_beta[held])
-    )
+    matrix[lo, hi] = matrix[hi, lo] = omega_max
     degenerate_pairs = tuple((int(a) + 1, int(b) + 1) for a, b in requested[degenerate])
     return PowerMap(omega_max=matrix, degenerate_pairs=degenerate_pairs)
 

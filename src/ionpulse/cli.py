@@ -76,6 +76,7 @@ from .pulse import (
     load_schedule,
     save_schedule,
     save_waveform_csv,
+    saved_form,
     with_amplitude,
 )
 from .trajectory import DEFAULT_TRAJECTORY_SAMPLES, max_offset, save_trajectory_csvs
@@ -422,7 +423,8 @@ def cmd_optimize(cfg, out_dir, modes):
 
     A spent budget keeps the best point seen: it is written like a converged
     result, and the BudgetExhausted is raised (exit code 2) once the manifest
-    is written.
+    is written. Either schedule is taken in its saved form (pulse.saved_form),
+    so the manifest's gate figures are the ones report computes from the file.
     """
     problem = _make_problem(cfg, modes)
     t0 = time.perf_counter()
@@ -433,7 +435,7 @@ def cmd_optimize(cfg, out_dir, modes):
         schedule = optimize(problem, callback=lambda n, c, _x: trace.append((n, c)), _rule=rule)
     except BudgetExhausted as exc:
         exhausted = exc
-        schedule = replace(problem.base_schedule, fm_points=exc.best_fm_points)
+        schedule = saved_form(replace(problem.base_schedule, fm_points=exc.best_fm_points))
     [sched_path] = _hand_off(cfg, out_dir, "optimize")
     save_schedule(schedule, sched_path)
     trace_path = os.path.join(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")

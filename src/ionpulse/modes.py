@@ -55,8 +55,15 @@ class ModeData:
         return len(self.frequencies)
 
     def rows(self, indices, kind="ion"):
-        """0-based rows of 1-based ion or mode indices; ValueError names one outside 1..N."""
-        idx = np.asarray(indices, dtype=int)
+        """0-based rows of 1-based ion or mode indices; ValueError names one that is not
+        an integer (2.5 would otherwise truncate to 2) or lies outside 1..N."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":
+            values = idx.astype(float)
+            integral = np.isfinite(values) & (values == np.trunc(values))
+            if not integral.all():
+                raise ValueError(f"{kind} index {idx[~integral].flat[0]} is not an integer")
+            idx = values.astype(int)
         outside = idx[(idx < 1) | (idx > self.n_modes)]
         if outside.size:
             raise ValueError(f"{kind} index {outside.flat[0]} outside 1..{self.n_modes}")

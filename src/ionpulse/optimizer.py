@@ -12,9 +12,10 @@ objective takes it on Gauss-Legendre panels (GAUSS_ORDER nodes each) between
 the drive's breakpoints (pulse.breakpoints), where the drive is analytic;
 shape A's first and last panels are graded, t = h s^2, to smooth its t^1.5
 envelope ends. The FM phase there is the closed form fm_points @ B on the
-phase basis B (trajectory.phase_basis), and the target modes' weighted
-phasors e^{i (mu_ref - omega_k) t} form one nodes x modes matrix, both built
-once per rule. An evaluation is one exp over the nodes, the n_oscillations
+phase basis B (pulse.phase_basis), the phase every report, sweep and power
+map integrates on its grid, and the target modes' weighted phasors
+e^{i (mu_ref - omega_k) t} form one nodes x modes matrix, both built once
+per rule. An evaluation is one exp over the nodes, the n_oscillations
 basis drives, and one (1 + n_oscillations) x nodes @ nodes x modes product
 for the displacements and their exact Jacobian; Levenberg-Marquardt on the
 stacked real and imaginary parts converges in tens to hundreds of
@@ -28,14 +29,24 @@ and the start continues from where it stopped.
 
 Power calibration exploits that the entangling angle is exactly quadratic in
 the peak Rabi frequency: the amplitude that yields |beta| = pi/4 follows from
-a single reference evaluation.
+a single reference evaluation (calibrated_amplitudes, which the power map
+shares). The schedule optimize returns is in its saved form
+(pulse.saved_form), so a report of it equals a report of its file.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pulse import PulseSchedule, ShapeA, amplitude, breakpoints, with_amplitude
+from .pulse import (
+    PulseSchedule,
+    ShapeA,
+    amplitude,
+    breakpoints,
+    phase_basis,
+    saved_form,
+    with_amplitude,
+)
 from .quadrature import gauss_legendre_panels
 from .trajectory import (
     DEFAULT_ALPHA_INTERVALS,
@@ -46,7 +57,6 @@ from .trajectory import (
     mode_errors,
     mode_trajectories,
     motional_error,  # not called here; re-exported for callers that look it up on this module
-    phase_basis,
 )
 
 REFERENCE_RABI = 2 * np.pi * 100e3  # rad/s, fixed amplitude used inside the cost
@@ -91,15 +101,15 @@ class OptimizationProblem:
     n_starts: int = 3
 
     def __post_init__(self):
-        i, j = self.ion_pair
         n = self.modes.n_modes
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
-            raise ValueError(f"ion_pair must be two distinct indices in 1..{n}")
+        # refuses 2.5, 0 and a pair of one ion, naming them
+        [pair] = self.modes.pair_rows([self.ion_pair])
+        object.__setattr__(self, "ion_pair", tuple((pair + 1).tolist()))
         if self.target_modes is not None:
-            targets = tuple(int(k) for k in self.target_modes)
-            if not targets or any(not 1 <= k <= n for k in targets):
+            if not len(self.target_modes):
                 raise ValueError(f"target_modes must be non-empty indices in 1..{n}")
-            object.__setattr__(self, "target_modes", targets)
+            rows = self.modes.rows(self.target_modes, "mode")  # refuses 2.5 and 0 alike
+            object.__setattr__(self, "target_modes", tuple((rows + 1).tolist()))
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
         if self.n_starts < 1:
@@ -283,7 +293,9 @@ def optimize(problem, callback=None, *, _rule=None):
 
     Runs Levenberg-Marquardt from the flat pattern, plus n_starts - 1 seeded
     jittered restarts, and returns the base schedule with the best turning
-    points found (amp_scale untouched). One residual-plus-Jacobian
+    points found, in its saved form (pulse.saved_form): the schedule that
+    loading its saved file gives, so an analysis of the returned schedule and
+    one of its file agree bit for bit. One residual-plus-Jacobian
     evaluation counts as one of max_evals; callback, when given, receives
     (eval_index, cost, fm_points) for every evaluation. Each start ends with
     the check against the doubled rule (see the module docstring), which
@@ -335,7 +347,7 @@ def optimize(problem, callback=None, *, _rule=None):
             best_fm_points=best_x,
             best_cost=best_f,
         )
-    return replace(problem.base_schedule, fm_points=best_x)
+    return saved_form(replace(problem.base_schedule, fm_points=best_x))
 
 
 def calibrate_power(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERVALS):
@@ -349,14 +361,30 @@ def calibrate_power(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERVA
     return _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)
 
 
+def calibrated_amplitudes(amp_scale, betas):
+    """The peak Rabi frequencies that make |beta| = pi/4, from the angles betas (rad, an
+    array) evaluated at amp_scale, and the mask of the degenerate ones.
+
+    beta grows exactly as amp_scale^2, so the answer is amp_scale sqrt((pi/4) /
+    |beta|). A pair with |beta| < DEGENERATE_BETA is uncoupled: it is masked, and
+    its frequency is NaN.
+    """
+    abs_beta = np.abs(betas)
+    degenerate = abs_beta < DEGENERATE_BETA
+    omega_max = np.full(abs_beta.shape, np.nan)
+    omega_max[~degenerate] = amp_scale * np.sqrt((np.pi / 4.0) / abs_beta[~degenerate])
+    return omega_max, degenerate
+
+
 def _calibrated_amplitude(sched, beta_ref, ion_i, ion_j):
     """calibrate_power from the angle beta_ref already evaluated at sched.amp_scale."""
-    if abs(beta_ref) < DEGENERATE_BETA:
+    [omega_max], [degenerate] = calibrated_amplitudes(sched.amp_scale, np.array([beta_ref]))
+    if degenerate:
         raise DegeneratePair(
             f"|beta| = {abs(beta_ref):.2e} rad at the reference amplitude; "
             f"pair ({ion_i}, {ion_j}) is uncoupled at this drive frequency"
         )
-    return float(sched.amp_scale * np.sqrt((np.pi / 4.0) / abs(beta_ref)))
+    return float(omega_max)
 
 
 def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALPHA_INTERVALS,
@@ -372,8 +400,8 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALP
     records as the full set. Each keeps trajectory_samples rows of its
     running integral on the alpha_intervals grid (mode_trajectories' samples).
     The angle, the errors and the trajectories all read the schedule's kernel
-    entry (trajectory._kernel_entry): e^{i fm_phase}, the envelope and every
-    mode's detuning tables on each grid are built once per FM pattern, and the
+    entry (trajectory._kernel_entry): the unit drive and every mode's
+    detuning tables on each grid are built once per FM pattern, and the
     trajectories take their modes' rows of the tables the errors used.
     """
     beta_ref = entangling_angle(sched, modes, ion_i, ion_j, beta_intervals)

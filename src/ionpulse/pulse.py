@@ -9,6 +9,11 @@ tau/2 leaves only the first n free; the rest mirror them.
 Both the envelope and mu(t) are evaluated through a time fold
 t -> min(t, tau - t), which makes the symmetry hold exactly in floating
 point rather than approximately.
+
+The FM phase int_0^t (mu - mu_ref) dt' has a closed form on each arc
+(fm_phase_closed_form) and is linear in the turning points (phase_basis).
+This module is the only one that computes it: the optimizer designs on it,
+and every gate integral takes it on its grid.
 """
 
 import json
@@ -206,6 +211,20 @@ def fm_phase_closed_form(t, sched):
     return out if np.ndim(t) else float(out)
 
 
+def phase_basis(sched, t):
+    """Linear FM phase basis B (n_oscillations x len(t)) at arbitrary times t in [0, tau].
+
+    Each raised-cosine arc blends two turning points linearly, so the FM
+    phase is linear in fm_points: fm_points @ B. Row m is the closed-form
+    phase (fm_phase_closed_form) of the pattern whose m-th free turning point
+    is 1 rad/s and the rest 0.
+    """
+    return np.stack([
+        fm_phase_closed_form(t, replace(sched, fm_points=unit))
+        for unit in np.eye(sched.n_oscillations)
+    ])
+
+
 def breakpoints(sched):
     """Sorted times in [0, tau] where the FM pattern or the envelope switches formula.
 
@@ -292,8 +311,8 @@ def alpha_fourier_approx(sched, eta_ik, omega_k, n_max=32, n_intervals=20_000):
     return complex(eta_ik * total)
 
 
-def save_schedule(sched, json_path):
-    """Serialize a schedule as JSON with all frequencies in Hz."""
+def _schedule_payload(sched):
+    """save_schedule's JSON payload: all frequencies in Hz."""
     shape = sched.amp_shape
     if isinstance(shape, ShapeA):
         shape_block = {"kind": "A"}
@@ -303,20 +322,18 @@ def save_schedule(sched, json_path):
             "step_levels": list(shape.step_levels),
             "ramp_fraction": shape.ramp_fraction,
         }
-    write_json(json_path, {
+    return {
         "gate_time_s": sched.gate_time,
         "shape": shape_block,
         "amp_scale_hz": sched.amp_scale / (2 * np.pi),
         "mu_ref_hz": sched.mu_ref / (2 * np.pi),
         "fm_points_hz": [v / (2 * np.pi) for v in sched.fm_points.tolist()],
         "n_oscillations": sched.n_oscillations,
-    })
+    }
 
 
-def load_schedule(json_path):
-    """Rebuild a PulseSchedule from save_schedule output."""
-    with open(json_path) as fh:
-        payload = json.load(fh)
+def _schedule_from_payload(payload):
+    """The PulseSchedule of a save_schedule payload."""
     block = payload["shape"]
     if block["kind"] == "A":
         shape = ShapeA()
@@ -335,6 +352,29 @@ def load_schedule(json_path):
         fm_points=2 * np.pi * np.array(payload["fm_points_hz"]),
         n_oscillations=int(payload["n_oscillations"]),
     )
+
+
+def save_schedule(sched, json_path):
+    """Serialize a schedule as JSON with all frequencies in Hz."""
+    write_json(json_path, _schedule_payload(sched))
+
+
+def load_schedule(json_path):
+    """Rebuild a PulseSchedule from save_schedule output."""
+    with open(json_path) as fh:
+        return _schedule_from_payload(json.load(fh))
+
+
+def saved_form(sched):
+    """The schedule as load_schedule(save_schedule(sched)) returns it, without a file.
+
+    The Hz round trip 2 pi (x / 2 pi) moves a value by an ulp when its
+    mantissa lies above about 1.57 (about one float in eight); JSON keeps
+    every float exactly, so only the payload is formed. A value moves at most
+    once: the saved form saves to the same bytes as sched and loads back bit
+    for bit (no counterexample in 1e6 random draws).
+    """
+    return _schedule_from_payload(_schedule_payload(sched))
 
 
 def save_waveform_csv(sched, csv_path, samples=2001):

@@ -17,11 +17,10 @@ computed. (The optimizer's objective takes its one integral on
 Gauss-Legendre panels instead; see the optimizer module.)
 
 Every integral here takes theta_k = (mu_ref + offset - omega_k) t + fm_phase
-from one FM phase, fm_phase = int (mu - mu_ref) dt, the running Simpson
-integral on the grid. The phase is linear in the turning points: at any
-times it is fm_points @ B, with the phase basis B (phase_basis) taken from
-its closed form (pulse.fm_phase_closed_form). Only the optimizer's panel
-rule uses B.
+from one FM phase, fm_phase = int (mu - mu_ref) dt in its closed form
+(pulse.fm_phase_closed_form) at the grid's samples: the phase the optimizer
+designs on, as fm_points @ pulse.phase_basis on its panel nodes. Only the
+pulse module computes the FM phase.
 
 The linear phases f t reach about 8.5e3 rad on the default chain, where a
 float64 argument to exp carries ~1e-12 rad of rounding. _phasor_tables
@@ -35,9 +34,10 @@ guards this).
 
 The displacement kernel (mode_displacement_integrals) keeps the
 factorization. The weighted drive h_n = w D_n (D = Omega e^{i fm_phase}, w
-the Simpson weights), padded with zeros to Q m samples, is a (Q, m) block
-matrix H, so G = H F^T (Q x modes) is one matrix product for every mode and
-I_k = sum_q C_k[q] G[q, k], on the tables of the detunings mu_ref - omega_k.
+the Simpson weights; see below for the amplitude), padded with zeros to
+Q m samples, is a (Q, m) block matrix H, so G = H F^T (Q x modes) is one
+matrix product for every mode and I_k = sum_q C_k[q] G[q, k], on the tables
+of the detunings mu_ref - omega_k.
 A constant offset delta multiplies sample n = q m + r by e^{i delta q m dx},
 exact from its own coarse table, and by e^{i delta r dx}, a Taylor series
 in the within-block phase. So a whole sweep is a few moment drives
@@ -61,32 +61,34 @@ cumsum); the cumulative Simpson rule's corrections, at the start and at a
 row's own sample and the one before it, are added at the stored rows. No
 modes x samples array and no full-grid running integral is formed.
 
-What these kernels read depends on neither the pair nor the amplitude, so
-one kernel entry (_kernel_entry) keeps it for the most recent FM pattern:
-per grid, e^{i fm_phase}, the relative envelope Omega / amp_scale and the
-modes' detuning tables, each grid built on first use (a power map alone
-builds nothing on the 20,000-interval grid), and the angle integrals d_k at
-the amplitude last asked for. It is keyed, bit for bit, by the turning
-points, the envelope shape, the gate time and mu_ref, and holds its modes'
-frequencies; its arrays are read-only. Each call forms its drive as
-e^{i fm_phase} (amp_scale envelope), the product amplitude() takes, so every
-result is bitwise what a fresh build gives. The reports, sweep and power map
-of one schedule share the entry, and a report's trajectories take their
-modes' rows of its tables. Another pattern, or a mode it does not hold,
-replaces it: one entry stays resident, 0.83 MB on the default chain (0.71 MB
-of it on the 20,000-interval grid). Analyses in one process, such as library
-calls or a --recompute chain, reuse it; separate CLI invocations do not.
+Every kernel integrates the unit drive D_1 = (Omega / amp_scale)
+e^{i fm_phase} and applies the amplitude once to its small result:
+amp_scale to the displacements and the trajectories, amp_scale^2 to d_k.
+What the kernels read then depends on neither the pair nor the amplitude,
+so one kernel entry (_kernel_entry) keeps it for the most recent FM
+pattern: per grid, D_1 and the modes' detuning tables, each grid built on
+first use (a power map alone builds nothing on the 20,000-interval grid),
+and the unit drive's d_k last asked for, which serves every amplitude. It
+is keyed, bit for bit, by the turning points, the envelope shape, the gate
+time and mu_ref, and holds its modes' frequencies; its arrays are
+read-only, so every result is bitwise what a fresh build gives. The
+reports, sweep and power map of one schedule share the entry, and a
+report's trajectories take their modes' rows of its tables. Another
+pattern, or a mode it does not hold, replaces it: one entry stays resident,
+0.65 MB on the default chain (0.55 MB of it on the 20,000-interval grid).
+Analyses in one process, such as library calls or a --recompute chain,
+reuse it; separate CLI invocations do not.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import write_text
-from .pulse import amplitude, fm_offset, fm_phase_closed_form, with_amplitude
+from .pulse import amplitude, fm_phase_closed_form, with_amplitude
 from .quadrature import cumulative_simpson, simpson, simpson_weights
 
 DEFAULT_ALPHA_INTERVALS = 20_000
@@ -234,18 +236,12 @@ def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, 
     return Trajectory(mode=mode, times=times, alpha=alpha)
 
 
-def fm_phase(sched, t):
-    """Running FM phase int_0^t (mu - mu_ref) dt' (cumulative Simpson) on the uniform grid t."""
-    return cumulative_simpson(fm_offset(t, sched), t[1] - t[0])
-
-
 class _PatternGrid(NamedTuple):
     """The amplitude-free inputs of one FM pattern on the uniform grid of one size:
-    e^{i fm_phase}, the relative envelope Omega / amp_scale, and the coarse and
+    the unit drive D_1 = (Omega / amp_scale) e^{i fm_phase}, and the coarse and
     fine tables (see _phasor_tables) of its entry's detunings mu_ref - omega_k."""
 
-    phase: np.ndarray
-    envelope: np.ndarray
+    drive: np.ndarray
     coarse: np.ndarray
     fine: np.ndarray
 
@@ -258,16 +254,15 @@ def _frozen(arr):
 class _KernelEntry:
     """The grid inputs of one FM pattern and one set of modes that no amplitude or pair
     changes (see the module docstring): a _PatternGrid per grid size, each built on
-    first use, and the angle integrals d_k at the amplitude last asked for. Every
-    array is read-only; a drive at amp_scale is formed per call as
-    phase * (amp_scale * envelope), the product amplitude() takes."""
+    first use, and the unit drive's angle integrals d_k last asked for. Every array
+    is read-only; the kernels scale their results by the amplitude."""
 
     def __init__(self, key, sched, frequencies):
         self.key = key
-        self.pattern = with_amplitude(sched, 1.0)  # amplitude(t, pattern) is the envelope
+        self.pattern = with_amplitude(sched, 1.0)  # amplitude(t, pattern) is Omega / amp_scale
         self.frequencies = _frozen(np.array(frequencies, dtype=float))
         self.grids = {}
-        self.angles = None  # ((n_intervals, amp_scale bits, rows), d_k)
+        self.angles = None  # ((n_intervals, rows), d_k of the unit drive)
 
     def rows(self, omega_ks):
         """The index of omega_ks among the entry's modes: slice(None) for all of them in
@@ -284,22 +279,21 @@ class _KernelEntry:
             tau = self.pattern.gate_time
             t, _ = _uniform_grid(tau, n_intervals)
             coarse, fine = _phasor_tables(self.pattern.mu_ref - self.frequencies, tau, n_intervals)
-            grid = self.grids[n_intervals] = _PatternGrid(*map(_frozen, (
-                np.exp(1j * fm_phase(self.pattern, t)), amplitude(t, self.pattern), coarse, fine)))
+            drive = amplitude(t, self.pattern) * np.exp(1j * fm_phase_closed_form(t, self.pattern))
+            grid = self.grids[n_intervals] = _PatternGrid(*map(_frozen, (drive, coarse, fine)))
         return grid
 
-    def drive(self, amp_scale, n_intervals, rows):
-        """D = Omega e^{i fm_phase} at amp_scale on the grid of n_intervals, and the
-        tables of the modes at rows."""
-        phase, envelope, coarse, fine = self.grid(n_intervals)
-        return phase * (amp_scale * envelope), coarse[rows], fine[rows]
+    def drive(self, n_intervals, rows):
+        """The unit drive D_1 on the grid of n_intervals, and the tables of the modes at rows."""
+        drive, coarse, fine = self.grid(n_intervals)
+        return drive, coarse[rows], fine[rows]
 
-    def angle_integrals(self, amp_scale, n_intervals, rows):
-        """angle_integrals of the drive at amp_scale for the modes at rows, kept for the
-        next call at the same amplitude, grid and rows."""
-        key = (n_intervals, float(amp_scale).hex(), None if isinstance(rows, slice) else rows.tobytes())
+    def angle_integrals(self, n_intervals, rows):
+        """angle_integrals of the unit drive for the modes at rows, kept for the next
+        call on the same grid and rows, at any amplitude."""
+        key = (n_intervals, None if isinstance(rows, slice) else rows.tobytes())
         if self.angles is None or self.angles[0] != key:
-            d = _angle_sums(*self.drive(amp_scale, n_intervals, rows), self.pattern.gate_time)
+            d = _angle_sums(*self.drive(n_intervals, rows), self.pattern.gate_time)
             self.angles = key, _frozen(d)
         return self.angles[1]
 
@@ -362,8 +356,9 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
 
     Only the stored rows are computed. For n >= 1 the cumulative rule is
     G_n = dx S_n + (dx/12)(c0 + g_{n-1} - 7 g_n) with S_n = sum_{j<=n} g_j,
-    g_n = D_n e^{i delta_k t_n} (D = Omega e^{i fm_phase}) and c0 = -8 g_0 +
-    3 g_1 - g_2 (see angle_integrals). Block p of the drive holds the samples
+    g_n = D_n e^{i delta_k t_n} (D = Omega e^{i fm_phase}, taken at unit
+    amplitude and scaled at the end) and c0 = -8 g_0 + 3 g_1 - g_2 (see
+    angle_integrals). Block p of the drive holds the samples
     from row n_p up to n_{p+1}, so sum_{j<n_p} g_j adds up the block sums
     e^{i delta_k t_{n_p}} sum_r D_{n_p + r} e^{i delta_k r dx}: one product of
     the zero-padded block matrix with the mode's phasors on one block, and
@@ -381,7 +376,7 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
     times.setflags(write=False)
     del t  # times holds its rows; the full grid would be 160 kB of scratch through the passes
     entry, entry_rows = _kernel_entry(sched, omega_ks)
-    drive, coarse, fine = entry.drive(sched.amp_scale, n_intervals, entry_rows)
+    drive, coarse, fine = entry.drive(n_intervals, entry_rows)
     m = fine.shape[1]
     width = -(-n_intervals // (count - 1))  # the longest block
     block_q, block_r = divmod(np.arange(width), m)
@@ -415,7 +410,7 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
     trajectories = []
     for alpha, (eta_ik, label) in zip(alphas, records):
         alpha[0] = 0.0
-        alpha *= eta_ik
+        alpha *= sched.amp_scale * eta_ik
         alpha.flags.writeable = False
         trajectories.append(Trajectory(mode=label, times=times, alpha=alpha))
     return tuple(trajectories)
@@ -441,20 +436,6 @@ def time_averaged_displacement(traj):
         )
     tau = traj.times[-1]
     return complex(simpson(traj.alpha, dx) / tau)
-
-
-def phase_basis(sched, t):
-    """Linear FM phase basis B (n_oscillations x len(t)) at arbitrary times t in [0, tau].
-
-    Each raised-cosine arc blends two turning points linearly, so the FM
-    phase is linear in fm_points: fm_points @ B. Row m is the closed-form
-    phase (pulse.fm_phase_closed_form) of the pattern whose m-th free turning
-    point is 1 rad/s and the rest 0. Only the optimizer's objective needs it.
-    """
-    return np.stack([
-        fm_phase_closed_form(t, replace(sched, fm_points=unit))
-        for unit in np.eye(sched.n_oscillations)
-    ])
 
 
 def _block_products(drives, fine):
@@ -504,8 +485,9 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
     x_c = |offsets[c]| (m - 1) dx needs (x_c^P / P! <= 2^-53), so a column is
     bitwise what a single-offset call returns; at offset 0 it is the drive
     alone. The series sums terms up to e^x_c in size, so offsets beyond
-    max_offset (x_c > MAX_BLOCK_PHASE) raise ValueError. The drive's factors
-    and the tables come from the resident kernel entry (_kernel_entry).
+    max_offset (x_c > MAX_BLOCK_PHASE) raise ValueError. The unit drive and
+    the tables come from the resident kernel entry (_kernel_entry), and the
+    endpoints are scaled by amp_scale at the end.
     """
     offsets = np.asarray(offsets, dtype=float)
     tau = sched.gate_time
@@ -516,7 +498,7 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
             f"range on the grid of {n_intervals} intervals over {tau:.6g} s"
         )
     entry, rows = _kernel_entry(sched, omega_ks)
-    drive, coarse, fine = entry.drive(sched.amp_scale, n_intervals, rows)
+    drive, coarse, fine = entry.drive(n_intervals, rows)
     n_samples, m = len(drive), fine.shape[1]
     dx = tau / n_intervals
     orders = [_series_order(x) for x in np.abs(offsets) * ((m - 1) * dx)]
@@ -539,6 +521,7 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
     for col, (order, shift) in enumerate(zip(orders, shifts)):
         terms = np.multiply.outer(coeffs[col, :order], shift)  # a_p e^{i delta q m dx} (P_c x Q)
         endpoints[:, col] = terms.ravel() @ moments[:order].reshape(-1, len(fine))
+    endpoints *= sched.amp_scale
     return endpoints
 
 
@@ -582,12 +565,13 @@ def mode_angle_integrals(sched, omega_ks, n_intervals=DEFAULT_BETA_INTERVALS):
     from one m x m matrix shared by every mode; and two per-mode corrections
     of the cumulative Simpson rule. No modes x samples array is formed.
 
-    The drive's factors, the tables and the result come from the resident
-    kernel entry (_kernel_entry), so a second call at the same amplitude on
-    the same pattern and modes copies the d_k the first one computed.
+    The unit drive, the tables and its d_k come from the resident kernel
+    entry (_kernel_entry), and d_k grows as amp_scale^2: a second call on the
+    same pattern and modes, at any amplitude, scales the d_k the first one
+    computed.
     """
     entry, rows = _kernel_entry(sched, omega_ks)
-    return entry.angle_integrals(sched.amp_scale, n_intervals, rows).copy()
+    return sched.amp_scale**2 * entry.angle_integrals(n_intervals, rows)
 
 
 def angle_integrals(drive, detunings, tau):

@@ -8,6 +8,7 @@ from ionpulse import (
     DegeneratePair,
     InsufficientPoints,
     ModeData,
+    OptimizationProblem,
     PulseSchedule,
     RobustnessSweep,
     ShapeA,
@@ -251,6 +252,38 @@ def test_out_of_range_index_refused(chain_12, name, index):
     modes, sched = chain_12
     with pytest.raises(ValueError, match=f"index {index} outside 1..12"):
         INDEXED_CALLS[name](sched, modes, index)
+
+
+@pytest.mark.parametrize("name", INDEXED_CALLS)
+def test_non_integral_index_refused(chain_12, name):
+    # 2.5 would be truncated to 2 and read ion or mode 2's row
+    modes, sched = chain_12
+    with pytest.raises(ValueError, match="index 2.5 is not an integer"):
+        INDEXED_CALLS[name](sched, modes, 2.5)
+
+
+def test_index_selections_refuse_non_integral_entries(chain_12):
+    modes, sched = chain_12
+    with pytest.raises(ValueError, match="ion index 1.9 is not an integer"):
+        modes.pair_rows([(1.9, 3.2)])
+    with pytest.raises(ValueError, match="mode index 2.5 is not an integer"):
+        modes.rows([2.5], "mode")
+    with pytest.raises(ValueError, match="mode index 1.5 is not an integer"):
+        build_gate_report(sched, modes, 5, 6, trajectory_modes=[1.5])
+    with pytest.raises(ValueError, match="mode index 2.5 is not an integer"):
+        OptimizationProblem(base_schedule=sched, modes=modes, ion_pair=(5, 6), target_modes=(2.5, 3.7))
+    with pytest.raises(ValueError, match="ion index 2.5 is not an integer"):
+        OptimizationProblem(base_schedule=sched, modes=modes, ion_pair=(2.5, 6))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="is not an integer"):
+            modes.rows([bad])
+    # numpy integers, and floats holding whole numbers, stay indices
+    np.testing.assert_array_equal(modes.rows(np.array([2, 12], dtype=np.int32)), [1, 11])
+    np.testing.assert_array_equal(modes.pair_rows([(np.int64(1), 3.0)]), [[0, 2]])
+    problem = OptimizationProblem(base_schedule=sched, modes=modes, ion_pair=(np.int64(5), 6.0),
+                                  target_modes=np.array([2, 3]))
+    assert problem.ion_pair == (5, 6) and problem.target_modes == (2, 3)
+    assert all(type(k) is int for k in problem.ion_pair + problem.target_modes)
 
 
 PAIR_CALLS = {

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from ionpulse.cli import KEYS, main
+from ionpulse.pulse import load_schedule, save_waveform_csv
 
 SMALL_CONFIG = """
 [trap]
@@ -166,12 +167,18 @@ def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     # rerun with the same seed: byte-identical schedule
     assert run(["-c", small_config, "-o", str(out), "optimize"]) == 0
     assert (out / "schedule_A.json").read_bytes() == first
+    # the waveform is the one of the schedule the file holds
+    save_waveform_csv(load_schedule(out / "schedule_A.json"), tmp_path / "waveform.csv")
+    assert (tmp_path / "waveform.csv").read_bytes() == (out / "waveform_A.csv").read_bytes()
 
     assert run(["-c", small_config, "-o", str(out), "report"]) == 0
     report = json.loads((out / "report_A.json").read_text())
     assert report["pair"] == [5, 6]
     assert abs(report["beta_rad"]) == pytest.approx(np.pi / 4, rel=1e-6)
     assert len(report["mode_endpoint_sq"]) == 12
+    # optimize reports on the schedule its file loads back to, so report agrees exactly
+    for key in ("motional_error", "beta_rad", "omega_max_hz"):
+        assert manifest["parameters"][key] == report[key], key
 
     assert run(["-c", small_config, "-o", str(out), "sweep"]) == 0
     sweep_rows = (out / "sweep_A.csv").read_text().strip().splitlines()
@@ -205,6 +212,11 @@ def test_budget_exhausted_keeps_best_schedule(small_config, tmp_path, capsys):
     assert manifest["parameters"]["final_cost"] == min(costs)
     schedule = json.loads((out / "schedule_A.json").read_text())
     assert any(v != 0.0 for v in schedule["fm_points_hz"])
+    # the best point is kept in its saved form, so report of the file agrees exactly
+    assert run(["-c", str(path), "-o", str(out), "report"]) == 0
+    report = json.loads((out / "report_A.json").read_text())
+    for key in ("motional_error", "beta_rad", "omega_max_hz"):
+        assert manifest["parameters"][key] == report[key], key
 
 
 def test_recompute_budget_exhausted_keeps_best_schedule(tmp_path, capsys):

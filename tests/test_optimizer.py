@@ -32,8 +32,17 @@ from ionpulse import (
 )
 from ionpulse.modes import most_uniform_mode
 from ionpulse.optimizer import REFERENCE_RABI, RULE_TOL, _Objective, resolve_target_modes
-from ionpulse.trajectory import DEFAULT_TRAJECTORY_SAMPLES, mode_trajectories, phase_basis
-from ionpulse.pulse import amplitude, breakpoints, drive_frequency, fm_phase_closed_form
+from ionpulse.trajectory import DEFAULT_TRAJECTORY_SAMPLES, mode_trajectories
+from ionpulse.pulse import (
+    amplitude,
+    breakpoints,
+    drive_frequency,
+    fm_phase_closed_form,
+    load_schedule,
+    phase_basis,
+    save_schedule,
+    saved_form,
+)
 from ionpulse.quadrature import cumulative_simpson, gauss_legendre_panels, simpson
 
 from conftest import DEFAULT_PAIR, cold, make_problem, traced_peak
@@ -402,20 +411,42 @@ def test_gate_report_evaluates_the_angle_once(mode_data, base_schedule_a, monkey
     assert report.omega_max == calibrate_power(base_schedule_a, mode_data, *DEFAULT_PAIR)
 
 
+def test_one_calibration_rule_for_a_pair_and_a_map():
+    # calibrate_power and the power map share calibrated_amplitudes: amp sqrt((pi/4) / |beta|)
+    # per angle, bitwise the scalar rule, and NaN below DEGENERATE_BETA
+    from ionpulse.optimizer import DEGENERATE_BETA, _calibrated_amplitude, calibrated_amplitudes
+
+    rng = np.random.default_rng(31)
+    amp = 2 * np.pi * rng.uniform(1e3, 1e6)
+    betas = np.concatenate([rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.integers(-11, 1, 200),
+                            [0.0, -0.5 * DEGENERATE_BETA, DEGENERATE_BETA]])
+    omega_max, degenerate = calibrated_amplitudes(amp, betas)
+    np.testing.assert_array_equal(degenerate, np.abs(betas) < DEGENERATE_BETA)
+    assert np.isnan(omega_max[degenerate]).all()
+    sched = PulseSchedule(gate_time=500e-6, amp_shape=ShapeA(), amp_scale=amp, mu_ref=2 * np.pi * 2.7e6)
+    for beta, omega, flat in zip(betas, omega_max, degenerate):
+        if flat:
+            with pytest.raises(DegeneratePair):
+                _calibrated_amplitude(sched, float(beta), 1, 2)
+        else:
+            scalar = float(amp * np.sqrt((np.pi / 4.0) / abs(float(beta))))
+            assert _calibrated_amplitude(sched, float(beta), 1, 2) == scalar == omega
+
+
 def test_gate_report_builds_its_drive_once(mode_data, optimized_a, monkeypatch):
-    # e^{i fm_phase} on the 20,001-sample grid feeds both the calibrated gate-end
+    # the unit drive on the 20,001-sample grid feeds both the calibrated gate-end
     # errors and the trajectories; the angle takes its own 2,001-sample grid. A
     # report for another pair of the same schedule builds neither again
     import ionpulse.trajectory as traj
 
     grids = []
-    real = traj.fm_phase
+    real = traj.fm_phase_closed_form
 
-    def counted(sched, t):
+    def counted(t, sched):
         grids.append(len(t))
-        return real(sched, t)
+        return real(t, sched)
 
-    monkeypatch.setattr(traj, "fm_phase", counted)
+    monkeypatch.setattr(traj, "fm_phase_closed_form", counted)
     monkeypatch.setattr(traj, "_entry", None)
     report = build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR)
     assert len(report.trajectories) == mode_data.n_modes
@@ -427,19 +458,19 @@ def test_gate_report_builds_its_drive_once(mode_data, optimized_a, monkeypatch):
 def test_phase_basis_built_once_per_optimize(mode_data, base_schedule_a, monkeypatch):
     # only the optimizer's objective needs the basis, once per panel rule: on the
     # default chain, the first rule and the doubled rule of its checks (no start
-    # needs a refinement there). Every evaluation path takes fm_phase
+    # needs a refinement there). Every evaluation path takes the closed form itself
     import ionpulse.optimizer as opt
-    import ionpulse.trajectory as traj
+    import ionpulse.pulse as pulse
     from ionpulse.analysis import offset_sweep, power_map
 
     calls = []
-    real = traj.phase_basis
+    real = pulse.phase_basis
 
     def counted(*args, **kwargs):
         calls.append(args[0].n_oscillations)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(traj, "phase_basis", counted)
+    monkeypatch.setattr(pulse, "phase_basis", counted)
     monkeypatch.setattr(opt, "phase_basis", counted)
     problem = OptimizationProblem(
         base_schedule=base_schedule_a, modes=mode_data, ion_pair=DEFAULT_PAIR,
@@ -556,9 +587,26 @@ def test_later_start_compared_on_the_refined_rule(ci_modes, monkeypatch):
     assert len(ends) > 2  # the second start was refined
     accepted = _Objective(problem, rule_sub_panels(problem, rule["nodes"]))
     flat, jittered = accepted.cost(ends[0]), accepted.cost(ends[-1])
-    assert accepted.cost(sched.fm_points) == min(flat, jittered)
+    winner = ends[-1] if jittered < flat else ends[0]
+    # optimize returns the winner in its saved form, an ulp or so from the point itself
+    expected = saved_form(replace(problem.base_schedule, fm_points=winner))
+    np.testing.assert_array_equal(sched.fm_points, expected.fm_points)
     assert rule["cost"] == pytest.approx(min(flat, jittered), rel=1e-12, abs=0.0)
     assert rule["gap"] <= RULE_TOL
+
+
+def test_optimized_schedule_is_its_saved_form(ci_modes, tmp_path):
+    # the schedule optimize returns is the one its file loads back to, bit for bit, so a
+    # report of either agrees exactly, and saving it again writes the same bytes
+    sched = optimize(ci_problem(ci_modes, ShapeB()))
+    path = tmp_path / "schedule.json"
+    save_schedule(sched, path)
+    loaded = load_schedule(path)
+    for name in ("amp_scale", "mu_ref", "fm_points"):
+        assert np.asarray(getattr(loaded, name)).tobytes() == np.asarray(getattr(sched, name)).tobytes()
+    saved = path.read_bytes()
+    save_schedule(loaded, path)
+    assert path.read_bytes() == saved
 
 
 @pytest.mark.parametrize("shape", [ShapeA(), ShapeB()])

@@ -295,6 +295,35 @@ def test_schedule_roundtrip(tmp_path):
         assert loaded.mu_ref == pytest.approx(sched.mu_ref, rel=1e-15)
 
 
+def test_saved_form_is_what_the_file_loads(tmp_path):
+    # the Hz round trip moves a float by an ulp when its mantissa lies above about 1.57
+    # (2 pi 100 kHz and 2 pi 2.7 MHz stay): random turning points, mu_ref and amp_scale,
+    # in their saved form, load back bit for bit and save to the bytes the original saves to
+    from ionpulse.pulse import load_schedule, save_schedule, saved_form
+
+    rng = np.random.default_rng(29)
+    moved = 0
+    for shape in (ShapeA(), ShapeB(step_levels=(0.4, 1.0, 0.4), ramp_fraction=0.13)):
+        for _ in range(20):
+            sched = PulseSchedule(
+                gate_time=TAU, amp_shape=shape, amp_scale=2 * np.pi * rng.uniform(1e3, 1e6),
+                mu_ref=2 * np.pi * rng.uniform(1e6, 1e7), fm_points=rng.uniform(-6e4, 6e4, 8),
+            )
+            saved = saved_form(sched)
+            values = [saved.amp_scale, saved.mu_ref, *saved.fm_points]
+            moved += sum(a != b for a, b in zip(values, [sched.amp_scale, sched.mu_ref, *sched.fm_points]))
+            path = tmp_path / "sched.json"
+            save_schedule(sched, path)
+            original = path.read_bytes()
+            loaded = load_schedule(path)
+            assert loaded.amp_shape == saved.amp_shape and loaded.gate_time == saved.gate_time
+            assert np.array([loaded.amp_scale, loaded.mu_ref, *loaded.fm_points]).tobytes() == \
+                np.array(values).tobytes()
+            save_schedule(saved, path)
+            assert path.read_bytes() == original
+    assert moved >= 20  # 41 of the 400 values move
+
+
 def test_waveform_csv(tmp_path):
     from ionpulse.pulse import save_waveform_csv
 

@@ -29,16 +29,14 @@ from ionpulse.trajectory import (
     _phasor_table,
     _phasor_tables,
     angle_integrals,
-    fm_phase,
     max_offset,
     mode_angle_integrals,
     mode_displacement_integrals,
     mode_errors,
     mode_trajectories,
-    phase_basis,
     save_trajectory_csvs,
 )
-from ionpulse.pulse import amplitude, drive_frequency, fm_phase_closed_form
+from ionpulse.pulse import amplitude, fm_phase_closed_form, phase_basis, with_amplitude
 from ionpulse.quadrature import cumulative_simpson, simpson_weights
 
 from conftest import clear_entry, cold, traced_peak
@@ -70,21 +68,18 @@ def closed_form_alpha(eta, omega, delta, t):
 def detuning_phase(sched, omega_k, n_intervals=GRID):
     """theta_k at every grid node, from the FM phase every schedule integral uses."""
     t = np.linspace(0.0, sched.gate_time, n_intervals + 1)
-    return t, (sched.mu_ref - omega_k) * t + fm_phase(sched, t)
+    return t, (sched.mu_ref - omega_k) * t + fm_phase_closed_form(t, sched)
 
 
 @pytest.mark.parametrize("samples", [2001, 20001])
-def test_fm_phase_matches_phase_basis(samples):
-    # the optimizer works on fm_points @ B, the closed-form phase; the evaluation
-    # paths integrate the running Simpson phase on their uniform grid. That rule is
-    # third order: the two were at most 6.0e-7 rad apart at 2,001 samples and 6.0e-10
-    # at 20,001 (x86-64). On any nodes, fm_points @ B is the closed form to rounding.
-    # (A single oscillation is a constant offset, whose phase grows monotonically to
-    # ~30 rad and there carries ~1e-11 rad of running-sum rounding;
-    # test_phase_constant_detuning checks constant patterns relative to their size.)
-    bound = {2001: 1.2e-6, 20001: 1.2e-9}[samples]
+def test_entry_phase_is_the_optimizers_phase(mode_data, samples):
+    # the optimizer designs on fm_points @ B, and the kernel entry's unit drive
+    # (Omega / amp_scale) e^{i fm_phase} carries that phase on every grid: a running
+    # Simpson phase was 6.0e-7 rad off at 2,001 samples and 6.0e-10 at 20,001
+    # (x86-64). On any nodes, fm_points @ B is the closed form to rounding
     rng = np.random.default_rng(samples)
     nodes = np.sort(rng.uniform(0.0, TAU, 500))
+    t = np.linspace(0.0, TAU, samples)
     for n_osc in (2, 3, 8):
         for _ in range(3):
             fm = rng.uniform(-2 * np.pi * 10e3, 2 * np.pi * 10e3, n_osc)
@@ -92,10 +87,13 @@ def test_fm_phase_matches_phase_basis(samples):
                 gate_time=TAU, amp_shape=ShapeA(), amp_scale=2 * np.pi * 100e3,
                 mu_ref=MU0, fm_points=fm, n_oscillations=n_osc,
             )
-            t = np.linspace(0.0, TAU, samples)
-            np.testing.assert_allclose(
-                fm_phase(sched, t), fm @ phase_basis(sched, t), rtol=0.0, atol=bound
-            )
+            mode_angle_integrals(sched, mode_data.frequencies, samples - 1)
+            drive, _, _ = trajectory._entry.drive(samples - 1, slice(None))
+            envelope = amplitude(t, with_amplitude(sched, 1.0))
+            np.testing.assert_allclose(np.abs(drive), envelope, rtol=1e-15, atol=0.0)
+            lit = envelope > 0.0  # shape A is off at both ends
+            turn = drive[lit] * np.exp(-1j * (fm @ phase_basis(sched, t[lit])))
+            assert np.abs(np.angle(turn)).max() <= 1e-13
             np.testing.assert_allclose(
                 fm @ phase_basis(sched, nodes), fm_phase_closed_form(nodes, sched),
                 rtol=0.0, atol=1e-13,
@@ -203,16 +201,6 @@ def test_phase_starts_at_zero():
     rng = np.random.default_rng(3)
     sched = schedule(fm=rng.uniform(-2 * np.pi * 2e3, 2 * np.pi * 2e3, 8))
     assert detuning_phase(sched, MU0)[1][0] == 0.0
-
-
-def test_phase_grid_self_convergence():
-    rng = np.random.default_rng(2)
-    fm = rng.uniform(-2 * np.pi * 2e3, 2 * np.pi * 2e3, 8)
-    sched = schedule(fm=fm)
-    omega_k = MU0 - 2 * np.pi * 13e3
-    coarse = detuning_phase(sched, omega_k, n_intervals=GRID)[1][-1]
-    fine = detuning_phase(sched, omega_k, n_intervals=2 * GRID)[1][-1]
-    assert abs(fine - coarse) < 1e-10
 
 
 def test_phase_matches_analytic_arc_integral():
@@ -340,23 +328,38 @@ def test_beta_grid_self_convergence(mode_data):
     assert fine == pytest.approx(coarse, rel=5e-4)
 
 
+def sampled_angle(omega, theta, dx):
+    """entangling_angle_sampled's quadrature, with eta_i eta_j = 1/2, on the phase theta
+    itself rather than on the running Simpson integral of a detuning."""
+    g = omega * np.exp(1j * theta)
+    return float(np.imag((g * np.conj(cumulative_simpson(g, dx))) @ simpson_weights(len(g), dx)))
+
+
+def test_sampled_angle_is_the_oracles_quadrature():
+    omega_s, delta_s, dx, _ = constant_profiles(2 * np.pi * 100e3, 2 * np.pi * 6e3, n=2000)
+    expected = entangling_angle_sampled(omega_s, delta_s, dx, 1.0, 0.5)
+    assert sampled_angle(omega_s, cumulative_simpson(delta_s, dx), dx) == expected
+
+
 # m = isqrt(N + 1) fine entries: N = 2 has m = 1, and 5, 1001, 2001 and 2003
 # samples leave a partial, zero-padded last block
 @pytest.mark.parametrize("n_intervals", [2, 4, 1000, 2000, 2002])
 def test_mode_angle_integrals_match_sampled_angle(mode_data, n_intervals):
-    # entangling_angle_sampled is the per-mode oracle: with eta_i * eta_j = 1/2 it returns d_k
+    # the per-mode oracle on theta_k = (mu_ref - omega_k) t + fm_phase, the phase the
+    # kernel takes, returns d_k
     for sched in (schedule(), random_fm_schedule(8)):
         t = np.linspace(0.0, TAU, n_intervals + 1)
-        omega, mu = amplitude(t, sched), drive_frequency(t, sched)
+        omega = amplitude(t, sched)
         floor = 0.0
         if n_intervals <= 4:
             # d_k is a handful of terms of up to (int |Omega|)^2 each, whose phases
-            # of ~5e3 rad carry ~1e-12 rad of rounding in the oracle's own Simpson
+            # of ~5e3 rad carry ~1e-12 rad of rounding in the oracle's float64
             # phase; on 2 intervals shape A makes every d_k zero
             floor = 1e-13 * (simpson_weights(len(t), t[1]) @ omega) ** 2
         got = mode_angle_integrals(sched, mode_data.frequencies, n_intervals=n_intervals)
         for k, omega_k in enumerate(mode_data.frequencies):
-            expected = entangling_angle_sampled(omega, mu - omega_k, t[1] - t[0], 1.0, 0.5)
+            _, theta = detuning_phase(sched, omega_k, n_intervals)
+            expected = sampled_angle(omega, theta, t[1] - t[0])
             assert got[k] == pytest.approx(expected, rel=1e-12, abs=floor)
 
 
@@ -381,10 +384,10 @@ def test_angle_integrals_of_a_drive_on_at_the_start(n_intervals):
 
 def test_angle_integrals_form_no_modes_x_samples_array(mode_data):
     # a modes x samples array of 50 x 2001 reals alone takes 0.8 MB. The kernel is
-    # called directly: mode_angle_integrals would copy the d_k its warm-up call kept
+    # called directly: mode_angle_integrals would scale the d_k its warm-up call kept
     sched = random_fm_schedule(8)
     t = np.linspace(0.0, TAU, 2001)
-    drive = np.exp(1j * fm_phase(sched, t)) * amplitude(t, sched)
+    drive = np.exp(1j * fm_phase_closed_form(t, sched)) * amplitude(t, sched)
     detunings = sched.mu_ref - mode_data.frequencies
     _, peak = traced_peak(lambda: angle_integrals(drive, detunings, TAU))
     assert peak < mode_data.n_modes * 2001 * 8
@@ -413,15 +416,15 @@ def test_motional_error_matches_trajectory_sum(mode_data):
 def long_double_motional_error(sched, modes, ion_i, ion_j, n_intervals=GRID):
     """motional_error's quadrature with every phase, sine, cosine and sum in long double.
 
-    The weighted envelope w * Omega and fm_phase (tens of rad at most) are the
-    float64 values the kernel uses; the linear phase (mu_ref - omega_k) t_n,
-    thousands of rad, is taken at t_n = n tau / N exactly.
+    The weighted envelope w * Omega and the closed-form fm_phase (tens of rad
+    at most) are the float64 values the kernel uses; the linear phase
+    (mu_ref - omega_k) t_n, thousands of rad, is taken at t_n = n tau / N exactly.
     """
     ld = np.longdouble
     t = np.linspace(0.0, sched.gate_time, n_intervals + 1)
     t_exact = np.arange(n_intervals + 1, dtype=ld) * (ld(sched.gate_time) / n_intervals)
     envelope = (simpson_weights(len(t), t[1] - t[0]) * amplitude(t, sched)).astype(ld)
-    phi = fm_phase(sched, t).astype(ld)
+    phi = fm_phase_closed_form(t, sched).astype(ld)
     total = ld(0.0)
     for k, omega_k in enumerate(modes.frequencies):
         theta = (ld(sched.mu_ref) - ld(omega_k)) * t_exact + phi
@@ -472,7 +475,7 @@ def test_displacement_blocks_match_materialized_exponential(mode_data, n_interva
     got = mode_displacement_integrals(sched, omegas, n_intervals, offsets)
     t = np.linspace(0.0, TAU, n_intervals + 1)
     envelope = simpson_weights(len(t), t[1] - t[0]) * amplitude(t, sched)
-    phi = fm_phase(sched, t)
+    phi = fm_phase_closed_form(t, sched)
     for col, offset in enumerate(offsets):
         theta = np.multiply.outer(sched.mu_ref + offset - omegas, t) + phi
         expected = np.exp(1j * theta) @ envelope
@@ -503,7 +506,7 @@ def test_sweep_columns_form_no_modes_x_samples_array(mode_data, optimized_a):
 
 
 def test_mode_trajectories_allocate_what_they_store(mode_data, optimized_a):
-    # the warm-up call fills the kernel entry (0.71 MB on this grid), so this is the
+    # the warm-up call fills the kernel entry (0.55 MB on this grid), so this is the
     # call's own scratch beyond the records it returns
     labels = range(1, mode_data.n_modes + 1)
     trajs, peak = traced_peak(lambda: mode_trajectories(
@@ -517,7 +520,7 @@ def full_grid_trajectories(sched, omegas, etas):
     """alpha_k at every grid sample: each mode's phasors multiplied out over the grid
     times the drive Omega e^{i fm_phase}, then cumulative Simpson on the whole grid."""
     t = np.linspace(0.0, sched.gate_time, GRID + 1)
-    drive = np.exp(1j * fm_phase(sched, t)) * amplitude(t, sched)
+    drive = np.exp(1j * fm_phase_closed_form(t, sched)) * amplitude(t, sched)
     phasors = _phasors(sched.mu_ref - np.asarray(omegas), sched.gate_time, GRID)
     dx = t[1] - t[0]
     return t, [eta * cumulative_simpson(row * drive, dx) for eta, row in zip(etas, phasors)]
@@ -719,10 +722,11 @@ def test_kernel_entry_changes_no_byte(mode_data, optimized_a):
     # everything itself, as every call did before the entry was kept
     clear_entry()
     shared = analysis_bytes(optimized_a, mode_data)
-    # and the drive is the product amplitude() takes
+    # and the kept unit drive is the relative envelope times the closed-form phasor
     t = np.linspace(0.0, optimized_a.gate_time, DEFAULT_BETA_INTERVALS + 1)
-    drive = np.exp(1j * fm_phase(optimized_a, t)) * amplitude(t, optimized_a)
-    kept, _, _ = trajectory._entry.drive(optimized_a.amp_scale, DEFAULT_BETA_INTERVALS, slice(None))
+    unit = with_amplitude(optimized_a, 1.0)
+    drive = amplitude(t, unit) * np.exp(1j * fm_phase_closed_form(t, unit))
+    kept, _, _ = trajectory._entry.drive(DEFAULT_BETA_INTERVALS, slice(None))
     assert kept.tobytes() == drive.tobytes()
     assert analysis_bytes(optimized_a, mode_data) == shared  # warm from the start
     assert analysis_bytes(optimized_a, mode_data, before_each=clear_entry) == shared
@@ -783,12 +787,34 @@ def test_kernel_entry_is_read_only(mode_data, optimized_a):
     build_gate_report(optimized_a, mode_data, 25, 26, alpha_intervals=4000)
     entry = trajectory._entry
     arrays = [entry.frequencies, entry.angles[1], *(arr for grid in entry.grids.values() for arr in grid)]
-    assert len(arrays) == 2 + 2 * 4
+    assert len(arrays) == 2 + 2 * 3  # per grid: the unit drive and the coarse and fine tables
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # callers get their own d_k
+    # callers get their own d_k, the unit drive's scaled by amp_scale^2
     d = mode_angle_integrals(optimized_a, mode_data.frequencies)
     d[:] = 0.0
-    assert np.all(mode_angle_integrals(optimized_a, mode_data.frequencies) == entry.angles[1])
+    scaled = optimized_a.amp_scale**2 * entry.angles[1]
+    assert np.all(mode_angle_integrals(optimized_a, mode_data.frequencies) == scaled)
+
+
+def test_power_map_at_another_amplitude_reuses_the_reports_angles(mode_data, optimized_a, monkeypatch):
+    # the entry keeps the unit drive's d_k, and every amplitude scales it: a power map
+    # at twice the amplitude after a report builds no new d_k, and gives the bytes it
+    # gives on a cleared entry
+    builds = []
+    real = trajectory._angle_sums
+
+    def counted(*args):
+        builds.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(trajectory, "_angle_sums", counted)
+    clear_entry()
+    build_gate_report(optimized_a, mode_data, 25, 26, include_trajectories=False)
+    assert builds == [DEFAULT_BETA_INTERVALS + 1]
+    doubled = replace(optimized_a, amp_scale=2 * optimized_a.amp_scale)
+    warm = power_map(doubled, mode_data).omega_max
+    assert builds == [DEFAULT_BETA_INTERVALS + 1]
+    assert warm.tobytes() == cold(lambda: power_map(doubled, mode_data))().omega_max.tobytes()
