@@ -4,7 +4,8 @@
     python3 bench/record.py --label panel [--seeds 10] [--seconds 20] [--base DIR]
 
 Each run is `python3 perfbench/run.py --workload W --seed S --seconds T`,
-started in the tree it measures; this script only reads the run's output
+started in the tree it measures, with -B when this script runs without writing
+bytecode (the facts record which); this script only reads the run's output
 (its "round(s)" line, the facts line and the final JSON line). Per workload
 the record keeps every run, and the median and interquartile range of
 wall_s, setup_s, peak_rss_mb and gate_error, with the failed and attempted
@@ -41,8 +42,10 @@ def parse_args(argv=None):
 
 def perfbench(tree, argv):
     """The stdout lines of one perfbench run in `tree`; exits when the run fails."""
+    # -B passes this interpreter's bytecode setting on, so the facts' value holds for every run
+    bytecode = ["-B"] if sys.flags.dont_write_bytecode else []
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", *argv], cwd=tree,
+        [sys.executable, *bytecode, "perfbench/run.py", *argv], cwd=tree,
         capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.splitlines()
@@ -125,7 +128,8 @@ def record(label, tree, argv_of, seeds, facts, workloads, traces):
         "tree": describe(tree),
         "argv": argv_of("WORKLOAD", "SEED"),
         "seeds": seeds,
-        "facts": facts,
+        # writing and reading .pyc files moves each interpreter start, and so setup_s, by ~33 ms
+        "facts": {**facts, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
         "workloads": {name: {**summarize(runs), "trace": traces[name]} for name, runs in workloads.items()},
     }
 

@@ -7,18 +7,25 @@ import itertools
 import json
 import os
 
+import numpy as np
 
-def write_text(path, chunks):
-    """Write the strings in chunks to path through <path>.tmp and a rename."""
+
+def _write(path, fill, binary=False):
+    """Call fill(fh) on <path>.tmp, opened for writing, then rename it over path."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.writelines(chunks)
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="") as fh:
+            fill(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_text(path, chunks):
+    """Write the strings in chunks to path through <path>.tmp and a rename."""
+    _write(path, lambda fh: fh.writelines(chunks))
 
 
 def write_json(path, payload):
@@ -33,3 +40,13 @@ def write_csv(path, header, rows):
     reprs never need quoting: pass .tolist() values, not numpy scalars."""
     lines = (",".join(map(repr, row)) + "\r\n" for row in rows)
     write_text(path, itertools.chain([",".join(header) + "\r\n"], lines))
+
+
+def write_npz(path, **arrays):
+    """The arrays as an uncompressed np.savez archive, one <name>.npy member each.
+
+    The values are stored exactly, and np.load(path, allow_pickle=False) reads
+    them: an object array, which would need a pickle, raises ValueError. np.savez
+    stamps every member 1980-01-01, so equal arrays give equal bytes. It is handed
+    the open temp file, since it would append ".npz" to a name."""
+    _write(path, lambda fh: np.savez(fh, allow_pickle=False, **arrays), binary=True)

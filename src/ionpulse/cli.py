@@ -2,8 +2,9 @@
 
 Wires a structured key-value config file (INI sections: trap, pulse,
 optimize, analysis, output) to the pipeline and emits plot-ready CSV/JSON
-artifacts plus a manifest per command. All frequencies at this interface are
-ordinary frequencies in Hz; the library converts to rad/s internally.
+artifacts, one .npz of the report's trajectories per shape, and a manifest per
+command. All frequencies at this interface are ordinary frequencies in Hz; the
+library converts to rad/s internally.
 
 Subcommands: crystal, modes, optimize, report, sweep, powermap. One table,
 _STAGES, declares each: its command, the stages whose files it loads, the ion
@@ -21,6 +22,7 @@ environment variable, [output] dir config key, ./ionpulse_out.
 import argparse
 import configparser
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -79,7 +81,7 @@ from .pulse import (
     saved_form,
     with_amplitude,
 )
-from .trajectory import DEFAULT_TRAJECTORY_SAMPLES, max_offset, save_trajectory_csvs
+from .trajectory import DEFAULT_TRAJECTORY_SAMPLES, max_offset, save_trajectories
 
 EXIT_ERROR = 2
 EXIT_MISSING_PREREQ = 3
@@ -489,11 +491,9 @@ def cmd_report(cfg, out_dir, schedule, modes):
         trajectory_samples=cfg.trajectory_samples,
     )
     t1 = time.perf_counter()
-    outputs = [
-        os.path.join(out_dir, f"trajectory_mode_{traj.mode:02d}_{cfg.shape_kind}.csv")
-        for traj in report.trajectories
-    ]
-    save_trajectory_csvs(report.trajectories, outputs)
+    # written under every selection, `none` included, so no earlier run's file outlives it
+    trajectories_path = os.path.join(out_dir, f"trajectories_{cfg.shape_kind}.npz")
+    save_trajectories(report.trajectories, trajectories_path)
 
     report_path = os.path.join(out_dir, f"report_{cfg.shape_kind}.json")
     omega_max_hz = report.omega_max / (2 * np.pi)
@@ -504,12 +504,11 @@ def cmd_report(cfg, out_dir, schedule, modes):
         "omega_max_hz": omega_max_hz,
         "mode_endpoint_sq": list(report.mode_errors),
     })
-    outputs.append(report_path)
     return StageResult(
         f"report[{cfg.shape_kind}]: pair ({cfg.ion_i},{cfg.ion_j}) "
         f"beta {report.beta:+.6f} rad, motional error {report.motional_error:.3e}, "
         f"omega_max {omega_max_hz / 1e3:.1f} kHz",
-        outputs,
+        [trajectories_path, report_path],
         {
             "shape": cfg.shape_kind,
             "pair": [cfg.ion_i, cfg.ion_j],
@@ -645,7 +644,9 @@ def run_stage(name, cfg, out_dir, recompute):
     return 0
 
 
+@functools.cache
 def build_parser():
+    # built once per process: parse_args makes a new namespace on every call
     parser = argparse.ArgumentParser(
         prog="ionpulse",
         description="Ion chain modeling and FM entangling-pulse synthesis",

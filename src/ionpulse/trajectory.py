@@ -13,8 +13,10 @@ summed by blocks, so the cost stays near linear without changing the
 quadrature).
 A stored trajectory keeps only the rows a report writes (2,001 by default),
 and only those rows of its running integral on the 20,000-interval grid are
-computed. (The optimizer's objective takes its one integral on
-Gauss-Legendre panels instead; see the optimizer module.)
+computed. A report writes every traced mode's rows to one binary file
+(save_trajectories), each float64 exactly as computed. (The optimizer's
+objective takes its one integral on Gauss-Legendre panels instead; see the
+optimizer module.)
 
 Every integral here takes theta_k = (mu_ref + offset - omega_k) t + fm_phase
 from one FM phase, fm_phase = int (mu - mu_ref) dt in its closed form
@@ -80,14 +82,14 @@ Analyses in one process, such as library calls or a --recompute chain,
 reuse it; separate CLI invocations do not.
 """
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import write_text
+from .artifacts import write_npz
 from .pulse import amplitude, fm_phase_closed_form, with_amplitude
 from .quadrature import cumulative_simpson, simpson, simpson_weights
 
@@ -134,8 +136,8 @@ class GateReport:
     both addressed ions' couplings, also at the calibrated amplitude, and
     mode_errors holds its per-mode terms (they sum to it). trajectories holds
     one record (times and alpha_k(t)) per traced mode, weighted with the first
-    ion's Lamb-Dicke factor, at the rows its CSV writes (see
-    mode_trajectories' samples).
+    ion's Lamb-Dicke factor, at the rows its trajectory file holds (see
+    mode_trajectories' samples and save_trajectories).
     """
 
     pair: tuple
@@ -639,18 +641,23 @@ def entangling_angle(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERV
     return 2.0 * float(np.sum(coupling * d))
 
 
-def save_trajectory_csvs(trajectories, csv_paths):
-    """One CSV (t_s, alpha_re, alpha_im) per trajectory and path, a row per stored
-    sample (mode_trajectories' samples), in write_csv's bytes. The time column of
-    a grid that consecutive trajectories share (those of one mode_trajectories
-    call do) is formatted once."""
-    times = stamps = None
-    for traj, csv_path in zip(trajectories, csv_paths, strict=True):
-        if traj.times is not times:
-            times = traj.times
-            stamps = [f"{t!r}," for t in times.tolist()]
-        # line by line: a joined string would sit on top of the report's trajectories
-        write_text(csv_path, itertools.chain(["t_s,alpha_re,alpha_im\r\n"], (
-            f"{t}{re!r},{im!r}\r\n"
-            for t, re, im in zip(stamps, traj.alpha.real.tolist(), traj.alpha.imag.tolist())
-        )))
+def save_trajectories(trajectories, path):
+    """The trajectories as one .npz file (artifacts.write_npz): t_s (rows,), their
+    shared times; alpha (modes x rows, complex128), a row per trajectory; and mode
+    (modes,), its 1-based int64 labels. No trajectory gives t_s (0,), alpha (0, 0)
+    and mode (0,). ValueError refuses trajectories on different time grids and a
+    label that is not an integer."""
+    times = trajectories[0].times if trajectories else np.empty(0)
+    labels = []
+    for traj in trajectories:
+        if not np.array_equal(traj.times, times):
+            raise ValueError(f"trajectory of mode {traj.mode!r} lies on another time grid "
+                             f"than that of mode {trajectories[0].mode!r}")
+        try:
+            labels.append(operator.index(traj.mode))
+        except TypeError:
+            raise ValueError(f"trajectory mode {traj.mode!r} is not an integer") from None
+    alpha = np.empty((len(trajectories), len(times)), dtype=complex)
+    for row, traj in zip(alpha, trajectories):
+        row[:] = traj.alpha
+    write_npz(path, t_s=times, alpha=alpha, mode=np.array(labels, dtype=np.int64))

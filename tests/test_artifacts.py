@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ionpulse.analysis import PowerMap, save_power_map_csv
-from ionpulse.artifacts import write_csv
+from ionpulse.artifacts import write_csv, write_npz
 
 
 class StoppedPartway(Exception):
@@ -68,3 +68,25 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     for i, x, y in rows:
         writer.writerow([i, repr(float(x)), repr(float(y))])
     assert (tmp_path / "a.csv").read_bytes() == reference.getvalue().encode()
+
+
+def test_failed_npz_write_keeps_the_previous_file(tmp_path):
+    # an object array would need a pickle, so it is refused after t_s is written
+    path = tmp_path / "trajectories_A.npz"
+    write_npz(path, t_s=np.linspace(0.0, 1.0, 5))
+    previous = path.read_bytes()
+    with pytest.raises(ValueError, match="allow_pickle"):
+        write_npz(path, t_s=np.arange(3.0), alpha=np.array([None, 1.0], dtype=object))
+    assert path.read_bytes() == previous
+    assert os.listdir(tmp_path) == ["trajectories_A.npz"]
+
+
+def test_npz_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch):
+    arrays = {"t_s": np.array([-0.0, 5e-324, 1e300]), "mode": np.arange(1, 4)}
+    write_npz(tmp_path / "now.npz", **arrays)
+    monkeypatch.setattr("time.time", lambda: 2e9)
+    write_npz(tmp_path / "later.npz", **arrays)
+    assert (tmp_path / "now.npz").read_bytes() == (tmp_path / "later.npz").read_bytes()
+    with np.load(tmp_path / "later.npz", allow_pickle=False) as data:
+        assert {name: data[name].tobytes() for name in data} == {
+            name: value.tobytes() for name, value in arrays.items()}

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionpulse.cli import KEYS, main
+from ionpulse.cli import KEYS, build_parser, main
 from ionpulse.pulse import load_schedule, save_waveform_csv
 
 SMALL_CONFIG = """
@@ -190,12 +190,14 @@ def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     assert map_rows[0] == "ion_i,ion_j,omega_max_hz"
     assert len(map_rows) == 1 + 12 * 11 // 2
 
-    # every file keeps the bytes of the writer it had before, and none is left half-written
+    # every text file keeps the bytes of the writer it had before, and none is left half-written
     written = sorted(out.iterdir())
     assert not [path for path in written if path.suffix == ".tmp"]
-    assert {path.suffix for path in written} == {".csv", ".json"}
+    assert {path.suffix for path in written} == {".csv", ".json", ".npz"}
+    assert [path.name for path in written if path.suffix == ".npz"] == ["trajectories_A.npz"]
     for path in written:
-        assert path.read_bytes() == reencoded(path), path.name
+        if path.suffix != ".npz":
+            assert path.read_bytes() == reencoded(path), path.name
 
 
 def test_budget_exhausted_keeps_best_schedule(small_config, tmp_path, capsys):
@@ -481,7 +483,7 @@ _STAGE_SCHEMA = {
         {"shape", "pair", "motional_error", "omega_max_hz"},
         {"report"},
         {"schedule_A.json", "modes.json"},
-        None,  # the trajectory files depend on the resolved target modes
+        ["report_A.json", "trajectories_A.npz"],
     ),
     "sweep": (
         rf"sweep\[A\]: baseline {_FLOAT}, "
@@ -518,14 +520,7 @@ def test_stage_summaries_and_manifest_schema(small_config, tmp_path, capsys):
         assert set(manifest["timings_s"]) == timings
         assert all(t >= 0 for t in manifest["timings_s"].values())
         assert set(manifest["inputs"]) == inputs
-        if outputs is not None:
-            assert manifest["outputs"] == outputs
-    report_outputs = json.loads((out / "report_manifest.json").read_text())["outputs"]
-    assert "report_A.json" in report_outputs
-    assert all(
-        name == "report_A.json" or re.fullmatch(r"trajectory_mode_\d\d_A\.csv", name)
-        for name in report_outputs
-    )
+        assert manifest["outputs"] == outputs
 
 
 def test_missing_crystal_json_exit_code(small_config, tmp_path, capsys):
@@ -606,19 +601,63 @@ def test_staged_optimize_matches_recompute(small_config, tmp_path):
     assert (staged / "schedule_A.json").read_bytes() == (direct / "schedule_A.json").read_bytes()
 
 
-def test_report_trajectories_do_not_depend_on_selection(small_config, tmp_path):
-    # report integrates only the modes it writes, each on its own
+def load_trajectories(path):
+    with np.load(path, allow_pickle=False) as data:
+        return data["t_s"], data["alpha"], data["mode"]
+
+
+def selection_config(tmp_path, selection):
+    path = tmp_path / f"{selection}.ini"
+    path.write_text(SMALL_CONFIG.replace("trajectory_modes = targets", f"trajectory_modes = {selection}"))
+    return str(path)
+
+
+def test_report_trajectories_do_not_depend_on_selection(designed_dir, tmp_path):
+    # report integrates only the modes it writes, each on its own: the target
+    # modes' rows of the `all` file are the `targets` file's, bit for bit
     out = tmp_path / "out"
-    for name in ("crystal", "modes", "optimize", "report"):
-        assert run(["-c", small_config, "-o", str(out), name]) == 0
-    targets = {p.name: p.read_bytes() for p in out.glob("trajectory_mode_*_A.csv")}
-    assert len(targets) == 10
-    every = tmp_path / "all.ini"
-    every.write_text(SMALL_CONFIG.replace("trajectory_modes = targets", "trajectory_modes = all"))
-    assert run(["-c", str(every), "-o", str(out), "report"]) == 0
-    assert len(list(out.glob("trajectory_mode_*_A.csv"))) == 12
-    for name, data in targets.items():
-        assert (out / name).read_bytes() == data
+    shutil.copytree(designed_dir, out)
+    assert run(["-c", selection_config(tmp_path, "targets"), "-o", str(out), "report"]) == 0
+    t_s, targets, modes = load_trajectories(out / "trajectories_A.npz")
+    assert len(modes) == 10
+    assert run(["-c", selection_config(tmp_path, "all"), "-o", str(out), "report"]) == 0
+    every_t_s, every, every_modes = load_trajectories(out / "trajectories_A.npz")
+    assert every_modes.tolist() == list(range(1, 13))
+    assert every_t_s.tobytes() == t_s.tobytes()
+    assert every[modes - 1].tobytes() == targets.tobytes()
+
+
+def test_report_leaves_no_stale_trajectories(designed_dir, tmp_path):
+    # each report rewrites the one trajectory file of its shape, `none` included,
+    # so every trajectory file in the directory is one its manifest lists
+    out = tmp_path / "out"
+    shutil.copytree(designed_dir, out)
+    targets = json.loads((out / "optimize_manifest.json").read_text())["parameters"]["target_modes"]
+    for selection, traced in (("all", list(range(1, 13))), ("targets", targets), ("none", [])):
+        assert run(["-c", selection_config(tmp_path, selection), "-o", str(out), "report"]) == 0
+        outputs = json.loads((out / "report_manifest.json").read_text())["outputs"]
+        files = sorted(p.name for p in out.glob("trajector*"))
+        assert files and set(files) <= set(outputs), (selection, files, outputs)
+        for name in files:
+            t_s, alpha, modes = load_trajectories(out / name)
+            assert modes.tolist() == traced, selection
+            assert (t_s.dtype, alpha.dtype, modes.dtype) == (np.float64, np.complex128, np.int64)
+            assert alpha.shape == (len(traced), len(t_s)) and bool(traced) == bool(len(t_s))
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(small_config, tmp_path):
+    # a powermap --pairs call leaves nothing behind for the next command to read
+    assert build_parser() is build_parser()
+    assert build_parser().parse_args(["powermap", "--pairs", "5"]).pairs == "5"
+    assert not hasattr(build_parser().parse_args(["report"]), "pairs")
+
+    def crystal_sha256(out):
+        assert run(["-c", small_config, "-o", str(out), "crystal"]) == 0
+        return json.loads((out / "crystal_manifest.json").read_text())["config_sha256"]
+
+    before = crystal_sha256(tmp_path / "before")
+    assert run(["-c", small_config, "-o", str(tmp_path / "map"), "powermap", "--pairs", "5"]) == 3
+    assert crystal_sha256(tmp_path / "after") == before
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])

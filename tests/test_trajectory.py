@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 import weakref
 from dataclasses import replace
@@ -34,7 +32,7 @@ from ionpulse.trajectory import (
     mode_displacement_integrals,
     mode_errors,
     mode_trajectories,
-    save_trajectory_csvs,
+    save_trajectories,
 )
 from ionpulse.pulse import amplitude, fm_phase_closed_form, phase_basis, with_amplitude
 from ionpulse.quadrature import cumulative_simpson, simpson_weights
@@ -619,63 +617,72 @@ def test_error_grid_self_convergence(mode_data, optimized_a):
         assert abs(fine - coarse) <= 0.01 * max(coarse, 1e-16)
 
 
-def test_trajectory_csv(tmp_path):
-    traj = mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [25], samples=201)[0]
-    path = tmp_path / "traj.csv"
-    save_trajectory_csvs([traj], [path])
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t_s,alpha_re,alpha_im"
-    assert len(rows) == 202
-    last = rows[-1].split(",")
-    assert float(last[0]) == pytest.approx(TAU, rel=1e-12)
-    assert float(last[1]) == pytest.approx(traj.endpoint.real, rel=1e-12)
+def load_trajectories(path):
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data.files) == ["alpha", "mode", "t_s"]
+        return data["t_s"], data["alpha"], data["mode"]
+
+
+def test_trajectory_file(tmp_path):
+    omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3])
+    trajectories = mode_trajectories(schedule(), omegas, [0.05, 0.04], [25, np.int64(7)], samples=201)
+    path = tmp_path / "trajectories_A.npz"
+    save_trajectories(trajectories, path)
+    t_s, alpha, mode = load_trajectories(path)
+    assert t_s.dtype == np.float64 and t_s.shape == (201,)
+    assert alpha.dtype == np.complex128 and alpha.shape == (2, 201)
+    assert mode.dtype == np.int64 and mode.tolist() == [25, 7]
+    assert t_s[0] == 0.0 and t_s[-1] == TAU
+    assert alpha[:, 0].tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("samples", [4, 1500, 3000])
-def test_trajectory_csv_ends_at_gate_end(tmp_path, samples):
+def test_trajectory_file_ends_at_gate_end(tmp_path, samples):
     # the rows are grid samples and the last is alpha(tau), also when
     # samples - 1 does not divide the 20,000 intervals
-    traj = mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [25], samples=samples)[0]
-    path = tmp_path / "traj.csv"
-    save_trajectory_csvs([traj], [path])
-    rows = path.read_text().strip().splitlines()[1:]
-    assert len(rows) == samples
-    t, re, im = map(float, rows[-1].split(","))
-    assert t == TAU and complex(re, im) == traj.endpoint
-
-
-def test_trajectory_csvs_match_one_file_writes(tmp_path):
-    # the shared writer formats a time grid once for consecutive trajectories on it;
-    # a trajectory on another grid in between gets its own time column
-    sched = schedule()
     omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3, 40e3])
-    shared = mode_trajectories(sched, omegas, [0.05, 0.04, 0.03], [1, 2, 3], samples=301)
-    trajectories = [
-        *shared[:2], *mode_trajectories(sched, omegas[:1], [0.05], [4], 4000, 301), shared[2],
-    ]
-    batch = [tmp_path / f"batch_{k}.csv" for k in range(len(trajectories))]
-    save_trajectory_csvs(trajectories, batch)
-    for traj, path in zip(trajectories, batch):
-        single = tmp_path / "single.csv"
-        save_trajectory_csvs([traj], [single])
-        assert path.read_bytes() == single.read_bytes()
+    trajectories = mode_trajectories(schedule(), omegas, [0.05, 0.04, 0.03], [1, 2, 3], samples=samples)
+    path = tmp_path / "trajectories_A.npz"
+    save_trajectories(trajectories, path)
+    t_s, alpha, _ = load_trajectories(path)
+    assert alpha.shape == (3, samples)
+    assert t_s[-1] == TAU
+    assert alpha[:, -1].tolist() == [traj.endpoint for traj in trajectories]
 
 
 @pytest.mark.parametrize("samples", [201, 2001, 10**6])
-def test_trajectory_csv_bytes_match_csv_writer(tmp_path, samples):
+def test_trajectory_file_round_trips_bitwise(tmp_path, samples):
+    # every stored row is kept, each float64 exactly, signed zeros and subnormals too
     traj = mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [25], samples=samples)[0]
     alpha = traj.alpha.copy()
     alpha[:4] = [complex(-0.0, 1e-300), complex(1e300, -0.0), 5e-324, -1.0 / 3.0]
     traj = Trajectory(mode=25, times=traj.times, alpha=alpha)
-    path = tmp_path / "traj.csv"
-    save_trajectory_csvs([traj], [path])
-    # the writer writes every stored row
-    reference = io.StringIO(newline="")
-    writer = csv.writer(reference)
-    writer.writerow(["t_s", "alpha_re", "alpha_im"])
-    for t, a in zip(traj.times, traj.alpha):
-        writer.writerow([repr(float(t)), repr(float(a.real)), repr(float(a.imag))])
-    assert path.read_bytes() == reference.getvalue().encode()
+    path = tmp_path / "trajectories_A.npz"
+    save_trajectories([traj], path)
+    t_s, stored, mode = load_trajectories(path)
+    assert len(t_s) == min(samples, GRID + 1)
+    assert t_s.tobytes() == traj.times.tobytes()
+    assert stored.tobytes() == traj.alpha.tobytes()
+    assert mode.tolist() == [25]
+
+
+def test_trajectory_file_refuses_mixed_grids_and_labels(tmp_path):
+    # one t_s serves every row, so a trajectory on another grid is refused, as is a
+    # label that is not an integer; equal grids from separate calls are one grid
+    sched = schedule()
+    omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3])
+    shared = mode_trajectories(sched, omegas, [0.05, 0.04], [1, 2], samples=301)
+    again = mode_trajectories(sched, omegas[:1], [0.05], [3], samples=301)
+    other = mode_trajectories(sched, omegas[:1], [0.05], [3], 4000, 301)
+    path = tmp_path / "trajectories_A.npz"
+    save_trajectories([*shared, *again], path)
+    assert load_trajectories(path)[2].tolist() == [1, 2, 3]
+    with pytest.raises(ValueError, match="another time grid"):
+        save_trajectories([*shared, *other], tmp_path / "mixed.npz")
+    for label in (None, 1.5, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            save_trajectories([shared[0], replace(shared[1], mode=label)], tmp_path / "label.npz")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectories_A.npz"]
 
 
 def test_trajectory_copies_writable_arrays():
