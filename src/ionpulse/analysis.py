@@ -30,7 +30,7 @@ class InsufficientPoints(Exception):
     """Fewer than 5 sweep points survive the fit-window selection."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobustnessSweep:
     """Gate error versus constant drive-frequency offset.
 
@@ -58,7 +58,7 @@ class RobustnessSweep:
         object.__setattr__(self, "errors", errors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerMap:
     """Symmetric matrix of calibrated peak Rabi frequencies in rad/s.
 

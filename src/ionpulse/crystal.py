@@ -88,7 +88,7 @@ class TrapConfig:
         return self.charge / self.delta_z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IonCrystal:
     """Equilibrium axial positions (sorted ascending) plus solver metadata."""
 

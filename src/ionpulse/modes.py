@@ -29,7 +29,7 @@ class StaleModesFile(ValueError):
     """A modes.json without frequencies in rad/s, written before they were stored losslessly."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeData:
     """Transverse mode frequencies, vectors and per-ion coupling strengths.
 

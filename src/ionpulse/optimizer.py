@@ -399,10 +399,10 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALP
     None; each mode is integrated on its own, so a selection holds the same
     records as the full set. Each keeps trajectory_samples rows of its
     running integral on the alpha_intervals grid (mode_trajectories' samples).
-    The angle, the errors and the trajectories all read the schedule's kernel
-    entry (trajectory._kernel_entry): the unit drive and every mode's
-    detuning tables on each grid are built once per FM pattern, and the
-    trajectories take their modes' rows of the tables the errors used.
+    The angle, the errors and the trajectories all read the trajectory
+    module's memo: the unit drive on each grid is built once per FM pattern,
+    every mode's detuning tables once per mu_ref, and the trajectories take
+    their modes' rows of the tables the errors used.
     """
     beta_ref = entangling_angle(sched, modes, ion_i, ion_j, beta_intervals)
     omega_max = _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)

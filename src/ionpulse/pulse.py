@@ -70,7 +70,7 @@ class ShapeB:
 FM_POINT_BOUND = 2 * np.pi * 10e3  # rad/s sanity cap on turning-point offsets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PulseSchedule:
     """Amplitude envelope plus FM turning-point pattern over one gate.
 
@@ -246,7 +246,7 @@ def drive_frequency(t, sched):
     return sched.mu_ref + fm_offset(t, sched)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierDecomposition:
     """Cosine series of the drive frequency over one gate.
 

@@ -67,25 +67,26 @@ Every kernel integrates the unit drive D_1 = (Omega / amp_scale)
 e^{i fm_phase} and applies the amplitude once to its small result:
 amp_scale to the displacements and the trajectories, amp_scale^2 to d_k.
 What the kernels read then depends on neither the pair nor the amplitude,
-so one kernel entry (_kernel_entry) keeps it for the most recent FM
-pattern: per grid, D_1 and the modes' detuning tables, each grid built on
-first use (a power map alone builds nothing on the 20,000-interval grid),
-and the unit drive's d_k last asked for, which serves every amplitude. It
-is keyed, bit for bit, by the turning points, the envelope shape, the gate
-time and mu_ref, and holds its modes' frequencies; its arrays are
-read-only, so every result is bitwise what a fresh build gives. The
-reports, sweep and power map of one schedule share the entry, and a
-report's trajectories take their modes' rows of its tables. Another
-pattern, or a mode it does not hold, replaces it: one entry stays resident,
-0.65 MB on the default chain (0.55 MB of it on the 20,000-interval grid).
-Analyses in one process, such as library calls or a --recompute chain,
-reuse it; separate CLI invocations do not.
+and each input is kept by what it reads, bit for bit: the unit drive
+(_unit_drive) by the envelope shape, the turning points and the gate time;
+the detuning tables (_tables) by the gate time and mu_ref - omega_k; and the
+unit drive's d_k by both. A memo (_memo) holds the last value of each kind
+on each grid size, each built on first use (a power map alone builds nothing
+on the 20,000-interval grid), and drops the old value before it builds the
+new one. Its arrays are read-only, so every result is bitwise what a fresh
+build gives. The reports, sweep and power map of one schedule share its
+values; the patterns of one mu_ref, such as shapes A and B, share the
+tables, and a report's trajectories take their modes' rows of them; the
+chains that one pattern drives, as in a trap scan, share the unit drive.
+After one schedule's analysis the memo holds 0.66 MB on the default chain
+(0.55 MB of it on the 20,000-interval grid). Analyses in one process, such
+as library calls or a --recompute chain, reuse it; separate CLI invocations
+do not.
 """
 
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -103,7 +104,7 @@ DEFAULT_TRAJECTORY_SAMPLES = 2_001
 MAX_BLOCK_PHASE = 8.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled phase-space path of one mode: times and alpha(t)."""
 
@@ -238,91 +239,58 @@ def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, 
     return Trajectory(mode=mode, times=times, alpha=alpha)
 
 
-class _PatternGrid(NamedTuple):
-    """The amplitude-free inputs of one FM pattern on the uniform grid of one size:
-    the unit drive D_1 = (Omega / amp_scale) e^{i fm_phase}, and the coarse and
-    fine tables (see _phasor_tables) of its entry's detunings mu_ref - omega_k."""
-
-    drive: np.ndarray
-    coarse: np.ndarray
-    fine: np.ndarray
-
-
 def _frozen(arr):
     arr.setflags(write=False)
     return arr
 
 
-class _KernelEntry:
-    """The grid inputs of one FM pattern and one set of modes that no amplitude or pair
-    changes (see the module docstring): a _PatternGrid per grid size, each built on
-    first use, and the unit drive's angle integrals d_k last asked for. Every array
-    is read-only; the kernels scale their results by the amplitude."""
-
-    def __init__(self, key, sched, frequencies):
-        self.key = key
-        self.pattern = with_amplitude(sched, 1.0)  # amplitude(t, pattern) is Omega / amp_scale
-        self.frequencies = _frozen(np.array(frequencies, dtype=float))
-        self.grids = {}
-        self.angles = None  # ((n_intervals, rows), d_k of the unit drive)
-
-    def rows(self, omega_ks):
-        """The index of omega_ks among the entry's modes: slice(None) for all of them in
-        order, an index array for some, None when one of them is not held."""
-        if np.array_equal(omega_ks, self.frequencies):
-            return slice(None)
-        match = omega_ks[:, None] == self.frequencies
-        return match.argmax(axis=1) if match.any(axis=1).all() else None
-
-    def grid(self, n_intervals):
-        """The _PatternGrid on the grid of n_intervals, built on first use."""
-        grid = self.grids.get(n_intervals)
-        if grid is None:
-            tau = self.pattern.gate_time
-            t, _ = _uniform_grid(tau, n_intervals)
-            coarse, fine = _phasor_tables(self.pattern.mu_ref - self.frequencies, tau, n_intervals)
-            drive = amplitude(t, self.pattern) * np.exp(1j * fm_phase_closed_form(t, self.pattern))
-            grid = self.grids[n_intervals] = _PatternGrid(*map(_frozen, (drive, coarse, fine)))
-        return grid
-
-    def drive(self, n_intervals, rows):
-        """The unit drive D_1 on the grid of n_intervals, and the tables of the modes at rows."""
-        drive, coarse, fine = self.grid(n_intervals)
-        return drive, coarse[rows], fine[rows]
-
-    def angle_integrals(self, n_intervals, rows):
-        """angle_integrals of the unit drive for the modes at rows, kept for the next
-        call on the same grid and rows, at any amplitude."""
-        key = (n_intervals, None if isinstance(rows, slice) else rows.tobytes())
-        if self.angles is None or self.angles[0] != key:
-            d = _angle_sums(*self.drive(n_intervals, rows), self.pattern.gate_time)
-            self.angles = key, _frozen(d)
-        return self.angles[1]
+_memo = {}  # (kind, n_intervals) -> (key, value): the last value of each kind on each grid
 
 
-_entry = None  # the resident _KernelEntry: one FM pattern at a time
+def _last_value(kind, n_intervals, key, build):
+    """The held value of this kind on the grid of n_intervals if its key is key, else
+    build()'s, which replaces it. The old value goes before the new one is built."""
+    slot = kind, n_intervals
+    if _memo.get(slot, (None,))[0] != key:
+        _memo.pop(slot, None)
+        _memo[slot] = key, build()
+    return _memo[slot][1]
 
 
-def _kernel_entry(sched, omega_ks):
-    """The resident _KernelEntry of the schedule's FM pattern holding the modes at
-    omega_ks, and their rows in it (see _KernelEntry.rows).
+def _drive_key(sched):
+    """What the unit drive reads: the envelope, the turning points and the gate time."""
+    return (repr(sched.amp_shape), sched.n_oscillations,
+            np.array([sched.gate_time, *sched.fm_points]).tobytes())
 
-    An entry is keyed by the turning points, the envelope shape, the gate time
-    and mu_ref, bit for bit, and holds its modes' frequencies; amp_scale is not
-    part of the key. Any other pattern, or a frequency the entry does not hold,
-    replaces it with a new entry for the schedule and omega_ks.
-    """
-    global _entry
-    omega_ks = np.asarray(omega_ks, dtype=float)
-    key = (repr(sched.amp_shape), sched.n_oscillations,
-           np.array([sched.gate_time, sched.mu_ref, *sched.fm_points]).tobytes())
-    if _entry is not None and _entry.key == key:
-        rows = _entry.rows(omega_ks)
-        if rows is not None:
-            return _entry, rows
-    _entry = None  # the old entry goes before the new one fills
-    _entry = _KernelEntry(key, sched, omega_ks)
-    return _entry, slice(None)
+
+def _unit_drive(sched, n_intervals):
+    """The unit drive D_1 = (Omega / amp_scale) e^{i fm_phase} on the grid of n_intervals."""
+    def build():
+        t, _ = _uniform_grid(sched.gate_time, n_intervals)
+        pattern = with_amplitude(sched, 1.0)  # amplitude(t, pattern) is Omega / amp_scale
+        return _frozen(amplitude(t, pattern) * np.exp(1j * fm_phase_closed_form(t, pattern)))
+    return _last_value("drive", n_intervals, _drive_key(sched), build)
+
+
+def _detunings(sched, omega_ks):
+    return sched.mu_ref - np.asarray(omega_ks, dtype=float)
+
+
+def _tables(sched, omega_ks, n_intervals):
+    """The coarse and fine _phasor_tables of the detunings mu_ref - omega_ks on the grid of
+    n_intervals. Detunings that the held tables of the same gate time all hold, bit for
+    bit, read their rows of them; any other detuning replaces the held tables."""
+    tau, detunings = sched.gate_time, _detunings(sched, omega_ks)
+    key = tau, detunings.tobytes()
+    (held_tau, held_bytes), tables = _memo.get(("tables", n_intervals), ((None, b""), None))
+    if held_tau == tau and key[1] != held_bytes:
+        match = detunings.view(np.int64)[:, None] == np.frombuffer(held_bytes, dtype=np.int64)
+        if match.any(axis=1).all():
+            rows = match.argmax(axis=1)
+            return tables[0][rows], tables[1][rows]
+    del tables  # the old tables go before the new ones are built
+    return _last_value("tables", n_intervals, key, lambda: tuple(
+        map(_frozen, _phasor_tables(detunings, tau, n_intervals))))
 
 
 def _start_terms(coarse, fine, drive):
@@ -368,7 +336,8 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
     rows go in passes of at most _ROW_PASS, so a pass's scratch stays near
     0.3 MB even when every sample is stored. A record depends only on its own
     mode's table rows, so it is bitwise the same in a call with any other
-    modes; the rows come from the resident kernel entry (_kernel_entry).
+    modes; the unit drive and the rows come from the memo (_unit_drive,
+    _tables).
     """
     if samples is not None and samples < 2:
         raise ValueError(f"a trajectory stores t = 0 and tau, so samples >= 2; got {samples}")
@@ -377,8 +346,8 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
     times = t[np.arange(count) * n_intervals // (count - 1)]
     times.setflags(write=False)
     del t  # times holds its rows; the full grid would be 160 kB of scratch through the passes
-    entry, entry_rows = _kernel_entry(sched, omega_ks)
-    drive, coarse, fine = entry.drive(n_intervals, entry_rows)
+    drive = _unit_drive(sched, n_intervals)
+    coarse, fine = _tables(sched, omega_ks, n_intervals)
     m = fine.shape[1]
     width = -(-n_intervals // (count - 1))  # the longest block
     block_q, block_r = divmod(np.arange(width), m)
@@ -488,8 +457,8 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
     bitwise what a single-offset call returns; at offset 0 it is the drive
     alone. The series sums terms up to e^x_c in size, so offsets beyond
     max_offset (x_c > MAX_BLOCK_PHASE) raise ValueError. The unit drive and
-    the tables come from the resident kernel entry (_kernel_entry), and the
-    endpoints are scaled by amp_scale at the end.
+    the tables come from the memo (_unit_drive, _tables), and the endpoints
+    are scaled by amp_scale at the end.
     """
     offsets = np.asarray(offsets, dtype=float)
     tau = sched.gate_time
@@ -499,8 +468,8 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
             f"offsets beyond {limit / (2 * np.pi):.6g} Hz leave the within-block series' "
             f"range on the grid of {n_intervals} intervals over {tau:.6g} s"
         )
-    entry, rows = _kernel_entry(sched, omega_ks)
-    drive, coarse, fine = entry.drive(n_intervals, rows)
+    drive = _unit_drive(sched, n_intervals)
+    coarse, fine = _tables(sched, omega_ks, n_intervals)
     n_samples, m = len(drive), fine.shape[1]
     dx = tau / n_intervals
     orders = [_series_order(x) for x in np.abs(offsets) * ((m - 1) * dx)]
@@ -567,13 +536,15 @@ def mode_angle_integrals(sched, omega_ks, n_intervals=DEFAULT_BETA_INTERVALS):
     from one m x m matrix shared by every mode; and two per-mode corrections
     of the cumulative Simpson rule. No modes x samples array is formed.
 
-    The unit drive, the tables and its d_k come from the resident kernel
-    entry (_kernel_entry), and d_k grows as amp_scale^2: a second call on the
-    same pattern and modes, at any amplitude, scales the d_k the first one
-    computed.
+    The unit drive, the tables and its d_k come from the memo (_unit_drive,
+    _tables, _last_value), and d_k grows as amp_scale^2: a second call on the
+    same pattern, mu_ref and modes, at any amplitude, scales the d_k the
+    first one computed.
     """
-    entry, rows = _kernel_entry(sched, omega_ks)
-    return sched.amp_scale**2 * entry.angle_integrals(n_intervals, rows)
+    key = _drive_key(sched), _detunings(sched, omega_ks).tobytes()
+    d = _last_value("angles", n_intervals, key, lambda: _frozen(_angle_sums(
+        _unit_drive(sched, n_intervals), *_tables(sched, omega_ks, n_intervals), sched.gate_time)))
+    return sched.amp_scale**2 * d
 
 
 def angle_integrals(drive, detunings, tau):

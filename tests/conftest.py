@@ -41,15 +41,15 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def clear_entry():
-    """Drop the resident trajectory kernel entry."""
-    trajectory._entry = None
+def clear_memo():
+    """Drop every value the trajectory kernels' memo holds."""
+    trajectory._memo.clear()
 
 
 def cold(fn):
-    """fn, called with the kernel entry cleared, so it builds its grid inputs itself."""
+    """fn, called with the kernels' memo cleared, so it builds its grid inputs itself."""
     def call():
-        clear_entry()
+        clear_memo()
         return fn()
     return call
 

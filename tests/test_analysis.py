@@ -21,6 +21,8 @@ from ionpulse import (
     default_offsets,
     entangling_angle,
     fit_slope,
+    fourier_decompose,
+    integrate_alpha,
     motional_error,
     offset_sweep,
     power_map,
@@ -173,10 +175,9 @@ def test_power_map_matches_calibrate_power(mode_data, optimized_a):
         )
 
 
-@pytest.fixture(scope="module")
-def chain_12():
-    """Modes of a 12-ion chain and a flat FM schedule just below its most uniform mode."""
-    cfg = TrapConfig(n_ions=12)
+def flat_chain(n_ions):
+    """Modes of an n-ion chain and a flat FM schedule just below its most uniform mode."""
+    cfg = TrapConfig(n_ions=n_ions)
     modes = solve_modes(build_transverse_matrix(solve_equilibrium(cfg), cfg), cfg)
     sched = PulseSchedule(
         gate_time=500e-6, amp_shape=ShapeA(), amp_scale=2 * np.pi * 100e3,
@@ -184,6 +185,32 @@ def chain_12():
         fm_points=np.zeros(8),
     )
     return modes, sched
+
+
+@pytest.fixture(scope="module")
+def chain_12():
+    return flat_chain(12)
+
+
+def test_flat_power_maps_of_three_chains_build_one_drive(monkeypatch):
+    # the unit drive reads the FM pattern alone, not mu_ref or the frequencies, so
+    # power maps of one flat pattern on three chains build it once, as a trap scan does
+    import ionpulse.trajectory as traj
+
+    chains = [flat_chain(n) for n in (8, 10, 12)]
+    assert len({sched.mu_ref for _, sched in chains}) == 3
+    grids = []
+    real = traj.fm_phase_closed_form
+
+    def counted(t, sched):
+        grids.append(len(t))
+        return real(t, sched)
+
+    monkeypatch.setattr(traj, "fm_phase_closed_form", counted)
+    monkeypatch.setattr(traj, "_memo", {})
+    for modes, sched in chains:
+        power_map(sched, modes)
+    assert grids == [traj.DEFAULT_BETA_INTERVALS + 1]
 
 
 def test_power_map_matches_calibrate_power_on_every_pair(chain_12):
@@ -231,6 +258,22 @@ def test_power_map_of_one_ion_is_empty(chain_12):
     pmap = power_map(sched, one)
     assert pmap.omega_max.shape == (1, 1) and np.isnan(pmap.omega_max[0, 0])
     assert pmap.degenerate_pairs == () and pmap.computed_pairs() == []
+
+
+def test_values_compare_by_identity(chain, mode_data, optimized_a):
+    # a generated __eq__ over array fields raised "truth value of an array is ambiguous"
+    # on two equal instances; these compare by identity, so == never raises
+    values = [
+        optimized_a, chain, mode_data,
+        integrate_alpha(optimized_a, 0.1, mode_data.frequencies[0], n_intervals=400),
+        power_map(optimized_a, mode_data, pairs=[(1, 2)]),
+        synthetic_sweep(2.0),
+        fourier_decompose(optimized_a, n_max=4, n_intervals=256),
+    ]
+    for value in values:
+        assert value == value
+        assert not replace(value) == value
+        assert replace(value) != value
 
 
 INDEXED_CALLS = {

@@ -32,7 +32,12 @@ from ionpulse import (
 )
 from ionpulse.modes import most_uniform_mode
 from ionpulse.optimizer import REFERENCE_RABI, RULE_TOL, _Objective, resolve_target_modes
-from ionpulse.trajectory import DEFAULT_TRAJECTORY_SAMPLES, mode_trajectories
+from ionpulse.trajectory import (
+    DEFAULT_ALPHA_INTERVALS,
+    DEFAULT_BETA_INTERVALS,
+    DEFAULT_TRAJECTORY_SAMPLES,
+    mode_trajectories,
+)
 from ionpulse.pulse import (
     amplitude,
     breakpoints,
@@ -344,7 +349,7 @@ def test_gate_report(mode_data, optimized_a):
 def test_gate_report_stores_the_written_rows(mode_data, optimized_a):
     # every mode traced on the default chain: 2,001 rows each (1.6 MB) instead
     # of the 20,001-sample grid the running integrals are taken on (16 MB). The
-    # kernel entry is cleared inside the measured call, so its grid inputs count
+    # kernels' memo is cleared inside the measured call, so its grid inputs count
     report, peak = traced_peak(cold(lambda: build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR)))
     assert len(report.trajectories) == mode_data.n_modes
     assert all(len(traj.alpha) == len(traj.times) == 2001 for traj in report.trajectories)
@@ -447,12 +452,33 @@ def test_gate_report_builds_its_drive_once(mode_data, optimized_a, monkeypatch):
         return real(t, sched)
 
     monkeypatch.setattr(traj, "fm_phase_closed_form", counted)
-    monkeypatch.setattr(traj, "_entry", None)
+    monkeypatch.setattr(traj, "_memo", {})
     report = build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR)
     assert len(report.trajectories) == mode_data.n_modes
     assert sorted(grids) == [2001, 20001]
     build_gate_report(optimized_a, mode_data, 3, 40)
     assert sorted(grids) == [2001, 20001]
+
+
+def test_gate_reports_of_two_patterns_at_one_mu_ref_build_the_tables_once(
+        mode_data, optimized_a, optimized_b, monkeypatch):
+    # the detuning tables read mu_ref - omega_k and the gate time, not the pattern:
+    # reports on schedules A and B build them once per grid
+    import ionpulse.trajectory as traj
+
+    assert optimized_a.mu_ref == optimized_b.mu_ref
+    grids = []
+    real = traj._phasor_tables
+
+    def counted(freqs, tau, n_intervals):
+        grids.append(n_intervals)
+        return real(freqs, tau, n_intervals)
+
+    monkeypatch.setattr(traj, "_phasor_tables", counted)
+    monkeypatch.setattr(traj, "_memo", {})
+    for sched in (optimized_a, optimized_b):
+        build_gate_report(sched, mode_data, *DEFAULT_PAIR)
+    assert sorted(grids) == [DEFAULT_BETA_INTERVALS, DEFAULT_ALPHA_INTERVALS]
 
 
 def test_phase_basis_built_once_per_optimize(mode_data, base_schedule_a, monkeypatch):

@@ -37,7 +37,7 @@ from ionpulse.trajectory import (
 from ionpulse.pulse import amplitude, fm_phase_closed_form, phase_basis, with_amplitude
 from ionpulse.quadrature import cumulative_simpson, simpson_weights
 
-from conftest import clear_entry, cold, traced_peak
+from conftest import clear_memo, cold, traced_peak
 
 TAU = 500e-6
 MU0 = 2 * np.pi * 2.7e6
@@ -71,7 +71,7 @@ def detuning_phase(sched, omega_k, n_intervals=GRID):
 
 @pytest.mark.parametrize("samples", [2001, 20001])
 def test_entry_phase_is_the_optimizers_phase(mode_data, samples):
-    # the optimizer designs on fm_points @ B, and the kernel entry's unit drive
+    # the optimizer designs on fm_points @ B, and the kernels' unit drive
     # (Omega / amp_scale) e^{i fm_phase} carries that phase on every grid: a running
     # Simpson phase was 6.0e-7 rad off at 2,001 samples and 6.0e-10 at 20,001
     # (x86-64). On any nodes, fm_points @ B is the closed form to rounding
@@ -85,8 +85,7 @@ def test_entry_phase_is_the_optimizers_phase(mode_data, samples):
                 gate_time=TAU, amp_shape=ShapeA(), amp_scale=2 * np.pi * 100e3,
                 mu_ref=MU0, fm_points=fm, n_oscillations=n_osc,
             )
-            mode_angle_integrals(sched, mode_data.frequencies, samples - 1)
-            drive, _, _ = trajectory._entry.drive(samples - 1, slice(None))
+            drive = trajectory._unit_drive(sched, samples - 1)
             envelope = amplitude(t, with_amplitude(sched, 1.0))
             np.testing.assert_allclose(np.abs(drive), envelope, rtol=1e-15, atol=0.0)
             lit = envelope > 0.0  # shape A is off at both ends
@@ -497,7 +496,7 @@ def test_offset_past_the_series_range_refused(mode_data, n_intervals):
 def test_sweep_columns_form_no_modes_x_samples_array(mode_data, optimized_a):
     # a 49-offset sweep of all 50 modes on 20,001 samples; the kernel rows alone
     # were 16 MB, and the padded drive plus the tables take well under 1 MB. The
-    # kernel entry is cleared inside the measured call, so the tables count
+    # kernels' memo is cleared inside the measured call, so the tables count
     offsets = [0.0, *np.geomspace(2 * np.pi * 10.0, 2 * np.pi * 2000.0, 48)]
     _, peak = traced_peak(cold(lambda: mode_errors(optimized_a, mode_data, 25, 26, offsets=offsets)))
     assert peak < 4e6
@@ -724,48 +723,58 @@ def analysis_bytes(sched, mode_data, before_each=lambda: None):
     return [arr.tobytes() for arr in out]
 
 
-def test_kernel_entry_changes_no_byte(mode_data, optimized_a):
-    # the calls of one schedule share the entry; each call on a cleared entry builds
-    # everything itself, as every call did before the entry was kept
-    clear_entry()
+def held(kind, n_intervals=DEFAULT_BETA_INTERVALS):
+    """The value of this kind that the kernels' memo holds on the grid of n_intervals."""
+    return trajectory._memo[kind, n_intervals][1]
+
+
+def test_kernel_memo_changes_no_byte(mode_data, optimized_a):
+    # the calls of one schedule share the memo's values; each call on a cleared memo
+    # builds everything itself, as every call did before the values were kept
+    clear_memo()
     shared = analysis_bytes(optimized_a, mode_data)
     # and the kept unit drive is the relative envelope times the closed-form phasor
     t = np.linspace(0.0, optimized_a.gate_time, DEFAULT_BETA_INTERVALS + 1)
     unit = with_amplitude(optimized_a, 1.0)
     drive = amplitude(t, unit) * np.exp(1j * fm_phase_closed_form(t, unit))
-    kept, _, _ = trajectory._entry.drive(DEFAULT_BETA_INTERVALS, slice(None))
-    assert kept.tobytes() == drive.tobytes()
+    assert held("drive").tobytes() == drive.tobytes()
     assert analysis_bytes(optimized_a, mode_data) == shared  # warm from the start
-    assert analysis_bytes(optimized_a, mode_data, before_each=clear_entry) == shared
+    assert analysis_bytes(optimized_a, mode_data, before_each=clear_memo) == shared
 
 
 def ulp_up(x):
     return float(np.nextafter(x, np.inf))
 
 
-def test_kernel_entry_misses_on_any_bit_of_its_key(mode_data):
+KINDS = ("drive", "tables", "angles")
+
+
+def test_kernel_memo_misses_on_any_bit_of_each_key(mode_data):
     sched = random_fm_schedule(21)
     freqs = mode_data.frequencies
     nudged_fm = sched.fm_points.copy()
     nudged_fm[3] = ulp_up(nudged_fm[3])
     nudged_freqs = freqs.copy()
     nudged_freqs[17] = ulp_up(nudged_freqs[17])
-    others = [
-        (replace(sched, mu_ref=ulp_up(sched.mu_ref)), freqs),
-        (replace(sched, fm_points=nudged_fm), freqs),
-        (replace(sched, gate_time=ulp_up(sched.gate_time)), freqs),
-        (replace(sched, amp_shape=ShapeB()), freqs),
-        (sched, nudged_freqs),
+    # each change, and the kinds whose key it reaches: the unit drive reads the
+    # pattern, the tables mu_ref - omega_k and the gate time, and d_k both
+    changes = [
+        (replace(sched, mu_ref=ulp_up(sched.mu_ref)), freqs, {"tables", "angles"}),
+        (replace(sched, fm_points=nudged_fm), freqs, {"drive", "angles"}),
+        (replace(sched, gate_time=ulp_up(sched.gate_time)), freqs, set(KINDS)),
+        (replace(sched, amp_shape=ShapeB()), freqs, {"drive", "angles"}),
+        (sched, nudged_freqs, {"tables", "angles"}),
+        (replace(sched, amp_scale=2 * sched.amp_scale), freqs, set()),
     ]
-    for other, other_freqs in others:
+    for other, other_freqs, reached in changes:
         mode_angle_integrals(sched, freqs)
-        entry = trajectory._entry
+        before = {kind: held(kind) for kind in KINDS}
         mode_angle_integrals(other, other_freqs)
-        assert trajectory._entry is not entry, (other, other_freqs[17])
-    # neither the amplitude nor a subset of the entry's modes misses, and each gives
-    # the bytes it gives on a cleared entry
+        rebuilt = {kind for kind in KINDS if held(kind) is not before[kind]}
+        assert rebuilt == reached, (other, other_freqs[17])
+    # a subset of the held modes reads the held tables, and each call gives the bytes
+    # it gives on a cleared memo
     calls = [
-        lambda: mode_angle_integrals(replace(sched, amp_scale=2 * sched.amp_scale), freqs),
         lambda: mode_angle_integrals(sched, freqs[[30, 2]]),
         lambda: mode_displacement_integrals(sched, freqs[[30, 2]], 4000, [0.0, 500.0]),
         lambda: mode_trajectories(sched, freqs[[5, 1]], [0.1, 0.2], [6, 2], 4000, 101)[1].alpha,
@@ -773,28 +782,36 @@ def test_kernel_entry_misses_on_any_bit_of_its_key(mode_data):
     for call in calls:
         mode_angle_integrals(sched, freqs)
         mode_displacement_integrals(sched, freqs, 4000)
-        entry = trajectory._entry
+        before = {slot: value for slot, (_, value) in trajectory._memo.items() if slot[0] != "angles"}
         warm = call()
-        assert trajectory._entry is entry
+        assert all(held(*slot) is value for slot, value in before.items())
         assert warm.tobytes() == cold(call)().tobytes()
 
 
-def test_kernel_entry_holds_one_pattern(mode_data):
+def test_kernel_memo_holds_one_value_per_kind_and_grid(mode_data):
     first, second = random_fm_schedule(22), random_fm_schedule(23)
+    clear_memo()
     motional_error(first, mode_data, 25, 26, n_intervals=4000)
-    entry = weakref.ref(trajectory._entry)
-    assert list(trajectory._entry.grids) == [4000]
+    assert sorted(trajectory._memo) == [("drive", 4000), ("tables", 4000)]
+    drive, tables = weakref.ref(held("drive", 4000)), held("tables", 4000)
     mode_angle_integrals(second, mode_data.frequencies)
-    assert entry() is None  # nothing else keeps the first pattern's grids
-    assert list(trajectory._entry.grids) == [DEFAULT_BETA_INTERVALS]
+    assert drive() is not None  # another grid keeps its own values
+    motional_error(second, mode_data, 25, 26, n_intervals=4000)
+    assert drive() is None  # nothing else keeps the first pattern's drive
+    assert held("tables", 4000) is tables  # the same mu_ref reads the same tables
+    assert sorted(trajectory._memo) == sorted(
+        (kind, n) for kind in KINDS for n in (4000, DEFAULT_BETA_INTERVALS)
+        if (kind, n) != ("angles", 4000)
+    )
 
 
-def test_kernel_entry_is_read_only(mode_data, optimized_a):
-    clear_entry()
+def test_kernel_memo_is_read_only(mode_data, optimized_a):
+    clear_memo()
     build_gate_report(optimized_a, mode_data, 25, 26, alpha_intervals=4000)
-    entry = trajectory._entry
-    arrays = [entry.frequencies, entry.angles[1], *(arr for grid in entry.grids.values() for arr in grid)]
-    assert len(arrays) == 2 + 2 * 3  # per grid: the unit drive and the coarse and fine tables
+    # per grid the unit drive and the coarse and fine tables, and d_k on the angle's grid
+    arrays = [held("angles"), *(arr for n in (4000, DEFAULT_BETA_INTERVALS)
+                                for arr in (held("drive", n), *held("tables", n)))]
+    assert len(trajectory._memo) == 5
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -802,14 +819,31 @@ def test_kernel_entry_is_read_only(mode_data, optimized_a):
     # callers get their own d_k, the unit drive's scaled by amp_scale^2
     d = mode_angle_integrals(optimized_a, mode_data.frequencies)
     d[:] = 0.0
-    scaled = optimized_a.amp_scale**2 * entry.angles[1]
+    scaled = optimized_a.amp_scale**2 * held("angles")
     assert np.all(mode_angle_integrals(optimized_a, mode_data.frequencies) == scaled)
 
 
+def test_integrate_alpha_loop_builds_one_drive(mode_data, monkeypatch):
+    # the unit drive reads the pattern alone, so a loop over modes builds it once
+    builds = []
+    real = trajectory.fm_phase_closed_form
+
+    def counted(t, sched):
+        builds.append(len(t))
+        return real(t, sched)
+
+    monkeypatch.setattr(trajectory, "fm_phase_closed_form", counted)
+    monkeypatch.setattr(trajectory, "_memo", {})
+    sched = random_fm_schedule(24)
+    for k in range(5):
+        integrate_alpha(sched, 0.1, mode_data.frequencies[k])
+    assert builds == [GRID + 1]
+
+
 def test_power_map_at_another_amplitude_reuses_the_reports_angles(mode_data, optimized_a, monkeypatch):
-    # the entry keeps the unit drive's d_k, and every amplitude scales it: a power map
+    # the memo keeps the unit drive's d_k, and every amplitude scales it: a power map
     # at twice the amplitude after a report builds no new d_k, and gives the bytes it
-    # gives on a cleared entry
+    # gives on a cleared memo
     builds = []
     real = trajectory._angle_sums
 
@@ -818,7 +852,7 @@ def test_power_map_at_another_amplitude_reuses_the_reports_angles(mode_data, opt
         return real(*args)
 
     monkeypatch.setattr(trajectory, "_angle_sums", counted)
-    clear_entry()
+    clear_memo()
     build_gate_report(optimized_a, mode_data, 25, 26, include_trajectories=False)
     assert builds == [DEFAULT_BETA_INTERVALS + 1]
     doubled = replace(optimized_a, amp_scale=2 * optimized_a.amp_scale)
