@@ -10,11 +10,13 @@ bytecode (the facts record which); this script only reads the run's output
 the record keeps every run, and the median and interquartile range of
 wall_s, setup_s, peak_rss_mb and gate_error, with the failed and attempted
 operations and the rounds each run completed, and the per-layer metrics of
-one `--trace 1` run at seed TRACE_SEED, so a change's saving can be traced to
-its layer. With --base, every seed runs both trees on the same argv, the two
-in turn (which goes first alternates with the seed), the base tree's record
-is BENCH_<label>_base.json (so no earlier record is overwritten), and the
-record of this tree compares each metric pair by pair with it. Standard library only; it gates nothing.
+one `--trace 1` run at each of TRACE_SEEDS with each metric's median over them,
+so a change's saving can be traced to its layer (one traced round alone varies
+too widely to resolve a few milliseconds). With --base, every seed runs both
+trees on the same argv, the two in turn (which goes first alternates with the
+seed), the base tree's record is BENCH_<label>_base.json (so no earlier record
+is overwritten), and the record of this tree compares each metric pair by pair
+with it. Standard library only; it gates nothing.
 """
 
 import argparse
@@ -28,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("gate_design", "gate_analysis", "chain_scan")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "gate_error")  # all lower-is-better
-TRACE_SEED = 1
+TRACE_SEEDS = (1, 2, 3)
 
 
 def parse_args(argv=None):
@@ -65,12 +67,24 @@ def run_once(tree, argv):
     return run, facts
 
 
-def trace_once(tree, workload):
-    """One `--trace 1` run of the workload in `tree` at TRACE_SEED: every per-layer metric."""
-    result = json.loads(perfbench(tree, ["--workload", workload, "--seed", str(TRACE_SEED),
+def trace_once(tree, workload, seed):
+    """One `--trace 1` run of the workload in `tree` at `seed`: every per-layer metric."""
+    result = json.loads(perfbench(tree, ["--workload", workload, "--seed", str(seed),
                                          "--trace", "1"])[-1])
-    return {"seed": TRACE_SEED, "failed": result["failed"], "attempted": result["attempted"],
+    return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"],
             "metrics": {name: metric["value"] for name, metric in result["metrics"].items()}}
+
+
+def trace_summary(traces):
+    """The traced runs and, per layer metric, the median of the runs that report it."""
+    names = sorted({name for trace in traces for name in trace["metrics"]})
+    median = {}
+    for name in names:
+        values = [trace["metrics"][name] for trace in traces
+                  if trace["metrics"].get(name) is not None]
+        if values:
+            median[name] = statistics.median(values)
+    return {"runs": traces, "median": median}
 
 
 def quartiles(values):
@@ -130,7 +144,8 @@ def record(label, tree, argv_of, seeds, facts, workloads, traces):
         "seeds": seeds,
         # writing and reading .pyc files moves each interpreter start, and so setup_s, by ~33 ms
         "facts": {**facts, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
-        "workloads": {name: {**summarize(runs), "trace": traces[name]} for name, runs in workloads.items()},
+        "workloads": {name: {**summarize(runs), "trace": trace_summary(traces[name])}
+                      for name, runs in workloads.items()},
     }
 
 
@@ -143,7 +158,7 @@ def main(argv=None):
         return ["--workload", str(workload), "--seed", str(seed), "--seconds", f"{args.seconds:g}"]
 
     runs = {key: {name: [] for name in WORKLOADS} for key, _ in trees}
-    traces = {key: {} for key, _ in trees}
+    traces = {key: {name: [] for name in WORKLOADS} for key, _ in trees}
     facts = {}
     for workload in WORKLOADS:
         for seed in seeds:
@@ -153,10 +168,12 @@ def main(argv=None):
                 runs[key][workload].append({"seed": seed, **run})
                 print(f"{workload} seed {seed} {key}: wall_s {run['wall_s']}, "
                       f"gate_error {run['gate_error']}, {run['failed']} failed", flush=True)
-        for key, tree in trees:
-            traces[key][workload] = trace_once(tree, workload)
-            print(f"{workload} traced {key}: trace.wall_s {traces[key][workload]['metrics']['trace.wall_s']}",
-                  flush=True)
+        for seed in TRACE_SEEDS:
+            for key, tree in trees if seed % 2 else trees[::-1]:
+                trace = trace_once(tree, workload, seed)
+                traces[key][workload].append(trace)
+                print(f"{workload} traced seed {seed} {key}: "
+                      f"trace.wall_s {trace['metrics']['trace.wall_s']}", flush=True)
 
     this = record(args.label, ROOT, argv_of, seeds, facts["this"], runs["this"], traces["this"])
     if args.base:

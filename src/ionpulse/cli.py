@@ -2,9 +2,10 @@
 
 Wires a structured key-value config file (INI sections: trap, pulse,
 optimize, analysis, output) to the pipeline and emits plot-ready CSV/JSON
-artifacts, one .npz of the report's trajectories per shape, and a manifest per
-command. All frequencies at this interface are ordinary frequencies in Hz; the
-library converts to rad/s internally.
+artifacts, the modes as one exact .npz file, one .npz of the report's
+trajectories per shape, and a manifest per command. All frequencies at this
+interface are ordinary frequencies in Hz; the library converts to rad/s
+internally.
 
 Subcommands: crystal, modes, optimize, report, sweep, powermap. One table,
 _STAGES, declares each: its command, the stages whose files it loads, the ion
@@ -28,6 +29,7 @@ import json
 import os
 import sys
 import time
+import zipfile
 from dataclasses import make_dataclass, replace
 from typing import NamedTuple
 
@@ -54,7 +56,6 @@ from .crystal import (
 from .modes import (
     DegenerateSpacing,
     ImaginaryMode,
-    StaleModesFile,
     build_transverse_matrix,
     load_modes,
     save_modes,
@@ -319,8 +320,10 @@ def _hand_off(cfg, out_dir, stage):
             for name in _STAGES[stage].files]
 
 
-# what a loader raises on a truncated or unparsable file (json's errors are ValueErrors)
-_MALFORMED = (ValueError, LookupError, TypeError, StopIteration, csv.Error)
+# what a loader raises on a truncated or unparsable file (json's errors are ValueErrors;
+# np.load raises EOFError on an empty .npz and BadZipFile on a cut one)
+_MALFORMED = (ValueError, LookupError, TypeError, StopIteration, csv.Error, EOFError,
+              zipfile.BadZipFile)
 
 
 def _load(cfg, out_dir, stage):
@@ -332,19 +335,17 @@ def _load(cfg, out_dir, stage):
         if not os.path.exists(path):
             raise MissingPrerequisite(f"missing prerequisite {os.path.basename(path)!r}; "
                                       f"run `ionpulse {stage}` first or pass --recompute")
-    stale = f"stale prerequisite {os.path.basename(paths[-1])!r}"  # it records the count
     rerun = f"rerun `ionpulse {stage}` or pass --recompute"
     try:
         loaded = row.load(*paths)
-    except StaleModesFile as exc:
-        raise MissingPrerequisite(f"{stale} stores no frequencies in rad/s; {rerun}") from exc
     except _MALFORMED as exc:
         names = " or ".join(repr(os.path.basename(path)) for path in paths)
         raise MissingPrerequisite(f"malformed prerequisite {names} ({exc}); {rerun}") from exc
     count = getattr(loaded, row.count) if row.count else cfg.trap.n_ions
     if count != cfg.trap.n_ions:
-        raise MissingPrerequisite(
-            f"{stale} holds {count} ions but [trap] n_ions is {cfg.trap.n_ions}; {rerun}")
+        stale = os.path.basename(paths[-1])  # the file that records the count
+        raise MissingPrerequisite(f"stale prerequisite {stale!r} holds {count} ions but "
+                                  f"[trap] n_ions is {cfg.trap.n_ions}; {rerun}")
     return loaded
 
 
@@ -406,15 +407,15 @@ def cmd_modes(cfg, out_dir, crystal):
     t0 = time.perf_counter()
     modes = solve_modes(build_transverse_matrix(crystal, cfg.trap), cfg.trap)
     t1 = time.perf_counter()
-    [json_path] = _hand_off(cfg, out_dir, "modes")
+    [npz_path] = _hand_off(cfg, out_dir, "modes")
     csv_path = os.path.join(out_dir, "spectrum.csv")
-    save_modes(modes, json_path)
+    save_modes(modes, npz_path)
     save_spectrum_csv(modes, csv_path)
     lo = modes.frequencies[0] / (2 * np.pi)
     hi = modes.frequencies[-1] / (2 * np.pi)
     return StageResult(
         f"modes: {modes.n_modes} transverse modes, {lo / 1e6:.4f} to {hi / 1e6:.4f} MHz",
-        [json_path, csv_path],
+        [npz_path, csv_path],
         {"lowest_hz": lo, "highest_hz": hi},
         {"solve": t1 - t0},
     )
@@ -603,7 +604,7 @@ _DRIVE = ("mu_mode", "target_modes")  # report resolves the target modes it writ
 _STAGES = {
     "crystal": Stage(cmd_crystal, files=("positions.csv", "crystal.json"),
                      load=lambda *paths: load_crystal(*paths), count="n_ions"),
-    "modes": Stage(cmd_modes, ("crystal",), files=("modes.json",),
+    "modes": Stage(cmd_modes, ("crystal",), files=("modes.npz",),
                    load=lambda path: load_modes(path), count="n_modes"),
     "optimize": Stage(cmd_optimize, ("modes",), _PAIR + _DRIVE, ("schedule_{shape}.json",),
                       lambda path: load_schedule(path)),

@@ -7,13 +7,11 @@ collective modes; the highest-frequency one is the common (center-of-mass)
 mode at exactly omega_x, since each matrix row sums to omega_x^2.
 """
 
-import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_csv, write_text
+from .artifacts import write_csv, write_npz
 from .constants import HBAR
 
 
@@ -23,10 +21,6 @@ class DegenerateSpacing(Exception):
 
 class ImaginaryMode(Exception):
     """A non-positive eigenvalue: the chain is transversely unstable (zigzag regime)."""
-
-
-class StaleModesFile(ValueError):
-    """A modes.json without frequencies in rad/s, written before they were stored losslessly."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,39 +141,19 @@ def most_uniform_mode(modes):
     return int(np.argmax(u.min(axis=1) / u.max(axis=1))) + 1
 
 
-def save_modes(modes, json_path):
-    """Serialize ModeData as JSON.
-
-    Frequencies are stored in rad/s as repr floats, which load_modes reads
-    back exactly, and in Hz for reading; the Hz values do not survive the
-    2 pi round trip bit for bit. The text is json.dump's, written one top-level
-    value at a time, each by the C encoder of json.dumps.
-    """
-    payload = {
-        "frequencies_rad_s": modes.frequencies.tolist(),
-        "frequencies_hz": [f / (2 * np.pi) for f in modes.frequencies.tolist()],
-        "vectors": modes.vectors.tolist(),
-        "eta": modes.eta.tolist(),
-    }
-    members = (f"{', ' if n else ''}{json.dumps(key)}: {json.dumps(payload[key])}"
-               for n, key in enumerate(sorted(payload)))
-    write_text(json_path, itertools.chain(["{"], members, ["}\n"]))
+def save_modes(modes, npz_path):
+    """Store ModeData as one .npz file (artifacts.write_npz): frequencies_rad_s (N,),
+    vectors (N, N) and eta (N, N), all float64 and exact."""
+    write_npz(npz_path, frequencies_rad_s=modes.frequencies, vectors=modes.vectors,
+              eta=modes.eta)
 
 
-def load_modes(json_path):
-    """Rebuild ModeData from save_modes output, equal to what was saved.
-
-    Raises StaleModesFile when the file has no frequencies in rad/s.
-    """
-    with open(json_path) as fh:
-        payload = json.load(fh)
-    if "frequencies_rad_s" not in payload:
-        raise StaleModesFile(f"{json_path} holds no frequencies_rad_s")
-    return ModeData(
-        frequencies=np.array(payload["frequencies_rad_s"]),
-        vectors=np.array(payload["vectors"]),
-        eta=np.array(payload["eta"]),
-    )
+def load_modes(npz_path):
+    """Rebuild ModeData from save_modes output, bitwise equal to what was saved."""
+    # np.load given a path leaves it open when the archive does not parse
+    with open(npz_path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+        return ModeData(frequencies=data["frequencies_rad_s"], vectors=data["vectors"],
+                        eta=data["eta"])
 
 
 def save_spectrum_csv(modes, csv_path):

@@ -6,6 +6,8 @@ optimizer's objective runs on Gauss-Legendre panels between the drive's
 breakpoints (gauss_legendre_panels).
 """
 
+import functools
+
 import numpy as np
 
 
@@ -57,6 +59,16 @@ def cumulative_simpson(y, dx):
     return out
 
 
+@functools.cache
+def _gauss_rule(order):
+    """Read-only nodes and weights of the `order`-node Gauss-Legendre rule on [0, 1]."""
+    s, w = np.polynomial.legendre.leggauss(order)
+    s, w = 0.5 * (s + 1.0), 0.5 * w
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w
+
+
 def gauss_legendre_panels(edges, sub_panels, order, graded_ends=False):
     """Nodes and weights (ascending) of Gauss-Legendre panels between sorted edges.
 
@@ -66,8 +78,7 @@ def gauss_legendre_panels(edges, sub_panels, order, graded_ends=False):
     edge (weights 2 h s w), so an integrand that grows like t^1.5 from that
     edge is smooth in s.
     """
-    s, w = np.polynomial.legendre.leggauss(order)
-    s, w = 0.5 * (s + 1.0), 0.5 * w  # on [0, 1]
+    s, w = _gauss_rule(order)
     nodes, weights = [], []
     for a, b, count in zip(edges[:-1], edges[1:], sub_panels):
         cuts = np.linspace(a, b, count + 1)

@@ -68,13 +68,13 @@ def test_missing_prerequisite_exit_code(small_config, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: missing prerequisite 'positions.csv'; run `ionpulse crystal` first "
         "or pass --recompute\n")
-    assert not (out / "modes.json").exists()
+    assert not (out / "modes.npz").exists()
 
 
 def test_recompute_builds_prerequisites(small_config, tmp_path):
     out = tmp_path / "out"
     assert run(["-c", small_config, "-o", str(out), "modes", "--recompute"]) == 0
-    assert (out / "modes.json").exists()
+    assert (out / "modes.npz").exists()
     assert (out / "spectrum.csv").exists()
     assert (out / "crystal_manifest.json").exists()  # crystal ran as a stage of its own
 
@@ -88,7 +88,7 @@ def test_sweep_recompute_matches_staged_run(small_config, tmp_path, capsys):
     assert run(["-c", small_config, "-o", str(direct), "sweep", "--recompute"]) == 0
     assert capsys.readouterr().out == lines
     assert sorted(p.name for p in direct.iterdir()) == sorted(p.name for p in staged.iterdir())
-    for name in ("positions.csv", "crystal.json", "modes.json", "spectrum.csv",
+    for name in ("positions.csv", "crystal.json", "modes.npz", "spectrum.csv",
                  "schedule_A.json", "optimize_trace_A.csv", "waveform_A.csv", "sweep_A.csv"):
         assert (direct / name).read_bytes() == (staged / name).read_bytes(), name
 
@@ -123,8 +123,8 @@ def test_staged_sweep_after_recompute_reads_the_recomputed_modes(small_config, t
 def reencoded(path):
     """The file's content encoded again as each stage wrote it before they shared
     ionpulse.artifacts: csv.writer rows with repr(float) cells (ints plain), the
-    optimize trace's "\n" rows, compact sorted JSON for modes.json, and indent-2
-    sorted JSON plus a newline for every other JSON file."""
+    optimize trace's "\n" rows, and indent-2 sorted JSON plus a newline for a
+    JSON file."""
     text = io.StringIO(newline="")
     if path.name.startswith("optimize_trace_"):
         header, *rows = path.read_text().split("\n")[:-1]
@@ -140,8 +140,7 @@ def reencoded(path):
         for row in rows:
             writer.writerow([int(c) if c.lstrip("-").isdigit() else repr(float(c)) for c in row])
     else:
-        indent = None if path.name == "modes.json" else 2
-        json.dump(json.loads(path.read_text()), text, indent=indent, sort_keys=True)
+        json.dump(json.loads(path.read_text()), text, indent=2, sort_keys=True)
         text.write("\n")
     return text.getvalue().encode()
 
@@ -194,7 +193,8 @@ def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     written = sorted(out.iterdir())
     assert not [path for path in written if path.suffix == ".tmp"]
     assert {path.suffix for path in written} == {".csv", ".json", ".npz"}
-    assert [path.name for path in written if path.suffix == ".npz"] == ["trajectories_A.npz"]
+    assert [path.name for path in written if path.suffix == ".npz"] == [
+        "modes.npz", "trajectories_A.npz"]
     for path in written:
         if path.suffix != ".npz":
             assert path.read_bytes() == reencoded(path), path.name
@@ -466,7 +466,7 @@ _STAGE_SCHEMA = {
         {"lowest_hz", "highest_hz"},
         {"solve"},
         {"positions.csv", "crystal.json"},
-        ["modes.json", "spectrum.csv"],
+        ["modes.npz", "spectrum.csv"],
     ),
     "optimize": (
         rf"optimize\[A\]: \d+ evaluations, final cost {_FLOAT}, "
@@ -474,7 +474,7 @@ _STAGE_SCHEMA = {
         {"shape", "pair", "target_modes", "evaluations", "final_cost", "motional_error",
          "beta_rad", "omega_max_hz", "seed", "budget_exhausted", "rule_nodes", "rule_gap"},
         {"optimize", "report"},
-        {"modes.json"},
+        {"modes.npz"},
         ["optimize_trace_A.csv", "schedule_A.json", "waveform_A.csv"],
     ),
     "report": (
@@ -482,7 +482,7 @@ _STAGE_SCHEMA = {
         rf"motional error {_FLOAT}, omega_max \d+\.\d kHz",
         {"shape", "pair", "motional_error", "omega_max_hz"},
         {"report"},
-        {"schedule_A.json", "modes.json"},
+        {"schedule_A.json", "modes.npz"},
         ["report_A.json", "trajectories_A.npz"],
     ),
     "sweep": (
@@ -490,7 +490,7 @@ _STAGE_SCHEMA = {
         r"(slope -?\d+\.\d\d \+/- \d+\.\d\d|too few points in the fit window for a slope)",
         {"shape", "pair", "baseline_error", "fitted_slope", "slope_stderr"},
         {"sweep"},
-        {"schedule_A.json", "modes.json"},
+        {"schedule_A.json", "modes.npz"},
         ["sweep_A.csv"],
     ),
     "powermap": (
@@ -498,7 +498,7 @@ _STAGE_SCHEMA = {
         {"shape", "pairs", "degenerate_pairs", "omega_max_min_hz", "omega_max_max_hz",
          "omega_max_mean_hz"},
         {"map"},
-        {"schedule_A.json", "modes.json"},
+        {"schedule_A.json", "modes.npz"},
         ["powermap_A.csv"],
     ),
 }
@@ -531,12 +531,12 @@ def test_missing_crystal_json_exit_code(small_config, tmp_path, capsys):
     capsys.readouterr()
     assert run(["-c", small_config, "-o", str(out), "modes"]) == 3
     assert "'crystal.json'" in capsys.readouterr().err
-    assert not (out / "modes.json").exists()
+    assert not (out / "modes.npz").exists()
 
 
 @pytest.mark.parametrize("stage, upstream, stale", [
     ("modes", ["crystal"], "crystal.json"),
-    ("optimize", ["crystal", "modes"], "modes.json"),
+    ("optimize", ["crystal", "modes"], "modes.npz"),
 ])
 def test_stale_upstream_ion_count(small_config, tmp_path, capsys, stage, upstream, stale):
     out = tmp_path / "out"
@@ -552,22 +552,25 @@ def test_stale_upstream_ion_count(small_config, tmp_path, capsys, stage, upstrea
     assert not (out / f"{stage}_manifest.json").exists()
     if stage == "modes":
         assert run(["-c", str(fewer), "-o", str(out), stage, "--recompute"]) == 0
-        assert len(json.loads((out / "modes.json").read_text())["frequencies_hz"]) == 10
+        with np.load(out / "modes.npz", allow_pickle=False) as data:
+            assert len(data["frequencies_rad_s"]) == 10
 
 
-def test_modes_json_without_rad_s_is_stale(small_config, tmp_path, capsys):
+def test_modes_json_alone_is_a_missing_prerequisite(small_config, tmp_path, capsys):
+    # a directory written before the modes were stored as .npz holds only modes.json,
+    # which no stage reads
     out = tmp_path / "out"
     for name in ("crystal", "modes"):
         assert run(["-c", small_config, "-o", str(out), name]) == 0
-    path = out / "modes.json"
-    payload = json.loads(path.read_text())
-    del payload["frequencies_rad_s"]  # as written before the frequencies were lossless
-    path.write_text(json.dumps(payload))
+    with np.load(out / "modes.npz", allow_pickle=False) as data:
+        payload = {name: data[name].tolist() for name in data.files}
+    (out / "modes.npz").unlink()
+    (out / "modes.json").write_text(json.dumps(payload, sort_keys=True) + "\n")
     capsys.readouterr()
     assert run(["-c", small_config, "-o", str(out), "optimize"]) == 3
     assert capsys.readouterr().err == (
-        "error: stale prerequisite 'modes.json' stores no frequencies in rad/s; "
-        "rerun `ionpulse modes` or pass --recompute\n")
+        "error: missing prerequisite 'modes.npz'; run `ionpulse modes` first "
+        "or pass --recompute\n")
     assert not (out / "optimize_manifest.json").exists()
 
 
@@ -578,7 +581,9 @@ def test_malformed_prerequisite_exit_code(small_config, tmp_path, capsys):
     for name in ("crystal", "modes", "optimize"):
         assert run(["-c", small_config, "-o", str(out), name]) == 0
     for stage, cut, size, upstream in (("report", "schedule_A.json", 100, "optimize"),
-                                       ("modes", "positions.csv", 50, "crystal")):
+                                       ("modes", "positions.csv", 50, "crystal"),
+                                       ("optimize", "modes.npz", 100, "modes"),
+                                       ("optimize", "modes.npz", 0, "modes")):
         path = out / cut
         path.write_bytes(path.read_bytes()[:size])
         (out / f"{stage}_manifest.json").unlink(missing_ok=True)
@@ -592,7 +597,7 @@ def test_malformed_prerequisite_exit_code(small_config, tmp_path, capsys):
 
 def test_staged_optimize_matches_recompute(small_config, tmp_path):
     # optimize --recompute runs crystal and modes as stages, then reads the
-    # modes.json they wrote: a seeded rerun in a fresh directory designs the
+    # modes.npz they wrote: a seeded rerun in a fresh directory designs the
     # staged schedule byte for byte
     staged, direct = tmp_path / "staged", tmp_path / "direct"
     for name in ("crystal", "modes", "optimize"):

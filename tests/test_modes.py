@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from ionpulse import (
 )
 from ionpulse.constants import HBAR
 from ionpulse.modes import (
-    StaleModesFile,
     load_modes,
     most_uniform_mode,
     participation_uniformity,
@@ -208,7 +205,7 @@ def test_uniform_mode_tie_goes_to_the_first():
 
 
 def test_modes_roundtrip(tmp_path, mode_data):
-    path = tmp_path / "modes.json"
+    path = tmp_path / "modes.npz"
     save_modes(mode_data, path)
     loaded = load_modes(path)
     # bitwise: optimize designs on the frequencies it reads back, so they must
@@ -216,33 +213,17 @@ def test_modes_roundtrip(tmp_path, mode_data):
     np.testing.assert_array_equal(loaded.frequencies, mode_data.frequencies)
     np.testing.assert_array_equal(loaded.vectors, mode_data.vectors)
     np.testing.assert_array_equal(loaded.eta, mode_data.eta)
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data.files) == ["eta", "frequencies_rad_s", "vectors"]
+        assert all(data[name].dtype == np.float64 for name in data.files)
 
 
-def test_modes_file_bytes_are_json_dump(tmp_path, mode_data):
-    # save_modes encodes in one json.dumps call; the file keeps json.dump's bytes
-    path = tmp_path / "modes.json"
-    save_modes(mode_data, path)
-    payload = {
-        "frequencies_rad_s": mode_data.frequencies.tolist(),
-        "frequencies_hz": [f / (2 * np.pi) for f in mode_data.frequencies.tolist()],
-        "vectors": mode_data.vectors.tolist(),
-        "eta": mode_data.eta.tolist(),
-    }
-    expected = tmp_path / "expected.json"
-    with open(expected, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
-    assert path.read_bytes() == expected.read_bytes()
-
-
-def test_modes_without_rad_s_are_stale(tmp_path, mode_data):
-    path = tmp_path / "modes.json"
-    save_modes(mode_data, path)
-    payload = json.loads(path.read_text())
-    del payload["frequencies_rad_s"]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(StaleModesFile):
-        load_modes(path)
+def test_modes_file_bytes_repeat(tmp_path, mode_data):
+    # the manifests hash modes.npz, so one ModeData must always give the same bytes
+    first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+    save_modes(mode_data, first)
+    save_modes(mode_data, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_spectrum_csv(tmp_path, mode_data):

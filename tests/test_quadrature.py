@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ionpulse.quadrature import cumulative_simpson, gauss_legendre_panels
+from ionpulse.quadrature import _gauss_rule, cumulative_simpson, gauss_legendre_panels
 
 
 def closed_form_cumulative_simpson(y, dx):
@@ -50,3 +50,18 @@ def test_graded_end_panels_smooth_a_t_to_the_1_5_end():
         errors.append(abs(w @ np.sin(np.pi * t) ** 1.5 - exact))
     assert errors[0] > 1e-9
     assert errors[1] <= 1e-14
+
+
+def test_gauss_rule_is_built_once_with_leggauss_bits():
+    # every _Objective build asks for the 12-node rule: it is computed once per
+    # process and kept read-only, so no caller can change what the next one reads
+    s, w = _gauss_rule(12)
+    again = _gauss_rule(12)
+    assert again[0] is s and again[1] is w
+    assert not s.flags.writeable and not w.flags.writeable
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    np.testing.assert_array_equal(s, 0.5 * (nodes + 1.0))
+    np.testing.assert_array_equal(w, 0.5 * weights)
+    t, tw = gauss_legendre_panels(np.array([0.0, 1.0]), [1], 12)
+    np.testing.assert_array_equal(t, s)
+    np.testing.assert_array_equal(tw, w)
