@@ -16,21 +16,30 @@ too widely to resolve a few milliseconds). With --base, every seed runs both
 trees on the same argv, the two in turn (which goes first alternates with the
 seed), the base tree's record is BENCH_<label>_base.json (so no earlier record
 is overwritten), and the record of this tree compares each metric pair by pair
-with it. Standard library only; it gates nothing.
+with it. Each record also holds one run of the Tier-1 suite in its tree (TIER1,
+the two trees in turn under --base): its wall seconds, exit code and passed and
+failed tests. The facts hold each tree's absolute path, since peak_rss_mb
+follows the path's length: when the two paths differ in length, a warning says
+so. Standard library only; it gates nothing.
 """
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("gate_design", "gate_analysis", "chain_scan")
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "gate_error")  # all lower-is-better
 TRACE_SEEDS = (1, 2, 3)
+# ROADMAP's Tier-1 command, PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q
+# --continue-on-collection-errors, with this interpreter
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def parse_args(argv=None):
@@ -42,14 +51,16 @@ def parse_args(argv=None):
     return parser.parse_args(argv)
 
 
+def python(*argv):
+    """This interpreter on argv; -B passes its bytecode setting on, so the facts' value
+    holds for every run."""
+    return [sys.executable, *(["-B"] if sys.flags.dont_write_bytecode else []), *argv]
+
+
 def perfbench(tree, argv):
     """The stdout lines of one perfbench run in `tree`; exits when the run fails."""
-    # -B passes this interpreter's bytecode setting on, so the facts' value holds for every run
-    bytecode = ["-B"] if sys.flags.dont_write_bytecode else []
-    proc = subprocess.run(
-        [sys.executable, *bytecode, "perfbench/run.py", *argv], cwd=tree,
-        capture_output=True, text=True, check=False,
-    )
+    proc = subprocess.run(python("perfbench/run.py", *argv), cwd=tree,
+                          capture_output=True, text=True, check=False)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"error: {' '.join(argv)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -73,6 +84,21 @@ def trace_once(tree, workload, seed):
                                          "--trace", "1"])[-1])
     return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"],
             "metrics": {name: metric["value"] for name, metric in result["metrics"].items()}}
+
+
+def tier1_once(tree):
+    """One run of the Tier-1 suite in `tree`: wall seconds, exit code, passed and failed
+    tests (pytest's errors count as failed)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(python(*TIER1), cwd=tree, env=env,
+                          capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", summary)}
+    return {"wall_s": wall, "exit_code": proc.returncode, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
 def trace_summary(traces):
@@ -136,16 +162,18 @@ def describe(tree):
     return proc.stdout.strip() or None
 
 
-def record(label, tree, argv_of, seeds, facts, workloads, traces):
+def record(label, tree, argv_of, seeds, facts, workloads, traces, tier1):
     return {
         "label": label,
         "tree": describe(tree),
         "argv": argv_of("WORKLOAD", "SEED"),
         "seeds": seeds,
         # writing and reading .pyc files moves each interpreter start, and so setup_s, by ~33 ms
-        "facts": {**facts, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
+        "facts": {**facts, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+                  "path": str(tree)},
         "workloads": {name: {**summarize(runs), "trace": trace_summary(traces[name])}
                       for name, runs in workloads.items()},
+        "tier1": tier1,
     }
 
 
@@ -153,6 +181,10 @@ def main(argv=None):
     args = parse_args(argv)
     trees = [("this", ROOT)] + ([("base", args.base.resolve())] if args.base else [])
     seeds = list(range(1, args.seeds + 1))
+    if len({len(str(tree)) for _, tree in trees}) > 1:
+        print(f"warning: {' and '.join(str(tree) for _, tree in trees)} differ in path length; "
+              "peak_rss_mb follows a tree's path length, so an RSS difference of a few tenths "
+              "of a MB may be the paths', not the code's", file=sys.stderr, flush=True)
 
     def argv_of(workload, seed):
         return ["--workload", str(workload), "--seed", str(seed), "--seconds", f"{args.seconds:g}"]
@@ -174,11 +206,16 @@ def main(argv=None):
                 traces[key][workload].append(trace)
                 print(f"{workload} traced seed {seed} {key}: "
                       f"trace.wall_s {trace['metrics']['trace.wall_s']}", flush=True)
+    tier1 = {}
+    for key, tree in trees:
+        tier1[key] = tier1_once(tree)
+        print(f"tier1 {key}: {tier1[key]}", flush=True)
 
-    this = record(args.label, ROOT, argv_of, seeds, facts["this"], runs["this"], traces["this"])
+    this = record(args.label, ROOT, argv_of, seeds, facts["this"], runs["this"], traces["this"],
+                  tier1["this"])
     if args.base:
-        base = record(f"{args.label}_base", args.base, argv_of, seeds, facts["base"], runs["base"],
-                      traces["base"])
+        base = record(f"{args.label}_base", trees[1][1], argv_of, seeds, facts["base"],
+                      runs["base"], traces["base"], tier1["base"])
         this["versus"] = {"label": base["label"], **{
             name: compare(runs["this"][name], runs["base"][name]) for name in WORKLOADS}}
         write(base)

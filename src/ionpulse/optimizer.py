@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .pulse import (
+    FM_POINT_BOUND,
     PulseSchedule,
     ShapeA,
     amplitude,
@@ -60,7 +61,6 @@ from .trajectory import (
 )
 
 REFERENCE_RABI = 2 * np.pi * 100e3  # rad/s, fixed amplitude used inside the cost
-FM_BOUND = 2 * np.pi * 10e3  # rad/s, trial points never leave the schedule sanity bound
 XTOL = 1e-8  # a start has converged once |step| <= XTOL * (|x| + XTOL), as in MINPACK
 INITIAL_DAMPING = 1e-3  # relative to the diagonal of J^T J
 DEGENERATE_BETA = 1e-12  # rad, below this the pair is treated as uncoupled
@@ -242,9 +242,10 @@ def _levenberg_marquardt(objective, x0, budget, callback, eval_offset):
 
     The damping is scaled by the diagonal of J^T J (Marquardt) and adapted
     from the ratio of actual to predicted decrease (Nielsen). Trial points
-    are clipped to +/- FM_BOUND, and a coordinate held there by its gradient
-    is left out of the step. Converged once the next clipped step is
-    within XTOL of |x|; returns (x, cost, evals, converged).
+    are clipped to the schedule's bound +/- FM_POINT_BOUND, and a coordinate
+    held there by its gradient is left out of the step. Converged once the
+    next clipped step is within XTOL of |x|; returns (x, cost, evals,
+    converged).
     """
     evals = 0
 
@@ -265,12 +266,12 @@ def _levenberg_marquardt(objective, x0, budget, callback, eval_offset):
         hess = jac.T @ jac
         scale = np.maximum(np.diag(hess), np.finfo(float).tiny)
         # coordinates on the bound whose descent direction points outward stay put
-        free = ~(((x >= FM_BOUND) & (grad < 0)) | ((x <= -FM_BOUND) & (grad > 0)))
+        free = ~(((x >= FM_POINT_BOUND) & (grad < 0)) | ((x <= -FM_POINT_BOUND) & (grad > 0)))
         delta = np.zeros_like(x)
         delta[free] = np.linalg.solve(
             hess[np.ix_(free, free)] + damping * np.diag(scale[free]), -grad[free]
         )
-        trial = np.clip(x + delta, -FM_BOUND, FM_BOUND)
+        trial = np.clip(x + delta, -FM_POINT_BOUND, FM_POINT_BOUND)
         step = trial - x
         if np.linalg.norm(step) <= XTOL * (np.linalg.norm(x) + XTOL):
             return x, fx, evals, True
@@ -316,7 +317,7 @@ def optimize(problem, callback=None, *, _rule=None):
     starts = [np.zeros(n_free)]
     for _ in range(problem.n_starts - 1):
         jitter = rng.normal(0.0, 2 * np.pi * 1000.0, n_free)
-        starts.append(np.clip(jitter, -FM_BOUND, FM_BOUND))
+        starts.append(np.clip(jitter, -FM_POINT_BOUND, FM_POINT_BOUND))
 
     best_x, best_f = None, np.inf
     used = 0
@@ -401,8 +402,8 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALP
     running integral on the alpha_intervals grid (mode_trajectories' samples).
     The angle, the errors and the trajectories all read the trajectory
     module's memo: the unit drive on each grid is built once per FM pattern,
-    every mode's detuning tables once per mu_ref, and the trajectories take
-    their modes' rows of the tables the errors used.
+    every mode's detuning tables once per mu_ref. Trajectories of every mode
+    read the tables the errors used; a selection of modes builds its own.
     """
     beta_ref = entangling_angle(sched, modes, ion_i, ion_j, beta_intervals)
     omega_max = _calibrated_amplitude(sched, beta_ref, ion_i, ion_j)

@@ -261,7 +261,7 @@ class FourierDecomposition:
 
     def __post_init__(self):
         for name in ("coefficients", "harmonics"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)  # copy: freezing must not leak
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

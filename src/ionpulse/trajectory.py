@@ -76,12 +76,12 @@ on the 20,000-interval grid), and drops the old value before it builds the
 new one. Its arrays are read-only, so every result is bitwise what a fresh
 build gives. The reports, sweep and power map of one schedule share its
 values; the patterns of one mu_ref, such as shapes A and B, share the
-tables, and a report's trajectories take their modes' rows of them; the
-chains that one pattern drives, as in a trap scan, share the unit drive.
-After one schedule's analysis the memo holds 0.66 MB on the default chain
-(0.55 MB of it on the 20,000-interval grid). Analyses in one process, such
-as library calls or a --recompute chain, reuse it; separate CLI invocations
-do not.
+tables; the chains that one pattern drives, as in a trap scan, share the
+unit drive. A subset of the held modes is another key, and its tables hold
+the same entries (_phasor_table). After one schedule's report, sweep and
+power map the memo holds 0.65 MB on the default chain (0.55 MB of it on the
+20,000-interval grid). Analyses in one process, such as library calls or a
+--recompute chain, reuse it; separate CLI invocations do not.
 """
 
 import math
@@ -150,10 +150,7 @@ class GateReport:
 
 
 def _uniform_grid(tau, n_intervals):
-    # read-only and owning its data, so the Trajectory records of one call share it uncopied
-    t = np.linspace(0.0, tau, n_intervals + 1).copy()
-    t.setflags(write=False)
-    return t, t[1] - t[0]
+    return np.linspace(0.0, tau, n_intervals + 1), tau / n_intervals
 
 
 # 2 pi = _TWO_PI_1 + _TWO_PI_2 + _TWO_PI_3 to within 2e-34 (Cody-Waite). The first two
@@ -278,18 +275,9 @@ def _detunings(sched, omega_ks):
 
 def _tables(sched, omega_ks, n_intervals):
     """The coarse and fine _phasor_tables of the detunings mu_ref - omega_ks on the grid of
-    n_intervals. Detunings that the held tables of the same gate time all hold, bit for
-    bit, read their rows of them; any other detuning replaces the held tables."""
+    n_intervals, kept by the gate time and the detunings' bytes."""
     tau, detunings = sched.gate_time, _detunings(sched, omega_ks)
-    key = tau, detunings.tobytes()
-    (held_tau, held_bytes), tables = _memo.get(("tables", n_intervals), ((None, b""), None))
-    if held_tau == tau and key[1] != held_bytes:
-        match = detunings.view(np.int64)[:, None] == np.frombuffer(held_bytes, dtype=np.int64)
-        if match.any(axis=1).all():
-            rows = match.argmax(axis=1)
-            return tables[0][rows], tables[1][rows]
-    del tables  # the old tables go before the new ones are built
-    return _last_value("tables", n_intervals, key, lambda: tuple(
+    return _last_value("tables", n_intervals, (tau, detunings.tobytes()), lambda: tuple(
         map(_frozen, _phasor_tables(detunings, tau, n_intervals))))
 
 
@@ -336,7 +324,7 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
     rows go in passes of at most _ROW_PASS, so a pass's scratch stays near
     0.3 MB even when every sample is stored. A record depends only on its own
     mode's table rows, so it is bitwise the same in a call with any other
-    modes; the unit drive and the rows come from the memo (_unit_drive,
+    modes; the unit drive and the tables come from the memo (_unit_drive,
     _tables).
     """
     if samples is not None and samples < 2:

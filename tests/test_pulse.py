@@ -3,6 +3,7 @@ import pytest
 
 from ionpulse import (
     ApproximationBreakdown,
+    FourierDecomposition,
     OutOfRange,
     PulseSchedule,
     ShapeA,
@@ -187,6 +188,18 @@ def test_fourier_single_harmonic():
     dec = fourier_decompose(sched, n_max=16)
     assert dec.coefficients[0] == pytest.approx(amp_fm, rel=0.05)
     assert np.abs(dec.coefficients[1:]).max() < 0.05 * amp_fm
+
+
+def test_fourier_decomposition_freezes_copies():
+    coefficients, harmonics = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+    dec = FourierDecomposition(mean=0.0, coefficients=coefficients, harmonics=harmonics)
+    # the caller's arrays stay writable and unchanged; the record holds frozen copies
+    for mine, kept in ((coefficients, dec.coefficients), (harmonics, dec.harmonics)):
+        assert mine.flags.writeable and kept is not mine and not kept.flags.writeable
+        saved = kept.copy()
+        mine += 1.0
+        assert np.array_equal(kept, saved)
+    assert coefficients.tolist() == [2.0, 3.0] and harmonics.tolist() == [4.0, 5.0]
 
 
 def test_fourier_harmonic_frequencies():

@@ -772,19 +772,20 @@ def test_kernel_memo_misses_on_any_bit_of_each_key(mode_data):
         mode_angle_integrals(other, other_freqs)
         rebuilt = {kind for kind in KINDS if held(kind) is not before[kind]}
         assert rebuilt == reached, (other, other_freqs[17])
-    # a subset of the held modes reads the held tables, and each call gives the bytes
-    # it gives on a cleared memo
+    # a subset of the held modes is another key: it replaces the held tables on its
+    # grid and nothing else, and each call gives the bytes it gives on a cleared memo
     calls = [
-        lambda: mode_angle_integrals(sched, freqs[[30, 2]]),
-        lambda: mode_displacement_integrals(sched, freqs[[30, 2]], 4000, [0.0, 500.0]),
-        lambda: mode_trajectories(sched, freqs[[5, 1]], [0.1, 0.2], [6, 2], 4000, 101)[1].alpha,
+        (DEFAULT_BETA_INTERVALS, lambda: mode_angle_integrals(sched, freqs[[30, 2]])),
+        (4000, lambda: mode_displacement_integrals(sched, freqs[[30, 2]], 4000, [0.0, 500.0])),
+        (4000, lambda: mode_trajectories(sched, freqs[[5, 1]], [0.1, 0.2], [6, 2], 4000, 101)[1].alpha),
     ]
-    for call in calls:
+    for n_intervals, call in calls:
         mode_angle_integrals(sched, freqs)
         mode_displacement_integrals(sched, freqs, 4000)
         before = {slot: value for slot, (_, value) in trajectory._memo.items() if slot[0] != "angles"}
         warm = call()
-        assert all(held(*slot) is value for slot, value in before.items())
+        replaced = {slot for slot, value in before.items() if held(*slot) is not value}
+        assert replaced == {("tables", n_intervals)}
         assert warm.tobytes() == cold(call)().tobytes()
 
 
