@@ -20,7 +20,12 @@ with it. Each record also holds one run of the Tier-1 suite in its tree (TIER1,
 the two trees in turn under --base): its wall seconds, exit code and passed and
 failed tests. The facts hold each tree's absolute path, since peak_rss_mb
 follows the path's length: when the two paths differ in length, a warning says
-so. Standard library only; it gates nothing.
+so. Before each seed's runs of a workload, a machine probe runs in fresh
+interpreters (see probe_once); the record keeps every probe and their medians,
+and each workload's wall_s and setup_s medians divided by each probe median, so
+records made on different days or machines read on one scale. A speed claim
+still cites an alternated pair. Standard library only (the probe's child
+interpreters import numpy); it gates nothing.
 """
 
 import argparse
@@ -40,6 +45,25 @@ TRACE_SEEDS = (1, 2, 3)
 # ROADMAP's Tier-1 command, PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q
 # --continue-on-collection-errors, with this interpreter
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+# The probe's fixed numpy load, the same in every tree: the best of 30 runs of a
+# 50 x 50 eigh plus a 20,001-sample complex exp, printed in seconds
+PROBE_KERNEL = """
+import time
+import numpy as np
+matrix = np.random.default_rng(0).standard_normal((50, 50))
+matrix += matrix.T
+phase = np.linspace(0.0, 1e3, 20001)
+best = float("inf")
+for _ in range(30):
+    start = time.perf_counter()
+    np.linalg.eigh(matrix)
+    np.exp(1j * phase)
+    best = min(best, time.perf_counter() - start)
+print(repr(best))
+"""
+PROBES = ("import_numpy_s", "kernel_s")
+# perfbench/run.py pins BLAS to one thread before numpy loads; so does the probe
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_args(argv=None):
@@ -76,6 +100,18 @@ def run_once(tree, argv):
     run = {name: result["metrics"][name]["value"] for name in METRICS}
     run.update(failed=result["failed"], attempted=result["attempted"], rounds=rounds)
     return run, facts
+
+
+def probe_once():
+    """One machine probe: the wall seconds of a fresh `python -c "import numpy"` (start-up)
+    and PROBE_KERNEL's best time in another fresh interpreter (numpy compute)."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
+    start = time.perf_counter()
+    subprocess.run(python("-c", "import numpy"), env=env, check=True)
+    import_s = time.perf_counter() - start
+    kernel = subprocess.run(python("-c", PROBE_KERNEL), env=env, capture_output=True,
+                            text=True, check=True)
+    return {"import_numpy_s": import_s, "kernel_s": float(kernel.stdout)}
 
 
 def trace_once(tree, workload, seed):
@@ -121,12 +157,15 @@ def quartiles(values):
     return q2, q3 - q1
 
 
-def summarize(runs):
+def summarize(runs, probe_median):
     summary = {"runs": runs, "median": {}, "iqr": {}}
     for name in METRICS:
         values = [run[name] for run in runs if run[name] is not None]
         if values:
             summary["median"][name], summary["iqr"][name] = quartiles(values)
+    summary["relative"] = {f"{name}/{probe}": summary["median"][name] / probe_median[probe]
+                           for name in ("wall_s", "setup_s") if name in summary["median"]
+                           for probe in PROBES}
     summary["failed"] = sum(run["failed"] for run in runs)
     summary["attempted"] = sum(run["attempted"] for run in runs)
     summary["rounds"] = [run["rounds"] for run in runs]
@@ -162,7 +201,8 @@ def describe(tree):
     return proc.stdout.strip() or None
 
 
-def record(label, tree, argv_of, seeds, facts, workloads, traces, tier1):
+def record(label, tree, argv_of, seeds, facts, workloads, traces, tier1, probes):
+    probe_median = {name: statistics.median(probe[name] for probe in probes) for name in PROBES}
     return {
         "label": label,
         "tree": describe(tree),
@@ -171,9 +211,10 @@ def record(label, tree, argv_of, seeds, facts, workloads, traces, tier1):
         # writing and reading .pyc files moves each interpreter start, and so setup_s, by ~33 ms
         "facts": {**facts, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
                   "path": str(tree)},
-        "workloads": {name: {**summarize(runs), "trace": trace_summary(traces[name])}
+        "workloads": {name: {**summarize(runs, probe_median), "trace": trace_summary(traces[name])}
                       for name, runs in workloads.items()},
         "tier1": tier1,
+        "probe": {"runs": probes, "median": probe_median},
     }
 
 
@@ -192,8 +233,11 @@ def main(argv=None):
     runs = {key: {name: [] for name in WORKLOADS} for key, _ in trees}
     traces = {key: {name: [] for name in WORKLOADS} for key, _ in trees}
     facts = {}
+    probes = []
     for workload in WORKLOADS:
         for seed in seeds:
+            probes.append({"workload": workload, "seed": seed, **probe_once()})
+            print(f"{workload} seed {seed} probe: {probes[-1]}", flush=True)
             order = trees if seed % 2 else trees[::-1]
             for key, tree in order:
                 run, facts[key] = run_once(tree, argv_of(workload, seed))
@@ -212,10 +256,10 @@ def main(argv=None):
         print(f"tier1 {key}: {tier1[key]}", flush=True)
 
     this = record(args.label, ROOT, argv_of, seeds, facts["this"], runs["this"], traces["this"],
-                  tier1["this"])
+                  tier1["this"], probes)
     if args.base:
         base = record(f"{args.label}_base", trees[1][1], argv_of, seeds, facts["base"],
-                      runs["base"], traces["base"], tier1["base"])
+                      runs["base"], traces["base"], tier1["base"], probes)
         this["versus"] = {"label": base["label"], **{
             name: compare(runs["this"][name], runs["base"][name]) for name in WORKLOADS}}
         write(base)

@@ -2,19 +2,19 @@
 
 Wires a structured key-value config file (INI sections: trap, pulse,
 optimize, analysis, output) to the pipeline and emits plot-ready CSV/JSON
-artifacts, the modes as one exact .npz file, one .npz of the report's
-trajectories per shape, and a manifest per command. All frequencies at this
-interface are ordinary frequencies in Hz; the library converts to rad/s
-internally.
+artifacts, the crystal and the modes as one exact .npz file each, one .npz of
+the report's trajectories per shape, and a manifest per command. All
+frequencies at this interface are ordinary frequencies in Hz; the library
+converts to rad/s internally.
 
 Subcommands: crystal, modes, optimize, report, sweep, powermap. One table,
 _STAGES, declares each: its command, the stages whose files it loads, the ion
-and mode indices it checks and the files it hands on with their loader.
+and mode indices it checks and the one file it hands on with its loader.
 run_stage reads the upstream files from the output directory and exits with
-code 3 when one is missing or was built for another ion count. --recompute
-runs the stages it depends on first, each writing its files and manifest and
-printing its line, so the command then reads what they wrote. Validation and
-solver failures exit with code 2.
+code 3 when one is missing, does not parse or was built for another ion count.
+--recompute runs the stages it depends on first, each writing its files and
+manifest and printing its line, so the command then reads what they wrote.
+Validation and solver failures exit with code 2.
 
 The output directory resolves in order: --output-dir flag, IONPULSE_OUTPUT_DIR
 environment variable, [output] dir config key, ./ionpulse_out.
@@ -22,7 +22,6 @@ environment variable, [output] dir config key, ./ionpulse_out.
 
 import argparse
 import configparser
-import csv
 import functools
 import hashlib
 import json
@@ -51,6 +50,7 @@ from .crystal import (
     TrapConfig,
     load_crystal,
     save_crystal,
+    save_positions_csv,
     solve_equilibrium,
 )
 from .modes import (
@@ -315,36 +315,32 @@ def _check_indices(cfg, fields):
 
 
 def _hand_off(cfg, out_dir, stage):
-    """Paths of the files `stage` hands on, its _STAGES `files` under [pulse] shape."""
-    return [os.path.join(out_dir, name.format(shape=cfg.shape_kind))
-            for name in _STAGES[stage].files]
+    """Path of the file `stage` hands on, its _STAGES `file` under [pulse] shape."""
+    return os.path.join(out_dir, _STAGES[stage].file.format(shape=cfg.shape_kind))
 
 
 # what a loader raises on a truncated or unparsable file (json's errors are ValueErrors;
 # np.load raises EOFError on an empty .npz and BadZipFile on a cut one)
-_MALFORMED = (ValueError, LookupError, TypeError, StopIteration, csv.Error, EOFError,
-              zipfile.BadZipFile)
+_MALFORMED = (ValueError, LookupError, TypeError, EOFError, zipfile.BadZipFile)
 
 
 def _load(cfg, out_dir, stage):
     """Read back what `stage` hands on; a missing, malformed or stale file raises
     MissingPrerequisite."""
     row = _STAGES[stage]
-    paths = _hand_off(cfg, out_dir, stage)
-    for path in paths:
-        if not os.path.exists(path):
-            raise MissingPrerequisite(f"missing prerequisite {os.path.basename(path)!r}; "
-                                      f"run `ionpulse {stage}` first or pass --recompute")
+    path = _hand_off(cfg, out_dir, stage)
+    name = os.path.basename(path)
+    if not os.path.exists(path):
+        raise MissingPrerequisite(f"missing prerequisite {name!r}; "
+                                  f"run `ionpulse {stage}` first or pass --recompute")
     rerun = f"rerun `ionpulse {stage}` or pass --recompute"
     try:
-        loaded = row.load(*paths)
+        loaded = row.load(path)
     except _MALFORMED as exc:
-        names = " or ".join(repr(os.path.basename(path)) for path in paths)
-        raise MissingPrerequisite(f"malformed prerequisite {names} ({exc}); {rerun}") from exc
+        raise MissingPrerequisite(f"malformed prerequisite {name!r} ({exc}); {rerun}") from exc
     count = getattr(loaded, row.count) if row.count else cfg.trap.n_ions
     if count != cfg.trap.n_ions:
-        stale = os.path.basename(paths[-1])  # the file that records the count
-        raise MissingPrerequisite(f"stale prerequisite {stale!r} holds {count} ions but "
+        raise MissingPrerequisite(f"stale prerequisite {name!r} holds {count} ions but "
                                   f"[trap] n_ions is {cfg.trap.n_ions}; {rerun}")
     return loaded
 
@@ -383,15 +379,17 @@ def cmd_crystal(cfg, out_dir):
     t0 = time.perf_counter()
     crystal = solve_equilibrium(cfg.trap)
     t1 = time.perf_counter()
-    csv_path, json_path = _hand_off(cfg, out_dir, "crystal")
-    save_crystal(crystal, csv_path, json_path)
+    npz_path = _hand_off(cfg, out_dir, "crystal")
+    csv_path = os.path.join(out_dir, "positions.csv")
+    save_crystal(crystal, npz_path)
+    save_positions_csv(crystal, csv_path)
     spacing = crystal.spacings
     mean_um = spacing.mean() * 1e6
     variation = (spacing.max() - spacing.min()) / spacing.mean() * 100.0
     return StageResult(
         f"crystal: {crystal.n_ions} ions, mean spacing {mean_um:.3f} um, "
         f"variation {variation:.2f} %, {crystal.iterations} iterations",
-        [csv_path, json_path],
+        [npz_path, csv_path],
         {
             "n_ions": crystal.n_ions,
             "mean_spacing_um": mean_um,
@@ -407,7 +405,7 @@ def cmd_modes(cfg, out_dir, crystal):
     t0 = time.perf_counter()
     modes = solve_modes(build_transverse_matrix(crystal, cfg.trap), cfg.trap)
     t1 = time.perf_counter()
-    [npz_path] = _hand_off(cfg, out_dir, "modes")
+    npz_path = _hand_off(cfg, out_dir, "modes")
     csv_path = os.path.join(out_dir, "spectrum.csv")
     save_modes(modes, npz_path)
     save_spectrum_csv(modes, csv_path)
@@ -439,7 +437,7 @@ def cmd_optimize(cfg, out_dir, modes):
     except BudgetExhausted as exc:
         exhausted = exc
         schedule = saved_form(replace(problem.base_schedule, fm_points=exc.best_fm_points))
-    [sched_path] = _hand_off(cfg, out_dir, "optimize")
+    sched_path = _hand_off(cfg, out_dir, "optimize")
     save_schedule(schedule, sched_path)
     trace_path = os.path.join(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
     write_text(trace_path, ["eval,cost\n", *(f"{n},{c!r}\n" for n, c in trace)])
@@ -590,8 +588,8 @@ class Stage(NamedTuple):
     command: object  # (cfg, out_dir, *what the `reads` stages hand on) -> StageResult
     reads: tuple = ()  # in argument order; --recompute runs the first one before this
     indices: tuple = ()  # RunConfig index fields checked against [trap] n_ions
-    files: tuple = ()  # the files it hands on, "{shape}" being [pulse] shape
-    load: object = None  # (*paths of `files`) -> what it hands on
+    file: str = ""  # the file it hands on, "{shape}" being [pulse] shape
+    load: object = None  # (path of `file`) -> what it hands on
     count: str = ""  # the attribute of what `load` returns that must equal [trap] n_ions
 
 
@@ -602,11 +600,11 @@ _DRIVE = ("mu_mode", "target_modes")  # report resolves the target modes it writ
 # nowhere else. The loaders are lambdas, so each library name is looked up
 # when it is called.
 _STAGES = {
-    "crystal": Stage(cmd_crystal, files=("positions.csv", "crystal.json"),
-                     load=lambda *paths: load_crystal(*paths), count="n_ions"),
-    "modes": Stage(cmd_modes, ("crystal",), files=("modes.npz",),
+    "crystal": Stage(cmd_crystal, file="crystal.npz", load=lambda path: load_crystal(path),
+                     count="n_ions"),
+    "modes": Stage(cmd_modes, ("crystal",), file="modes.npz",
                    load=lambda path: load_modes(path), count="n_modes"),
-    "optimize": Stage(cmd_optimize, ("modes",), _PAIR + _DRIVE, ("schedule_{shape}.json",),
+    "optimize": Stage(cmd_optimize, ("modes",), _PAIR + _DRIVE, "schedule_{shape}.json",
                       lambda path: load_schedule(path)),
     "report": Stage(cmd_report, ("optimize", "modes"), _PAIR + _DRIVE),
     "sweep": Stage(cmd_sweep, ("optimize", "modes"), _PAIR),
@@ -630,7 +628,7 @@ def run_stage(name, cfg, out_dir, recompute):
         reads = _STAGES[stage].reads
         result = _STAGES[stage].command(cfg, out_dir, *[_load(cfg, out_dir, up) for up in reads])
         print(result.line)
-        inputs = [path for upstream in reads for path in _hand_off(cfg, out_dir, upstream)]
+        inputs = [_hand_off(cfg, out_dir, upstream) for upstream in reads]
         write_json(os.path.join(out_dir, f"{stage}_manifest.json"), {
             "command": stage,
             "version": __version__,

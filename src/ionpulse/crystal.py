@@ -17,14 +17,12 @@ evaluates energy and forces from scratch. Its stopping rule, force_tol =
 delta_z; ROADMAP item 3 plans a Newton polish on the analytic Hessian.
 """
 
-import csv
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
+from .artifacts import write_csv, write_npz
 from .constants import (
     COULOMB_CONSTANT,
     ELEMENTARY_CHARGE,
@@ -90,7 +88,7 @@ class TrapConfig:
 
 @dataclass(frozen=True, eq=False)
 class IonCrystal:
-    """Equilibrium axial positions (sorted ascending) plus solver metadata."""
+    """Equilibrium axial positions (finite, strictly ascending) plus solver metadata."""
 
     positions: np.ndarray  # m
     residual_force: float  # N, max per-ion net force at convergence
@@ -98,8 +96,9 @@ class IonCrystal:
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float)  # copy: freezing must not leak
-        if np.any(np.diff(pos) <= 0):
-            raise ValueError("positions must be strictly increasing")
+        # written so that nan fails it
+        if not (pos.ndim == 1 and np.isfinite(pos).all() and (np.diff(pos) > 0).all()):
+            raise ValueError("positions must be finite and strictly increasing")
         pos.setflags(write=False)
         object.__setattr__(self, "positions", pos)
 
@@ -352,27 +351,23 @@ def solve_equilibrium(
         del chain
 
 
-def save_crystal(crystal, csv_path, json_path):
-    """Write positions as CSV (index, z_m) and solver metadata as JSON."""
+def save_crystal(crystal, npz_path):
+    """Store an IonCrystal as one .npz file (artifacts.write_npz): positions_m (N,) float64,
+    residual_force_n () float64 and iterations () int64, all exact."""
+    write_npz(npz_path, positions_m=crystal.positions,
+              residual_force_n=np.float64(crystal.residual_force),
+              iterations=np.int64(crystal.iterations))
+
+
+def load_crystal(npz_path):
+    """Rebuild an IonCrystal from save_crystal output, bitwise equal to what was saved."""
+    # np.load given a path leaves it open when the archive does not parse
+    with open(npz_path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+        return IonCrystal(positions=data["positions_m"],
+                          residual_force=float(data["residual_force_n"]),
+                          iterations=int(data["iterations"]))
+
+
+def save_positions_csv(crystal, csv_path):
+    """Write the positions as CSV (index, z_m), 1-based ion index."""
     write_csv(csv_path, ["index", "z_m"], enumerate(crystal.positions.tolist(), start=1))
-    write_json(json_path, {"n_ions": crystal.n_ions, "residual_force_n": crystal.residual_force,
-                           "iterations": crystal.iterations})
-
-
-def load_crystal(csv_path, json_path):
-    """Rebuild an IonCrystal from the files written by save_crystal."""
-    positions = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["index", "z_m"]:
-            raise ValueError(f"unexpected crystal CSV header: {header}")
-        for row in reader:
-            positions.append(float(row[1]))
-    with open(json_path) as fh:
-        meta = json.load(fh)
-    return IonCrystal(
-        positions=np.array(positions),
-        residual_force=float(meta["residual_force_n"]),
-        iterations=int(meta["iterations"]),
-    )

@@ -39,8 +39,13 @@ class ModeData:
     eta: np.ndarray  # (N, N), [ion, mode]
 
     def __post_init__(self):
-        for name in ("frequencies", "vectors", "eta"):
+        n = np.size(self.frequencies)
+        for name, shape in (("frequencies", (n,)), ("vectors", (n, n)), ("eta", (n, n))):
             arr = np.array(getattr(self, name), dtype=float)  # copy: freezing must not leak
+            # written so that nan fails it
+            if not (arr.shape == shape and np.isfinite(arr).all()):
+                raise ValueError(f"{name} must hold finite values in shape {shape}, "
+                                 f"got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

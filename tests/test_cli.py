@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ionpulse.cli import KEYS, build_parser, main
+from ionpulse.artifacts import write_npz
+from ionpulse.cli import _STAGES, KEYS, build_parser, main
 from ionpulse.pulse import load_schedule, save_waveform_csv
 
 SMALL_CONFIG = """
@@ -54,8 +55,9 @@ def test_crystal_command(small_config, tmp_path, capsys):
     assert run(["-c", small_config, "-o", str(out), "crystal"]) == 0
     printed = capsys.readouterr().out
     assert "mean spacing" in printed
-    for name in ("positions.csv", "crystal.json", "crystal_manifest.json"):
+    for name in ("crystal.npz", "positions.csv", "crystal_manifest.json"):
         assert (out / name).exists()
+    assert not (out / "crystal.json").exists()
     manifest = json.loads((out / "crystal_manifest.json").read_text())
     assert manifest["command"] == "crystal"
     assert manifest["parameters"]["n_ions"] == 12
@@ -66,7 +68,7 @@ def test_missing_prerequisite_exit_code(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["-c", small_config, "-o", str(out), "modes"]) == 3
     assert capsys.readouterr().err == (
-        "error: missing prerequisite 'positions.csv'; run `ionpulse crystal` first "
+        "error: missing prerequisite 'crystal.npz'; run `ionpulse crystal` first "
         "or pass --recompute\n")
     assert not (out / "modes.npz").exists()
 
@@ -88,7 +90,7 @@ def test_sweep_recompute_matches_staged_run(small_config, tmp_path, capsys):
     assert run(["-c", small_config, "-o", str(direct), "sweep", "--recompute"]) == 0
     assert capsys.readouterr().out == lines
     assert sorted(p.name for p in direct.iterdir()) == sorted(p.name for p in staged.iterdir())
-    for name in ("positions.csv", "crystal.json", "modes.npz", "spectrum.csv",
+    for name in ("crystal.npz", "positions.csv", "modes.npz", "spectrum.csv",
                  "schedule_A.json", "optimize_trace_A.csv", "waveform_A.csv", "sweep_A.csv"):
         assert (direct / name).read_bytes() == (staged / name).read_bytes(), name
 
@@ -194,7 +196,7 @@ def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     assert not [path for path in written if path.suffix == ".tmp"]
     assert {path.suffix for path in written} == {".csv", ".json", ".npz"}
     assert [path.name for path in written if path.suffix == ".npz"] == [
-        "modes.npz", "trajectories_A.npz"]
+        "crystal.npz", "modes.npz", "trajectories_A.npz"]
     for path in written:
         if path.suffix != ".npz":
             assert path.read_bytes() == reencoded(path), path.name
@@ -459,13 +461,13 @@ _STAGE_SCHEMA = {
         {"n_ions", "mean_spacing_um", "spacing_variation_pct", "residual_force_n", "iterations"},
         {"solve"},
         set(),
-        ["crystal.json", "positions.csv"],
+        ["crystal.npz", "positions.csv"],
     ),
     "modes": (
         r"modes: 12 transverse modes, \d\.\d{4} to \d\.\d{4} MHz",
         {"lowest_hz", "highest_hz"},
         {"solve"},
-        {"positions.csv", "crystal.json"},
+        {"crystal.npz"},
         ["modes.npz", "spectrum.csv"],
     ),
     "optimize": (
@@ -523,19 +525,23 @@ def test_stage_summaries_and_manifest_schema(small_config, tmp_path, capsys):
         assert manifest["outputs"] == outputs
 
 
-def test_missing_crystal_json_exit_code(small_config, tmp_path, capsys):
-    # positions.csv alone is not a crystal: modes must not re-solve it silently
+def test_crystal_text_files_alone_are_a_missing_prerequisite(small_config, tmp_path, capsys):
+    # a directory written before the crystal was stored as .npz holds positions.csv and
+    # crystal.json, which no stage reads: modes must not re-solve them silently
     out = tmp_path / "out"
     assert run(["-c", small_config, "-o", str(out), "crystal"]) == 0
-    (out / "crystal.json").unlink()
+    (out / "crystal.npz").unlink()
+    (out / "crystal.json").write_text('{"iterations": 1, "n_ions": 12, "residual_force_n": 0.0}\n')
     capsys.readouterr()
     assert run(["-c", small_config, "-o", str(out), "modes"]) == 3
-    assert "'crystal.json'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: missing prerequisite 'crystal.npz'; run `ionpulse crystal` first "
+        "or pass --recompute\n")
     assert not (out / "modes.npz").exists()
 
 
 @pytest.mark.parametrize("stage, upstream, stale", [
-    ("modes", ["crystal"], "crystal.json"),
+    ("modes", ["crystal"], "crystal.npz"),
     ("optimize", ["crystal", "modes"], "modes.npz"),
 ])
 def test_stale_upstream_ion_count(small_config, tmp_path, capsys, stage, upstream, stale):
@@ -581,7 +587,7 @@ def test_malformed_prerequisite_exit_code(small_config, tmp_path, capsys):
     for name in ("crystal", "modes", "optimize"):
         assert run(["-c", small_config, "-o", str(out), name]) == 0
     for stage, cut, size, upstream in (("report", "schedule_A.json", 100, "optimize"),
-                                       ("modes", "positions.csv", 50, "crystal"),
+                                       ("modes", "crystal.npz", 50, "crystal"),
                                        ("optimize", "modes.npz", 100, "modes"),
                                        ("optimize", "modes.npz", 0, "modes")):
         path = out / cut
@@ -593,6 +599,49 @@ def test_malformed_prerequisite_exit_code(small_config, tmp_path, capsys):
         assert err.startswith("error: malformed prerequisite ") and f"{cut!r}" in err, err
         assert err.endswith(f"; rerun `ionpulse {upstream}` or pass --recompute\n"), err
         assert not (out / f"{stage}_manifest.json").exists()
+
+
+# (stage, the file it hands on under SMALL_CONFIG, the first stage that reads it)
+_HANDED_ON = [(name, row.file.format(shape="A"),
+               next(down for down, d in _STAGES.items() if name in d.reads))
+              for name, row in _STAGES.items() if row.file]
+
+
+@pytest.mark.parametrize("upstream, name, stage", _HANDED_ON)
+@pytest.mark.parametrize("cut", ["to 0 bytes", "to half", "by its last 6 bytes"])
+def test_every_cut_hand_off_file_is_malformed(designed_dir, small_config, tmp_path, capsys,
+                                              upstream, name, stage, cut):
+    # a cut file must not parse: none may hand on a shorter crystal or mode set
+    out = tmp_path / "out"
+    shutil.copytree(designed_dir, out)
+    path = out / name
+    data = path.read_bytes()
+    path.write_bytes(data[:{"to 0 bytes": 0, "to half": len(data) // 2}.get(cut, -6)])
+    assert run(["-c", small_config, "-o", str(out), stage]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed prerequisite {name!r} ("), err
+    assert err.endswith(f"; rerun `ionpulse {upstream}` or pass --recompute\n"), err
+
+
+@pytest.mark.parametrize("name, stage, bad", [
+    pytest.param("crystal.npz", "modes", lambda data: {
+        **data, "positions_m": np.where(np.arange(12) == 6, np.nan, data["positions_m"])},
+        id="nan-position"),
+    pytest.param("modes.npz", "optimize", lambda data: {
+        **data, "vectors": data["vectors"][:10, :10], "eta": data["eta"][:, :10]},
+        id="10-ion-vectors-of-12-modes"),
+])
+def test_hand_off_file_the_records_refuse_is_malformed(designed_dir, small_config, tmp_path,
+                                                       capsys, name, stage, bad):
+    # a file that parses but holds a nan position, or modes of mismatched shapes, would
+    # fail later in a solver or a broadcast (exit 2) far from the file
+    out = tmp_path / "out"
+    shutil.copytree(designed_dir, out)
+    with np.load(out / name, allow_pickle=False) as data:
+        payload = bad({key: data[key] for key in data.files})
+    write_npz(out / name, **payload)
+    assert run(["-c", small_config, "-o", str(out), stage]) == 3
+    assert capsys.readouterr().err.startswith(f"error: malformed prerequisite {name!r} (")
 
 
 def test_staged_optimize_matches_recompute(small_config, tmp_path):

@@ -186,14 +186,30 @@ def test_crystal_requires_sorted_positions():
         IonCrystal(positions=np.array([1e-6, 0.0]), residual_force=0.0, iterations=1)
 
 
+@pytest.mark.parametrize("positions", [
+    [0.0, np.nan, 1e-6], [0.0, 1e-6, np.inf], [-np.inf, 0.0], [np.nan], [[0.0, 1e-6]],
+])
+def test_crystal_refuses_non_finite_or_misshapen_positions(positions):
+    # nan compares false either way, so "no gap <= 0" would let it through
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        IonCrystal(positions=positions, residual_force=0.0, iterations=1)
+
+
 def test_crystal_roundtrip(tmp_path, chain):
-    csv_path = tmp_path / "positions.csv"
-    json_path = tmp_path / "crystal.json"
-    save_crystal(chain, csv_path, json_path)
-    loaded = load_crystal(csv_path, json_path)
-    np.testing.assert_array_equal(loaded.positions, chain.positions)
+    path = tmp_path / "crystal.npz"
+    save_crystal(chain, path)
+    loaded = load_crystal(path)
+    # bitwise: the modes stage solves on the positions it reads back
+    assert loaded.positions.tobytes() == chain.positions.tobytes()
     assert loaded.residual_force == chain.residual_force
     assert loaded.iterations == chain.iterations
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data.files) == ["iterations", "positions_m", "residual_force_n"]
+        assert [(data[name].dtype, data[name].shape) for name in sorted(data.files)] == [
+            (np.int64, ()), (np.float64, (chain.n_ions,)), (np.float64, ())]
+    again = tmp_path / "again.npz"
+    save_crystal(loaded, again)  # the manifests hash crystal.npz
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_chain_energy_additivity(cfg):

@@ -204,6 +204,19 @@ def test_uniform_mode_tie_goes_to_the_first():
     assert most_uniform_mode(modes) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("frequencies", np.ones((3, 1))), ("vectors", np.eye(2)), ("eta", np.ones((3, 2))),
+    ("frequencies", [1.0, np.nan, 3.0]), ("vectors", np.diag([1.0, np.inf, 1.0])),
+    ("eta", np.full((3, 3), -np.inf)), ("frequencies", 1.0),
+])
+def test_mode_data_refuses_misshapen_or_non_finite_arrays(field, value):
+    # a loader hands on whatever a file holds: a misshapen set would fail later,
+    # in a broadcast far from the file
+    arrays = {"frequencies": [1.0, 2.0, 3.0], "vectors": np.eye(3), "eta": np.ones((3, 3))}
+    with pytest.raises(ValueError, match=f"{field} must hold finite values in shape"):
+        ModeData(**{**arrays, field: value})
+
+
 def test_modes_roundtrip(tmp_path, mode_data):
     path = tmp_path / "modes.npz"
     save_modes(mode_data, path)
