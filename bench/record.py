@@ -24,8 +24,12 @@ so. Before each seed's runs of a workload, a machine probe runs in fresh
 interpreters (see probe_once); the record keeps every probe and their medians,
 and each workload's wall_s and setup_s medians divided by each probe median, so
 records made on different days or machines read on one scale. A speed claim
-still cites an alternated pair. Standard library only (the probe's child
-interpreters import numpy); it gates nothing.
+still cites an alternated pair. Each record also holds the README's staged
+default pipeline (crystal and modes, then optimize, report, sweep and powermap
+for shapes A and B) run once in its tree, the two trees in turn under --base:
+as 10 separate invocations and as the same cli.main calls in one interpreter
+(see pipeline_once). Standard library only (the probe's and the pipeline's
+child interpreters import numpy); it gates nothing.
 """
 
 import argparse
@@ -35,6 +39,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,8 +67,29 @@ for _ in range(30):
 print(repr(best))
 """
 PROBES = ("import_numpy_s", "kernel_s")
-# perfbench/run.py pins BLAS to one thread before numpy loads; so does the probe
+# perfbench/run.py pins BLAS to one thread before numpy loads; so do the probe and
+# the pipeline
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The README's staged default pipeline: (command, shape) in order, on the default config
+PIPELINE = (("crystal", None), ("modes", None),
+            *((command, shape) for shape in "AB" for command in ("optimize", "report", "sweep", "powermap")))
+# what a stage's manifest parameters say of its result, kept next to its timings
+RESULTS = ("final_cost", "evaluations", "rule_nodes", "rule_gap", "motional_error",
+           "baseline_error", "fitted_slope")
+# The pipeline's cli.main calls in one interpreter: argv[1] is a JSON list of
+# [argv, manifest path]; each manifest is read after its call, and the last line
+# printed is the list of them
+PIPELINE_IN_PROCESS = """
+import json, sys
+from ionpulse import cli
+manifests = []
+for argv, manifest in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"ionpulse {' '.join(argv)} failed")
+    with open(manifest) as fh:
+        manifests.append(json.load(fh))
+print(json.dumps(manifests))
+"""
 
 
 def parse_args(argv=None):
@@ -137,6 +163,37 @@ def tier1_once(tree):
             "failed": counts.get("failed", 0) + counts.get("error", 0)}
 
 
+def pipeline_once(tree):
+    """The default pipeline in `tree`, run in a fresh output directory twice: as one
+    `python -m ionpulse.cli` invocation per stage ("separate") and as the same cli.main
+    calls in one interpreter ("one_process"). Each keeps its wall seconds, child
+    interpreters' start-up included, and per stage the manifest's timings_s and RESULTS."""
+    env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    out = {}
+    for mode in ("separate", "one_process"):
+        with tempfile.TemporaryDirectory() as work:
+            calls = [(["-o", work, *(["--shape", shape] if shape else []), command],
+                      os.path.join(work, f"{command}_manifest.json")) for command, shape in PIPELINE]
+            start = time.perf_counter()
+            if mode == "separate":
+                manifests = []
+                for argv, manifest in calls:
+                    subprocess.run(python("-m", "ionpulse.cli", *argv), cwd=work, env=env,
+                                   stdout=subprocess.DEVNULL, check=True)
+                    manifests.append(json.loads(Path(manifest).read_text()))
+            else:
+                proc = subprocess.run(python("-c", PIPELINE_IN_PROCESS, json.dumps(calls)), cwd=work,
+                                      env=env, capture_output=True, text=True, check=True)
+                manifests = json.loads(proc.stdout.splitlines()[-1])
+            wall = time.perf_counter() - start
+        out[mode] = {"wall_s": wall, "stages": [
+            {"command": command, "shape": shape, "timings_s": manifest["timings_s"],
+             **{key: manifest["parameters"][key] for key in RESULTS if key in manifest["parameters"]}}
+            for (command, shape), manifest in zip(PIPELINE, manifests)]}
+    return out
+
+
 def trace_summary(traces):
     """The traced runs and, per layer metric, the median of the runs that report it."""
     names = sorted({name for trace in traces for name in trace["metrics"]})
@@ -201,7 +258,7 @@ def describe(tree):
     return proc.stdout.strip() or None
 
 
-def record(label, tree, argv_of, seeds, facts, workloads, traces, tier1, probes):
+def record(label, tree, argv_of, seeds, facts, workloads, traces, tier1, pipeline, probes):
     probe_median = {name: statistics.median(probe[name] for probe in probes) for name in PROBES}
     return {
         "label": label,
@@ -214,6 +271,7 @@ def record(label, tree, argv_of, seeds, facts, workloads, traces, tier1, probes)
         "workloads": {name: {**summarize(runs, probe_median), "trace": trace_summary(traces[name])}
                       for name, runs in workloads.items()},
         "tier1": tier1,
+        "pipeline": pipeline,
         "probe": {"runs": probes, "median": probe_median},
     }
 
@@ -250,16 +308,20 @@ def main(argv=None):
                 traces[key][workload].append(trace)
                 print(f"{workload} traced seed {seed} {key}: "
                       f"trace.wall_s {trace['metrics']['trace.wall_s']}", flush=True)
-    tier1 = {}
+    tier1, pipeline = {}, {}
     for key, tree in trees:
         tier1[key] = tier1_once(tree)
         print(f"tier1 {key}: {tier1[key]}", flush=True)
+    for key, tree in trees:
+        pipeline[key] = pipeline_once(tree)
+        print(f"pipeline {key}: " + ", ".join(f"{mode} wall_s {run['wall_s']:.3f}"
+                                               for mode, run in pipeline[key].items()), flush=True)
 
     this = record(args.label, ROOT, argv_of, seeds, facts["this"], runs["this"], traces["this"],
-                  tier1["this"], probes)
+                  tier1["this"], pipeline["this"], probes)
     if args.base:
         base = record(f"{args.label}_base", trees[1][1], argv_of, seeds, facts["base"],
-                      runs["base"], traces["base"], tier1["base"], probes)
+                      runs["base"], traces["base"], tier1["base"], pipeline["base"], probes)
         this["versus"] = {"label": base["label"], **{
             name: compare(runs["this"][name], runs["base"][name]) for name in WORKLOADS}}
         write(base)

@@ -447,7 +447,7 @@ def cmd_optimize(cfg, out_dir, modes):
     report = build_gate_report(
         schedule, modes, cfg.ion_i, cfg.ion_j,
         alpha_intervals=cfg.alpha_intervals, beta_intervals=cfg.beta_intervals,
-        include_trajectories=False,
+        trajectory_modes=(),
     )
     t2 = time.perf_counter()
     final_cost = rule["cost"]
@@ -486,13 +486,12 @@ def cmd_report(cfg, out_dir, schedule, modes):
     report = build_gate_report(
         schedule, modes, cfg.ion_i, cfg.ion_j,
         alpha_intervals=cfg.alpha_intervals, beta_intervals=cfg.beta_intervals,
-        include_trajectories=bool(selected), trajectory_modes=selected,
-        trajectory_samples=cfg.trajectory_samples,
+        trajectory_modes=selected, trajectory_samples=cfg.trajectory_samples,
     )
     t1 = time.perf_counter()
     # written under every selection, `none` included, so no earlier run's file outlives it
     trajectories_path = os.path.join(out_dir, f"trajectories_{cfg.shape_kind}.npz")
-    save_trajectories(report.trajectories, trajectories_path)
+    save_trajectories(report, trajectories_path)
 
     report_path = os.path.join(out_dir, f"report_{cfg.shape_kind}.json")
     omega_max_hz = report.omega_max / (2 * np.pi)

@@ -389,17 +389,18 @@ def _calibrated_amplitude(sched, beta_ref, ion_i, ion_j):
 
 
 def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALPHA_INTERVALS,
-                      beta_intervals=DEFAULT_BETA_INTERVALS, include_trajectories=True,
-                      trajectory_modes=None, trajectory_samples=DEFAULT_TRAJECTORY_SAMPLES):
+                      beta_intervals=DEFAULT_BETA_INTERVALS, trajectory_modes=None,
+                      trajectory_samples=DEFAULT_TRAJECTORY_SAMPLES):
     """Calibrate the pair and assemble the full GateReport.
 
     The error, its per-mode terms (the mode_errors that motional_error sums)
-    and the stored per-mode trajectories are evaluated at the calibrated
-    amplitude; trajectories carry the first ion's coupling. They cover the
-    1-based trajectory_modes in the given order, or every mode when it is
-    None; each mode is integrated on its own, so a selection holds the same
-    records as the full set. Each keeps trajectory_samples rows of its
-    running integral on the alpha_intervals grid (mode_trajectories' samples).
+    and the trajectories are evaluated at the calibrated amplitude;
+    trajectories carry the first ion's coupling. They cover the 1-based
+    trajectory_modes in the given order, or every mode when it is None; each
+    mode is integrated on its own, so a selection holds the same rows as the
+    full set, and an empty selection traces none and runs no trajectory
+    kernel. Each keeps trajectory_samples rows of its running integral on the
+    alpha_intervals grid (mode_trajectories' samples), as one block.
     The angle, the errors and the trajectories all read the trajectory
     module's memo: the unit drive on each grid is built once per FM pattern,
     every mode's detuning tables once per mu_ref. Trajectories of every mode
@@ -410,20 +411,23 @@ def build_gate_report(sched, modes, ion_i, ion_j, *, alpha_intervals=DEFAULT_ALP
     calibrated = with_amplitude(sched, omega_max)
     beta = beta_ref * (omega_max / sched.amp_scale) ** 2  # beta grows as amp_scale^2
     per_mode = mode_errors(calibrated, modes, ion_i, ion_j, n_intervals=alpha_intervals)[:, 0]
-    trajectories = ()
-    if include_trajectories:
-        if trajectory_modes is None:
-            trajectory_modes = range(1, modes.n_modes + 1)
-        idx = modes.rows(trajectory_modes, "mode")
-        trajectories = mode_trajectories(
-            calibrated, modes.frequencies[idx], modes.eta[ion_i - 1, idx],
-            trajectory_modes, alpha_intervals, trajectory_samples,
-        )
+    if trajectory_modes is None:
+        trajectory_modes = range(1, modes.n_modes + 1)
+    idx = modes.rows(trajectory_modes, "mode")
+    times, alpha = np.empty(0), np.empty((0, 0), dtype=complex)
+    if len(idx):
+        times, alpha = mode_trajectories(calibrated, modes.frequencies[idx], modes.eta[ion_i - 1, idx],
+                                         alpha_intervals, trajectory_samples)
+    traced = (idx + 1).astype(np.int64)
+    for arr in (traced, times, alpha):
+        arr.setflags(write=False)
     return GateReport(
         pair=(ion_i, ion_j),
         beta=float(beta),
         motional_error=float(per_mode.sum()),
         omega_max=float(omega_max),
-        trajectories=trajectories,
+        trajectory_modes=traced,
+        trajectory_times=times,
+        trajectories=alpha,
         mode_errors=tuple(per_mode.tolist()),
     )

@@ -13,10 +13,10 @@ summed by blocks, so the cost stays near linear without changing the
 quadrature).
 A stored trajectory keeps only the rows a report writes (2,001 by default),
 and only those rows of its running integral on the 20,000-interval grid are
-computed. A report writes every traced mode's rows to one binary file
-(save_trajectories), each float64 exactly as computed. (The optimizer's
-objective takes its one integral on Gauss-Legendre panels instead; see the
-optimizer module.)
+computed. A report holds every traced mode's rows as one (modes x rows)
+block, the layout of its binary file (save_trajectories), each float64
+exactly as computed. (The optimizer's objective takes its one integral on
+Gauss-Legendre panels instead; see the optimizer module.)
 
 Every integral here takes theta_k = (mu_ref + offset - omega_k) t + fm_phase
 from one FM phase, fm_phase = int (mu - mu_ref) dt in its closed form
@@ -60,8 +60,9 @@ next, and a zero-padded matrix of them is shared by every mode. Each mode
 meets it with its phasors on one block (one matrix-vector product), turns
 the block sums by its phasors at the stored rows and adds them up (one
 cumsum); the cumulative Simpson rule's corrections, at the start and at a
-row's own sample and the one before it, are added at the stored rows. No
-modes x samples array and no full-grid running integral is formed.
+row's own sample and the one before it, are added at the stored rows, in
+the mode's row of one (modes x rows) block. No modes x samples array and no
+full-grid running integral is formed.
 
 Every kernel integrates the unit drive D_1 = (Omega / amp_scale)
 e^{i fm_phase} and applies the amplitude once to its small result:
@@ -85,7 +86,6 @@ power map the memo holds 0.65 MB on the default chain (0.55 MB of it on the
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +114,9 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("times", "alpha"):
-            arr = getattr(self, name)
-            # an array that is read-only and owns its data is already frozen, so
-            # trajectories can share one time grid; anything else is copied
-            if not (isinstance(arr, np.ndarray) and arr.flags.owndata and not arr.flags.writeable):
-                arr = np.array(arr)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+            arr = np.array(getattr(self, name))  # copy: freezing must not leak
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def endpoint(self):
@@ -128,24 +124,29 @@ class Trajectory:
         return complex(self.alpha[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateReport:
     """Calibrated gate summary for one addressed ion pair.
 
     beta is the signed entangling angle at the calibrated amplitude
     (|beta| = pi/4); motional_error sums |alpha_k(tau)|^2 over every mode for
     both addressed ions' couplings, also at the calibrated amplitude, and
-    mode_errors holds its per-mode terms (they sum to it). trajectories holds
-    one record (times and alpha_k(t)) per traced mode, weighted with the first
-    ion's Lamb-Dicke factor, at the rows its trajectory file holds (see
-    mode_trajectories' samples and save_trajectories).
+    mode_errors holds its per-mode terms (they sum to it). The traced modes'
+    paths are one block in the layout of their file (save_trajectories):
+    trajectories (modes x rows, complex128) holds alpha_k(t), weighted with the
+    first ion's Lamb-Dicke factor, a row per mode of trajectory_modes ((modes,)
+    int64, 1-based), at the trajectory_times ((rows,) float64) that
+    mode_trajectories stores. With no traced mode they have shapes (0, 0),
+    (0,) and (0,). The three arrays are read-only.
     """
 
     pair: tuple
     beta: float
     motional_error: float
     omega_max: float  # rad/s
-    trajectories: tuple
+    trajectory_modes: np.ndarray
+    trajectory_times: np.ndarray
+    trajectories: np.ndarray
     mode_errors: tuple
 
 
@@ -301,16 +302,16 @@ def _drive_blocks(drive, rows, width):
     return blocks
 
 
-def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_INTERVALS,
-                      samples=None):
-    """Trajectories of the modes at omega_ks, with couplings etas and mode labels.
+def mode_trajectories(sched, omega_ks, etas, n_intervals=DEFAULT_ALPHA_INTERVALS, samples=None):
+    """(times, alpha): the trajectories of the modes at omega_ks, with couplings etas.
 
-    Each record stores count = min(samples, N + 1) rows of the cumulative
-    Simpson integral on the grid of n_intervals = N, at the grid rows
-    n_p = p N // (count - 1) for p = 0 .. count - 1: the first at t = 0, the
-    last at tau, and evenly spaced when count - 1 divides N. samples=None
-    stores every grid sample. The records of one call share one read-only
-    time array.
+    alpha is one read-only (modes x count) complex128 block, row k the path of
+    the mode at omega_ks[k] scaled by amp_scale etas[k], and times the
+    read-only (count,) rows it is stored at: count = min(samples, N + 1) rows
+    of the cumulative Simpson integral on the grid of n_intervals = N, at the
+    grid rows n_p = p N // (count - 1) for p = 0 .. count - 1: the first at
+    t = 0, the last at tau, and evenly spaced when count - 1 divides N.
+    samples=None stores every grid sample.
 
     Only the stored rows are computed. For n >= 1 the cumulative rule is
     G_n = dx S_n + (dx/12)(c0 + g_{n-1} - 7 g_n) with S_n = sum_{j<=n} g_j,
@@ -322,7 +323,7 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
     the zero-padded block matrix with the mode's phasors on one block, and
     one cumsum. The g_{n-1} and g_n terms are taken at the stored rows. The
     rows go in passes of at most _ROW_PASS, so a pass's scratch stays near
-    0.3 MB even when every sample is stored. A record depends only on its own
+    0.3 MB even when every sample is stored. A row depends only on its own
     mode's table rows, so it is bitwise the same in a call with any other
     modes; the unit drive and the tables come from the memo (_unit_drive,
     _tables).
@@ -331,8 +332,7 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
         raise ValueError(f"a trajectory stores t = 0 and tau, so samples >= 2; got {samples}")
     count = n_intervals + 1 if samples is None else min(samples, n_intervals + 1)
     t, dx = _uniform_grid(sched.gate_time, n_intervals)
-    times = t[np.arange(count) * n_intervals // (count - 1)]
-    times.setflags(write=False)
+    times = _frozen(t[np.arange(count) * n_intervals // (count - 1)])
     del t  # times holds its rows; the full grid would be 160 kB of scratch through the passes
     drive = _unit_drive(sched, n_intervals)
     coarse, fine = _tables(sched, omega_ks, n_intervals)
@@ -342,9 +342,8 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
     start, _, c0 = _start_terms(coarse, fine, drive)
     c0 *= dx / 12.0
     back = start[:, 1].conj()  # e^{-i delta_k dx}: g_{n-1} in the frame of row n
-    records = list(zip(etas, labels))
-    alphas = [np.empty(count, dtype=complex) for _ in records]
-    running = np.zeros(len(records), dtype=complex)  # dx sum_{j<n} g_j, n the last row done
+    alpha = np.empty((len(fine), count), dtype=complex)
+    running = np.zeros(len(fine), dtype=complex)  # dx sum_{j<n} g_j, n the last row done
     for first in range(0, count - 1, _ROW_PASS):
         rows = np.arange(first, min(first + _ROW_PASS, count - 1) + 1) * n_intervals // (count - 1)
         blocks = _drive_blocks(drive, rows, width)
@@ -353,7 +352,7 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
         # dx S_n holds dx g_n, and the rule adds -7 dx/12 g_n
         here = drive[rows[1:]] * ((12.0 - 7.0) * dx / 12.0)
         row_q, row_r = divmod(rows, m)
-        for k, (coarse_k, fine_k, alpha) in enumerate(zip(coarse, fine, alphas)):
+        for k, (coarse_k, fine_k, row) in enumerate(zip(coarse, fine, alpha)):
             phasors = coarse_k[row_q] * fine_k[row_r]
             # np.dot, not @: matmul took 5x longer on one-sample blocks
             sums = np.dot(blocks, coarse_k[block_q] * fine_k[block_r])
@@ -365,19 +364,17 @@ def mode_trajectories(sched, omega_ks, etas, labels, n_intervals=DEFAULT_ALPHA_I
             ends += here
             ends *= phasors[1:]
             ends += c0[k]
-            np.add(sums, ends, out=alpha[first + 1:first + len(rows)])
-    trajectories = []
-    for alpha, (eta_ik, label) in zip(alphas, records):
-        alpha[0] = 0.0
-        alpha *= sched.amp_scale * eta_ik
-        alpha.flags.writeable = False
-        trajectories.append(Trajectory(mode=label, times=times, alpha=alpha))
-    return tuple(trajectories)
+            np.add(sums, ends, out=row[first + 1:first + len(rows)])
+    alpha[:, 0] = 0.0
+    for row, eta_ik in zip(alpha, etas):
+        row *= sched.amp_scale * eta_ik
+    return times, _frozen(alpha)
 
 
 def integrate_alpha(sched, eta_ik, omega_k, n_intervals=DEFAULT_ALPHA_INTERVALS, mode=None):
     """Phase-space trajectory of the mode at omega_k driven by the schedule."""
-    return mode_trajectories(sched, [omega_k], [eta_ik], [mode], n_intervals)[0]
+    times, alpha = mode_trajectories(sched, [omega_k], [eta_ik], n_intervals)
+    return Trajectory(mode=mode, times=times, alpha=alpha[0])
 
 
 def time_averaged_displacement(traj):
@@ -600,23 +597,8 @@ def entangling_angle(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERV
     return 2.0 * float(np.sum(coupling * d))
 
 
-def save_trajectories(trajectories, path):
-    """The trajectories as one .npz file (artifacts.write_npz): t_s (rows,), their
-    shared times; alpha (modes x rows, complex128), a row per trajectory; and mode
-    (modes,), its 1-based int64 labels. No trajectory gives t_s (0,), alpha (0, 0)
-    and mode (0,). ValueError refuses trajectories on different time grids and a
-    label that is not an integer."""
-    times = trajectories[0].times if trajectories else np.empty(0)
-    labels = []
-    for traj in trajectories:
-        if not np.array_equal(traj.times, times):
-            raise ValueError(f"trajectory of mode {traj.mode!r} lies on another time grid "
-                             f"than that of mode {trajectories[0].mode!r}")
-        try:
-            labels.append(operator.index(traj.mode))
-        except TypeError:
-            raise ValueError(f"trajectory mode {traj.mode!r} is not an integer") from None
-    alpha = np.empty((len(trajectories), len(times)), dtype=complex)
-    for row, traj in zip(alpha, trajectories):
-        row[:] = traj.alpha
-    write_npz(path, t_s=times, alpha=alpha, mode=np.array(labels, dtype=np.int64))
+def save_trajectories(report, path):
+    """The report's trajectories as one .npz file (artifacts.write_npz): t_s, its
+    trajectory_times; alpha, its trajectories; and mode, its trajectory_modes."""
+    write_npz(path, t_s=report.trajectory_times, alpha=report.trajectories,
+              mode=report.trajectory_modes)

@@ -68,7 +68,7 @@ def test_criterion_2_spectrum(mode_data, cfg, timings):
 
 def _calibrated_error(schedule, mode_data):
     report = build_gate_report(
-        schedule, mode_data, *DEFAULT_PAIR, include_trajectories=False
+        schedule, mode_data, *DEFAULT_PAIR, trajectory_modes=()
     )
     return report.motional_error
 

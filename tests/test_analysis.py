@@ -269,6 +269,8 @@ def test_values_compare_by_identity(chain, mode_data, optimized_a):
         power_map(optimized_a, mode_data, pairs=[(1, 2)]),
         synthetic_sweep(2.0),
         fourier_decompose(optimized_a, n_max=4, n_intervals=256),
+        build_gate_report(optimized_a, mode_data, 25, 26, alpha_intervals=400,
+                          trajectory_modes=(1, 2), trajectory_samples=11),
     ]
     for value in values:
         assert value == value

@@ -326,24 +326,24 @@ def test_gate_report(mode_data, optimized_a):
     assert abs(report.beta) == pytest.approx(np.pi / 4, rel=1e-6)
     assert report.motional_error < 1e-4
     assert len(report.trajectories) == mode_data.n_modes
-    assert report.trajectories[0].mode == 1
+    assert report.trajectory_modes.tolist() == list(range(1, mode_data.n_modes + 1))
+    assert report.trajectory_modes.dtype == np.int64
     # error equals the recomputed metric at the calibrated amplitude
     recomputed = motional_error(
         with_amplitude(optimized_a, report.omega_max), mode_data, *DEFAULT_PAIR
     )
     assert report.motional_error == recomputed
     calibrated = with_amplitude(optimized_a, report.omega_max)
-    times = report.trajectories[0].times
-    assert not times.flags.writeable
-    assert all(traj.times is times for traj in report.trajectories)
-    for k, traj in enumerate(report.trajectories):
-        (alone,) = mode_trajectories(
+    assert report.trajectories.shape == (mode_data.n_modes, DEFAULT_TRAJECTORY_SAMPLES)
+    for arr in (report.trajectory_modes, report.trajectory_times, report.trajectories):
+        assert not arr.flags.writeable
+    for k, row in enumerate(report.trajectories):
+        times, (alone,) = mode_trajectories(
             calibrated, [mode_data.frequencies[k]], [mode_data.eta[DEFAULT_PAIR[0] - 1, k]],
-            [k + 1], samples=DEFAULT_TRAJECTORY_SAMPLES,
+            samples=DEFAULT_TRAJECTORY_SAMPLES,
         )
-        assert traj.mode == alone.mode
-        for name in ("times", "alpha"):
-            np.testing.assert_array_equal(getattr(traj, name), getattr(alone, name))
+        np.testing.assert_array_equal(report.trajectory_times, times)
+        np.testing.assert_array_equal(row, alone)
 
 
 def test_gate_report_stores_the_written_rows(mode_data, optimized_a):
@@ -351,8 +351,8 @@ def test_gate_report_stores_the_written_rows(mode_data, optimized_a):
     # of the 20,001-sample grid the running integrals are taken on (16 MB). The
     # kernels' memo is cleared inside the measured call, so its grid inputs count
     report, peak = traced_peak(cold(lambda: build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR)))
-    assert len(report.trajectories) == mode_data.n_modes
-    assert all(len(traj.alpha) == len(traj.times) == 2001 for traj in report.trajectories)
+    assert report.trajectories.shape == (mode_data.n_modes, 2001)
+    assert report.trajectory_times.shape == (2001,)
     assert peak < 4e6
 
 
@@ -361,18 +361,16 @@ def test_gate_report_traces_selected_modes(mode_data, optimized_a):
     some = build_gate_report(
         optimized_a, mode_data, *DEFAULT_PAIR, alpha_intervals=4000, trajectory_modes=(30, 2),
     )
-    assert [traj.mode for traj in some.trajectories] == [30, 2]
-    for traj in some.trajectories:
-        match = full.trajectories[traj.mode - 1]
-        for name in ("times", "alpha"):
-            np.testing.assert_array_equal(getattr(traj, name), getattr(match, name))
+    assert some.trajectory_modes.tolist() == [30, 2]
+    assert some.trajectory_times.tobytes() == full.trajectory_times.tobytes()
+    assert some.trajectories.tobytes() == full.trajectories[[29, 1]].tobytes()
     assert some.mode_errors == full.mode_errors
     with pytest.raises(ValueError):
         build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR, trajectory_modes=(0,))
 
 
 def test_gate_report_mode_errors_sum_to_error(mode_data, optimized_a):
-    report = build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR, include_trajectories=False)
+    report = build_gate_report(optimized_a, mode_data, *DEFAULT_PAIR, trajectory_modes=())
     assert len(report.mode_errors) == mode_data.n_modes
     assert sum(report.mode_errors) == pytest.approx(report.motional_error, rel=1e-12)
     direct = motional_error(with_amplitude(optimized_a, report.omega_max), mode_data, *DEFAULT_PAIR)
@@ -407,7 +405,7 @@ def test_gate_report_evaluates_the_angle_once(mode_data, base_schedule_a, monkey
 
     monkeypatch.setattr(opt, "entangling_angle", counted)
     report = build_gate_report(
-        base_schedule_a, mode_data, *DEFAULT_PAIR, include_trajectories=False
+        base_schedule_a, mode_data, *DEFAULT_PAIR, trajectory_modes=()
     )
     assert calls == [base_schedule_a.amp_scale]
     # the scaled angle is the angle evaluated at the calibrated amplitude, up to rounding

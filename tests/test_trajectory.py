@@ -504,13 +504,11 @@ def test_sweep_columns_form_no_modes_x_samples_array(mode_data, optimized_a):
 
 def test_mode_trajectories_allocate_what_they_store(mode_data, optimized_a):
     # the warm-up call fills the kernel entry (0.55 MB on this grid), so this is the
-    # call's own scratch beyond the records it returns
-    labels = range(1, mode_data.n_modes + 1)
-    trajs, peak = traced_peak(lambda: mode_trajectories(
-        optimized_a, mode_data.frequencies, mode_data.eta[24], labels,
+    # call's own scratch beyond the block it returns
+    (times, alpha), peak = traced_peak(lambda: mode_trajectories(
+        optimized_a, mode_data.frequencies, mode_data.eta[24],
     ))
-    stored = trajs[0].times.nbytes + sum(tr.alpha.nbytes for tr in trajs)
-    assert peak <= stored + 2**20
+    assert peak <= times.nbytes + alpha.nbytes + 2**20
 
 
 def full_grid_trajectories(sched, omegas, etas):
@@ -531,28 +529,35 @@ def test_stored_rows_are_the_full_trajectory_rows(samples):
     # rounding, and the times are the grid's own
     sched = random_fm_schedule(3)
     omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3, 40e3])
-    etas, labels = [0.05, 0.04, 0.03], [1, 2, 3]
+    etas = [0.05, 0.04, 0.03]
     t, full = full_grid_trajectories(sched, omegas, etas)
     scale = max(np.abs(alpha).max() for alpha in full)
-    stored = mode_trajectories(sched, omegas, etas, labels, samples=samples)
+    times, stored = mode_trajectories(sched, omegas, etas, samples=samples)
     rows = np.arange(samples) * GRID // (samples - 1)
+    assert stored.shape == (3, samples) and stored.dtype == np.complex128
+    assert not times.flags.writeable and not stored.flags.writeable
+    np.testing.assert_array_equal(times, t[rows])
+    assert times[0] == 0.0 and times[-1] == TAU
     for short, long in zip(stored, full):
-        assert short.times is stored[0].times and not short.times.flags.writeable
-        np.testing.assert_array_equal(short.times, t[rows])
-        assert short.times[0] == 0.0 and short.times[-1] == TAU
-        assert short.alpha[0] == 0.0
-        np.testing.assert_allclose(short.alpha, long[rows], rtol=0.0, atol=STORED_ROW_TOL * scale)
+        assert short[0] == 0.0
+        np.testing.assert_allclose(short, long[rows], rtol=0.0, atol=STORED_ROW_TOL * scale)
 
 
 def test_mode_trajectories_refuse_fewer_than_two_samples():
     for samples in (0, 1):
         with pytest.raises(ValueError, match="samples"):
-            mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [None], samples=samples)
+            mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], samples=samples)
+
+
+def stored_trajectory(sched, samples):
+    """The Trajectory of the mode 10 kHz below MU0 at the samples that mode_trajectories stores."""
+    times, (alpha,) = mode_trajectories(sched, [MU0 - 2 * np.pi * 10e3], [0.05], samples=samples)
+    return Trajectory(mode=None, times=times, alpha=alpha)
 
 
 def test_time_average_refuses_unevenly_stored_rows():
     # 1499 does not divide 20,000, so the stored rows are 13 or 14 intervals apart
-    traj = mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [None], samples=1500)[0]
+    traj = stored_trajectory(schedule(), 1500)
     with pytest.raises(ValueError, match="evenly spaced"):
         time_averaged_displacement(traj)
 
@@ -561,9 +566,7 @@ def test_time_average_of_evenly_stored_rows():
     # 2000 divides 20,000: Simpson over every tenth sample agrees with the full grid
     sched = schedule()
     full = time_averaged_displacement(integrate_alpha(sched, 0.05, MU0 - 2 * np.pi * 10e3))
-    every_tenth = time_averaged_displacement(
-        mode_trajectories(sched, [MU0 - 2 * np.pi * 10e3], [0.05], [None], samples=2001)[0]
-    )
+    every_tenth = time_averaged_displacement(stored_trajectory(sched, 2001))
     assert abs(every_tenth - full) <= 1e-8 * abs(full)
 
 
@@ -622,66 +625,50 @@ def load_trajectories(path):
         return data["t_s"], data["alpha"], data["mode"]
 
 
-def test_trajectory_file(tmp_path):
-    omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3])
-    trajectories = mode_trajectories(schedule(), omegas, [0.05, 0.04], [25, np.int64(7)], samples=201)
+def traced_report(mode_data, optimized_a, trajectory_modes, samples):
+    return build_gate_report(optimized_a, mode_data, 25, 26, trajectory_modes=trajectory_modes,
+                             trajectory_samples=samples)
+
+
+def test_trajectory_file(tmp_path, mode_data, optimized_a):
+    report = traced_report(mode_data, optimized_a, (25, np.int64(7)), 201)
     path = tmp_path / "trajectories_A.npz"
-    save_trajectories(trajectories, path)
+    save_trajectories(report, path)
     t_s, alpha, mode = load_trajectories(path)
     assert t_s.dtype == np.float64 and t_s.shape == (201,)
     assert alpha.dtype == np.complex128 and alpha.shape == (2, 201)
     assert mode.dtype == np.int64 and mode.tolist() == [25, 7]
-    assert t_s[0] == 0.0 and t_s[-1] == TAU
+    assert t_s[0] == 0.0 and t_s[-1] == optimized_a.gate_time
     assert alpha[:, 0].tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("samples", [4, 1500, 3000])
-def test_trajectory_file_ends_at_gate_end(tmp_path, samples):
+def test_trajectory_file_ends_at_gate_end(tmp_path, mode_data, optimized_a, samples):
     # the rows are grid samples and the last is alpha(tau), also when
     # samples - 1 does not divide the 20,000 intervals
-    omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3, 40e3])
-    trajectories = mode_trajectories(schedule(), omegas, [0.05, 0.04, 0.03], [1, 2, 3], samples=samples)
+    report = traced_report(mode_data, optimized_a, (1, 2, 3), samples)
     path = tmp_path / "trajectories_A.npz"
-    save_trajectories(trajectories, path)
+    save_trajectories(report, path)
     t_s, alpha, _ = load_trajectories(path)
     assert alpha.shape == (3, samples)
-    assert t_s[-1] == TAU
-    assert alpha[:, -1].tolist() == [traj.endpoint for traj in trajectories]
+    assert t_s[-1] == optimized_a.gate_time
+    assert alpha[:, -1].tolist() == report.trajectories[:, -1].tolist()
 
 
 @pytest.mark.parametrize("samples", [201, 2001, 10**6])
-def test_trajectory_file_round_trips_bitwise(tmp_path, samples):
+def test_trajectory_file_round_trips_bitwise(tmp_path, mode_data, optimized_a, samples):
     # every stored row is kept, each float64 exactly, signed zeros and subnormals too
-    traj = mode_trajectories(schedule(), [MU0 - 2 * np.pi * 10e3], [0.05], [25], samples=samples)[0]
-    alpha = traj.alpha.copy()
-    alpha[:4] = [complex(-0.0, 1e-300), complex(1e300, -0.0), 5e-324, -1.0 / 3.0]
-    traj = Trajectory(mode=25, times=traj.times, alpha=alpha)
+    report = traced_report(mode_data, optimized_a, (25,), samples)
+    alpha = report.trajectories.copy()
+    alpha[0, :4] = [complex(-0.0, 1e-300), complex(1e300, -0.0), 5e-324, -1.0 / 3.0]
+    report = replace(report, trajectories=alpha)
     path = tmp_path / "trajectories_A.npz"
-    save_trajectories([traj], path)
+    save_trajectories(report, path)
     t_s, stored, mode = load_trajectories(path)
     assert len(t_s) == min(samples, GRID + 1)
-    assert t_s.tobytes() == traj.times.tobytes()
-    assert stored.tobytes() == traj.alpha.tobytes()
+    assert t_s.tobytes() == report.trajectory_times.tobytes()
+    assert stored.tobytes() == alpha.tobytes()
     assert mode.tolist() == [25]
-
-
-def test_trajectory_file_refuses_mixed_grids_and_labels(tmp_path):
-    # one t_s serves every row, so a trajectory on another grid is refused, as is a
-    # label that is not an integer; equal grids from separate calls are one grid
-    sched = schedule()
-    omegas = MU0 - 2 * np.pi * np.array([10e3, 25e3])
-    shared = mode_trajectories(sched, omegas, [0.05, 0.04], [1, 2], samples=301)
-    again = mode_trajectories(sched, omegas[:1], [0.05], [3], samples=301)
-    other = mode_trajectories(sched, omegas[:1], [0.05], [3], 4000, 301)
-    path = tmp_path / "trajectories_A.npz"
-    save_trajectories([*shared, *again], path)
-    assert load_trajectories(path)[2].tolist() == [1, 2, 3]
-    with pytest.raises(ValueError, match="another time grid"):
-        save_trajectories([*shared, *other], tmp_path / "mixed.npz")
-    for label in (None, 1.5, "1"):
-        with pytest.raises(ValueError, match="not an integer"):
-            save_trajectories([shared[0], replace(shared[1], mode=label)], tmp_path / "label.npz")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["trajectories_A.npz"]
 
 
 def test_trajectory_copies_writable_arrays():
@@ -694,16 +681,18 @@ def test_trajectory_copies_writable_arrays():
         assert not getattr(traj, name).flags.writeable
 
 
-def test_trajectory_keeps_frozen_arrays():
+def test_trajectory_copies_frozen_arrays():
+    # read-only arrays, owned or views, are copied too, as every record's arrays are
     times = np.arange(5.0)
     times.setflags(write=False)
     alpha = np.zeros(5, complex)
     alpha.setflags(write=False)
-    view = alpha[:3]  # read-only, but does not own its data
-    first = Trajectory(mode=1, times=times, alpha=alpha)
-    second = Trajectory(mode=2, times=times, alpha=view)
-    assert first.times is times and second.times is times and first.alpha is alpha
-    assert second.alpha is not view and not second.alpha.flags.writeable
+    view = alpha[:3]
+    for given, kept in ((times, Trajectory(mode=1, times=times, alpha=alpha).times),
+                        (alpha, Trajectory(mode=1, times=times, alpha=alpha).alpha),
+                        (view, Trajectory(mode=2, times=times[:3], alpha=view).alpha)):
+        assert kept is not given and not np.shares_memory(kept, given)
+        assert kept.tobytes() == given.tobytes() and not kept.flags.writeable
 
 
 def analysis_bytes(sched, mode_data, before_each=lambda: None):
@@ -714,7 +703,7 @@ def analysis_bytes(sched, mode_data, before_each=lambda: None):
         before_each()
         report = build_gate_report(sched, mode_data, *pair)
         out += [np.array([report.beta, report.motional_error, report.omega_max, *report.mode_errors]),
-                report.trajectories[0].times, *(traj.alpha for traj in report.trajectories)]
+                report.trajectory_times, report.trajectories]
     before_each()
     sweep = offset_sweep(sched, mode_data, (25, 26))
     out += [sweep.errors, np.array([sweep.baseline, sweep.fitted_slope])]
@@ -777,7 +766,7 @@ def test_kernel_memo_misses_on_any_bit_of_each_key(mode_data):
     calls = [
         (DEFAULT_BETA_INTERVALS, lambda: mode_angle_integrals(sched, freqs[[30, 2]])),
         (4000, lambda: mode_displacement_integrals(sched, freqs[[30, 2]], 4000, [0.0, 500.0])),
-        (4000, lambda: mode_trajectories(sched, freqs[[5, 1]], [0.1, 0.2], [6, 2], 4000, 101)[1].alpha),
+        (4000, lambda: mode_trajectories(sched, freqs[[5, 1]], [0.1, 0.2], 4000, 101)[1]),
     ]
     for n_intervals, call in calls:
         mode_angle_integrals(sched, freqs)
@@ -854,9 +843,21 @@ def test_power_map_at_another_amplitude_reuses_the_reports_angles(mode_data, opt
 
     monkeypatch.setattr(trajectory, "_angle_sums", counted)
     clear_memo()
-    build_gate_report(optimized_a, mode_data, 25, 26, include_trajectories=False)
+    build_gate_report(optimized_a, mode_data, 25, 26, trajectory_modes=())
     assert builds == [DEFAULT_BETA_INTERVALS + 1]
     doubled = replace(optimized_a, amp_scale=2 * optimized_a.amp_scale)
     warm = power_map(doubled, mode_data).omega_max
     assert builds == [DEFAULT_BETA_INTERVALS + 1]
     assert warm.tobytes() == cold(lambda: power_map(doubled, mode_data))().omega_max.tobytes()
+
+
+def test_report_tracing_no_mode_keeps_the_held_tables(mode_data, optimized_a):
+    # a report that traces no mode runs no trajectory kernel: the held tables on the
+    # 20,000-interval grid stay the all-mode ones its errors read, so the sweep after
+    # it builds none (a zero-mode trace had replaced them with (0, 142) tables)
+    clear_memo()
+    build_gate_report(optimized_a, mode_data, 25, 26, trajectory_modes=())
+    tables = held("tables", GRID)
+    assert [len(table) for table in tables] == [mode_data.n_modes] * 2
+    offset_sweep(optimized_a, mode_data, (25, 26))
+    assert held("tables", GRID) is tables
