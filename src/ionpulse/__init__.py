@@ -71,7 +71,6 @@ from .pulse import (
 )
 from .trajectory import (
     GateReport,
-    Trajectory,
     entangling_angle,
     entangling_angle_sampled,
     integrate_alpha,

@@ -303,13 +303,17 @@ def _check_writable(out_dir):
 
 
 def _check_indices(cfg, fields):
-    """Check the ion and mode indices in the RunConfig `fields` against [trap] n_ions."""
+    """Check the ion and mode indices in the RunConfig `fields` against [trap] n_ions;
+    a list may not repeat one."""
     n = cfg.trap.n_ions
     for field in fields:
         value = getattr(cfg, field)  # an index, a tuple of them, or None
-        for k in (value,) if isinstance(value, int) else value or ():
+        indices = (value,) if isinstance(value, int) else value or ()
+        for k in indices:
             if not 1 <= k <= n:
                 raise ConfigError(f"{field} index {k} outside 1..{n}")
+            if indices.count(k) > 1:
+                raise ConfigError(f"{field} index {k} is given twice")
     if "ion_j" in fields and cfg.ion_i == cfg.ion_j:
         raise ConfigError("ion_i and ion_j must differ")
 

@@ -109,7 +109,11 @@ class OptimizationProblem:
             if not len(self.target_modes):
                 raise ValueError(f"target_modes must be non-empty indices in 1..{n}")
             rows = self.modes.rows(self.target_modes, "mode")  # refuses 2.5 and 0 alike
-            object.__setattr__(self, "target_modes", tuple((rows + 1).tolist()))
+            targets = tuple((rows + 1).tolist())
+            repeated = [k for k in targets if targets.count(k) > 1]
+            if repeated:  # the cost would count the mode twice
+                raise ValueError(f"target mode {repeated[0]} is given twice")
+            object.__setattr__(self, "target_modes", targets)
         if self.max_evals < 1:
             raise ValueError("max_evals must be positive")
         if self.n_starts < 1:
@@ -214,8 +218,8 @@ def cost(problem, fm_points):
     and calibration happens after optimization. Evaluated through the
     order-swapped single integral on the objective's panel rule, doubled
     until the doubling moves the cost by at most RULE_TOL of it; it agrees
-    with composing integrate_alpha and time_averaged_displacement to
-    quadrature accuracy.
+    with time_averaged_displacement(*integrate_alpha(...)) summed over the
+    modes and ions to quadrature accuracy.
     """
     fm = np.asarray(fm_points, dtype=float)
     if fm.shape != (problem.base_schedule.n_oscillations,):

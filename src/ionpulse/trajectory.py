@@ -105,26 +105,6 @@ MAX_BLOCK_PHASE = 8.0
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Sampled phase-space path of one mode: times and alpha(t)."""
-
-    mode: object  # 1-based mode index, or None when unspecified
-    times: np.ndarray
-    alpha: np.ndarray  # complex displacement samples
-
-    def __post_init__(self):
-        for name in ("times", "alpha"):
-            arr = np.array(getattr(self, name))  # copy: freezing must not leak
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def endpoint(self):
-        """Final displacement alpha(tau)."""
-        return complex(self.alpha[-1])
-
-
-@dataclass(frozen=True, eq=False)
 class GateReport:
     """Calibrated gate summary for one addressed ion pair.
 
@@ -222,8 +202,9 @@ def _phasor_tables(freqs, tau, n_intervals):
             _phasor_table(freqs, np.arange(m, dtype=float), tau, n_intervals))
 
 
-def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, mode=None):
-    """Trajectory from sampled Rabi frequency and detuning on a uniform grid.
+def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0):
+    """alpha(t) (1-D) from Rabi frequency and detuning sampled on a uniform grid of step dx,
+    at the caller's sample times.
 
     The sampled-profile oracle for the schedule paths: it integrates the detuning
     itself, so it also accepts profiles (for instance constant ones) that no
@@ -231,10 +212,7 @@ def integrate_sampled(omega_samples, delta_samples, dx, eta_ik=1.0, times=None, 
     """
     omega_samples = np.asarray(omega_samples, dtype=float)
     theta = cumulative_simpson(delta_samples, dx)
-    alpha = eta_ik * cumulative_simpson(omega_samples * np.exp(1j * theta), dx)
-    if times is None:
-        times = dx * np.arange(len(omega_samples))
-    return Trajectory(mode=mode, times=times, alpha=alpha)
+    return eta_ik * cumulative_simpson(omega_samples * np.exp(1j * theta), dx)
 
 
 def _frozen(arr):
@@ -371,27 +349,29 @@ def mode_trajectories(sched, omega_ks, etas, n_intervals=DEFAULT_ALPHA_INTERVALS
     return times, _frozen(alpha)
 
 
-def integrate_alpha(sched, eta_ik, omega_k, n_intervals=DEFAULT_ALPHA_INTERVALS, mode=None):
-    """Phase-space trajectory of the mode at omega_k driven by the schedule."""
+def integrate_alpha(sched, eta_ik, omega_k, n_intervals=DEFAULT_ALPHA_INTERVALS):
+    """(times, alpha): the path of the mode at omega_k driven by the schedule, at
+    every sample of the grid of n_intervals; both arrays (N + 1,) and read-only."""
     times, alpha = mode_trajectories(sched, [omega_k], [eta_ik], n_intervals)
-    return Trajectory(mode=mode, times=times, alpha=alpha[0])
+    return times, alpha[0]
 
 
-def time_averaged_displacement(traj):
-    """Mean displacement (1/tau) int alpha(t) dt over the stored samples.
+def time_averaged_displacement(times, alpha):
+    """Mean displacement (1/tau) int alpha(t) dt over the samples at times.
 
-    Simpson's rule needs the samples evenly spaced; a trajectory stored at
-    rows that are not (samples - 1 not dividing the intervals) is refused.
+    Time runs along alpha's last axis: one mode's path (rows,) gives a complex,
+    and a report's block (modes x rows) a (modes,) array, each row the value
+    its own call gives. Simpson's rule needs the samples evenly spaced; rows
+    stored at uneven steps (samples - 1 not dividing the intervals) are refused.
     """
-    steps = np.diff(traj.times)
+    steps = np.diff(times)
     dx = steps[0]
     if np.ptp(steps) > 1e-6 * dx:
         raise ValueError(
             f"time_averaged_displacement needs evenly spaced samples; steps run "
             f"from {steps.min():.6g} to {steps.max():.6g} s"
         )
-    tau = traj.times[-1]
-    return complex(simpson(traj.alpha, dx) / tau)
+    return simpson(alpha, dx) / times[-1]
 
 
 def _block_products(drives, fine):

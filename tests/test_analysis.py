@@ -22,7 +22,6 @@ from ionpulse import (
     entangling_angle,
     fit_slope,
     fourier_decompose,
-    integrate_alpha,
     motional_error,
     offset_sweep,
     power_map,
@@ -265,7 +264,6 @@ def test_values_compare_by_identity(chain, mode_data, optimized_a):
     # on two equal instances; these compare by identity, so == never raises
     values = [
         optimized_a, chain, mode_data,
-        integrate_alpha(optimized_a, 0.1, mode_data.frequencies[0], n_intervals=400),
         power_map(optimized_a, mode_data, pairs=[(1, 2)]),
         synthetic_sweep(2.0),
         fourier_decompose(optimized_a, n_max=4, n_intervals=256),

@@ -107,6 +107,17 @@ def test_recompute_checks_every_stage_before_the_first(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_repeated_target_mode_is_refused_before_any_stage(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(SMALL_CONFIG.replace("n_starts = 1", "n_starts = 1\ntarget_modes = 7, 7"))
+    out = tmp_path / "out"
+    assert run(["-c", str(path), "-o", str(out), "optimize", "--recompute"]) == 2
+    printed = capsys.readouterr()
+    assert printed.err == "error: target_modes index 7 is given twice\n"
+    assert printed.out == ""
+    assert list(out.iterdir()) == []
+
+
 def test_staged_sweep_after_recompute_reads_the_recomputed_modes(small_config, tmp_path):
     # a report --recompute under a new trap writes the modes it designed on, so
     # a staged sweep under that trap does not pair its schedule with older modes

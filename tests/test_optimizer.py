@@ -84,10 +84,10 @@ def test_cost_matches_manual_composition(mode_data, base_schedule_a):
     total = 0.0
     for k in resolve_target_modes(problem):
         for ion in DEFAULT_PAIR:
-            traj = integrate_alpha(
+            times, alpha = integrate_alpha(
                 sched, mode_data.eta[ion - 1, k - 1], mode_data.frequencies[k - 1]
             )
-            total += abs(time_averaged_displacement(traj)) ** 2
+            total += abs(time_averaged_displacement(times, alpha)) ** 2
     assert got == pytest.approx(total, rel=1e-7)
 
 
@@ -234,7 +234,8 @@ def test_toy_single_mode_closes_trajectory():
     modes = problem.modes
 
     def endpoint(s):
-        return abs(integrate_alpha(s, modes.eta[0, 0], modes.frequencies[0]).endpoint)
+        _, alpha = integrate_alpha(s, modes.eta[0, 0], modes.frequencies[0])
+        return abs(alpha[-1])
 
     flat = endpoint(problem.base_schedule)
     assert endpoint(optimized) < 1e-6 * flat
@@ -274,10 +275,10 @@ def test_endpoint_suppression_on_targets(mode_data, base_schedule_a, optimized_a
         total = 0.0
         for k in targets:
             for ion in DEFAULT_PAIR:
-                traj = integrate_alpha(
+                _, alpha = integrate_alpha(
                     sched, mode_data.eta[ion - 1, k - 1], mode_data.frequencies[k - 1]
                 )
-                total += abs(traj.endpoint) ** 2
+                total += abs(alpha[-1]) ** 2
         return total
 
     flat = target_endpoint_error(with_amplitude(base_schedule_a, REFERENCE_RABI))
@@ -390,6 +391,15 @@ def test_problem_validation(mode_data, base_schedule_a):
         OptimizationProblem(
             base_schedule=base_schedule_a, modes=mode_data,
             ion_pair=DEFAULT_PAIR, target_modes=(0,),
+        )
+
+
+def test_problem_refuses_a_repeated_target_mode(mode_data, base_schedule_a):
+    # the cost would count mode 7 twice
+    with pytest.raises(ValueError, match="target mode 7 is given twice"):
+        OptimizationProblem(
+            base_schedule=base_schedule_a, modes=mode_data,
+            ion_pair=DEFAULT_PAIR, target_modes=(7, 3, 7),
         )
 
 

@@ -10,7 +10,6 @@ from ionpulse import (
     PulseSchedule,
     ShapeA,
     ShapeB,
-    Trajectory,
     entangling_angle,
     entangling_angle_sampled,
     integrate_alpha,
@@ -219,42 +218,39 @@ def test_phase_matches_analytic_arc_integral():
 def test_alpha_constant_profiles_closed_form():
     eta, om = 0.05, 2 * np.pi * 100e3
     delta = 2 * np.pi * 5e3
-    omega_s, delta_s, dx, t = constant_profiles(om, delta)
-    traj = integrate_sampled(omega_s, delta_s, dx, eta_ik=eta, times=t)
+    omega_s, delta_s, dx, _ = constant_profiles(om, delta)
+    alpha = integrate_sampled(omega_s, delta_s, dx, eta_ik=eta)
     expected = closed_form_alpha(eta, om, delta, TAU)
-    assert abs(traj.endpoint - expected) < 1e-8 * abs(expected)
+    assert abs(alpha[-1] - expected) < 1e-8 * abs(expected)
 
 
 def test_alpha_closed_circle():
     # delta tau = 2 pi n: the trajectory closes exactly
     eta, om = 0.05, 2 * np.pi * 100e3
     delta = 2 * np.pi * 4 / TAU
-    omega_s, delta_s, dx, t = constant_profiles(om, delta)
-    traj = integrate_sampled(omega_s, delta_s, dx, eta_ik=eta, times=t)
-    assert abs(traj.endpoint) < 1e-8 * eta * om * TAU
+    omega_s, delta_s, dx, _ = constant_profiles(om, delta)
+    alpha = integrate_sampled(omega_s, delta_s, dx, eta_ik=eta)
+    assert abs(alpha[-1]) < 1e-8 * eta * om * TAU
 
 
 def test_alpha_zero_detuning_straight_line():
     eta, om = 0.05, 2 * np.pi * 100e3
-    omega_s, delta_s, dx, t = constant_profiles(om, 0.0)
-    traj = integrate_sampled(omega_s, delta_s, dx, eta_ik=eta, times=t)
-    assert traj.endpoint == pytest.approx(eta * om * TAU, rel=1e-12)
+    omega_s, delta_s, dx, _ = constant_profiles(om, 0.0)
+    alpha = integrate_sampled(omega_s, delta_s, dx, eta_ik=eta)
+    assert alpha[-1] == pytest.approx(eta * om * TAU, rel=1e-12)
 
 
 def test_trajectory_starts_at_origin():
-    traj = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3)
-    assert traj.alpha[0] == 0.0
-    assert traj.times[0] == 0.0
-    assert traj.endpoint == traj.alpha[-1]
+    times, alpha = integrate_alpha(schedule(), 0.05, MU0 - 2 * np.pi * 10e3)
+    assert alpha[0] == 0.0
+    assert times[0] == 0.0 and times[-1] == TAU
+    assert times.shape == alpha.shape == (GRID + 1,)
 
 
 def test_time_average_constant_trajectory():
-    from ionpulse.trajectory import Trajectory
-
     t = np.linspace(0.0, TAU, 101)
     c = 0.3 + 0.4j
-    traj = Trajectory(mode=None, times=t, alpha=np.full(101, c))
-    assert time_averaged_displacement(traj) == pytest.approx(c, rel=1e-12)
+    assert time_averaged_displacement(t, np.full(101, c)) == pytest.approx(c, rel=1e-12)
 
 
 def test_time_average_closed_form():
@@ -262,10 +258,10 @@ def test_time_average_closed_form():
     eta, om = 0.05, 2 * np.pi * 100e3
     delta = 2 * np.pi * 7e3
     omega_s, delta_s, dx, t = constant_profiles(om, delta)
-    traj = integrate_sampled(omega_s, delta_s, dx, eta_ik=eta, times=t)
+    alpha = integrate_sampled(omega_s, delta_s, dx, eta_ik=eta)
     z = 1j * delta
     expected = eta * om / z * ((np.exp(z * TAU) - 1.0) / (z * TAU) - 1.0)
-    got = time_averaged_displacement(traj)
+    got = time_averaged_displacement(t, alpha)
     assert abs(got - expected) < 1e-8 * abs(expected)
 
 
@@ -273,8 +269,8 @@ def test_time_average_linearity():
     sched = schedule()
     a = integrate_alpha(sched, 0.05, MU0 - 2 * np.pi * 10e3)
     b = integrate_alpha(sched, 0.10, MU0 - 2 * np.pi * 10e3)
-    assert time_averaged_displacement(b) == pytest.approx(
-        2.0 * time_averaged_displacement(a), rel=1e-12
+    assert time_averaged_displacement(*b) == pytest.approx(
+        2.0 * time_averaged_displacement(*a), rel=1e-12
     )
 
 
@@ -399,10 +395,10 @@ def test_motional_error_matches_trajectory_sum(mode_data):
     total = 0.0
     for k in range(mode_data.n_modes):
         for ion in (25, 26):
-            traj = integrate_alpha(
+            _, alpha = integrate_alpha(
                 sched, mode_data.eta[ion - 1, k], mode_data.frequencies[k]
             )
-            total += abs(traj.endpoint) ** 2
+            total += abs(alpha[-1]) ** 2
     # the batched path sums the whole grid in blocks and ends with composite
     # rather than cumulative Simpson; it agrees with the per-mode composition
     # to quadrature rounding
@@ -550,24 +546,39 @@ def test_mode_trajectories_refuse_fewer_than_two_samples():
 
 
 def stored_trajectory(sched, samples):
-    """The Trajectory of the mode 10 kHz below MU0 at the samples that mode_trajectories stores."""
+    """(times, alpha) of the mode 10 kHz below MU0 at the samples that mode_trajectories stores."""
     times, (alpha,) = mode_trajectories(sched, [MU0 - 2 * np.pi * 10e3], [0.05], samples=samples)
-    return Trajectory(mode=None, times=times, alpha=alpha)
+    return times, alpha
 
 
 def test_time_average_refuses_unevenly_stored_rows():
     # 1499 does not divide 20,000, so the stored rows are 13 or 14 intervals apart
-    traj = stored_trajectory(schedule(), 1500)
+    times, alpha = stored_trajectory(schedule(), 1500)
     with pytest.raises(ValueError, match="evenly spaced"):
-        time_averaged_displacement(traj)
+        time_averaged_displacement(times, alpha)
 
 
 def test_time_average_of_evenly_stored_rows():
     # 2000 divides 20,000: Simpson over every tenth sample agrees with the full grid
     sched = schedule()
-    full = time_averaged_displacement(integrate_alpha(sched, 0.05, MU0 - 2 * np.pi * 10e3))
-    every_tenth = time_averaged_displacement(stored_trajectory(sched, 2001))
+    full = time_averaged_displacement(*integrate_alpha(sched, 0.05, MU0 - 2 * np.pi * 10e3))
+    every_tenth = time_averaged_displacement(*stored_trajectory(sched, 2001))
     assert abs(every_tenth - full) <= 1e-8 * abs(full)
+
+
+def test_time_average_of_a_reports_block(mode_data, optimized_a):
+    # a report's (modes x rows) block gives one mean per mode, bitwise each row's own
+    report = build_gate_report(optimized_a, mode_data, 25, 26, trajectory_modes=None)
+    times, block = report.trajectory_times, report.trajectories
+    means = time_averaged_displacement(times, block)
+    assert means.shape == (mode_data.n_modes,)
+    rows = [time_averaged_displacement(times, alpha) for alpha in block]
+    assert means.tobytes() == np.array(rows).tobytes()
+    # 1499 does not divide 20,000: the stored rows are unevenly spaced
+    uneven = build_gate_report(optimized_a, mode_data, 25, 26, trajectory_modes=None,
+                               trajectory_samples=1500)
+    with pytest.raises(ValueError, match="evenly spaced"):
+        time_averaged_displacement(uneven.trajectory_times, uneven.trajectories)
 
 
 def test_displacement_zero_offset_matches_integrate_alpha(mode_data):
@@ -579,8 +590,8 @@ def test_displacement_zero_offset_matches_integrate_alpha(mode_data):
     for sched in (schedule(), random_fm_schedule(6)):
         endpoints = mode_displacement_integrals(sched, mode_data.frequencies)[:, 0]
         for k, omega_k in enumerate(mode_data.frequencies):
-            exact = integrate_alpha(sched, 1.0, omega_k).endpoint
-            assert abs(endpoints[k] - exact) <= 1e-10 * sched.amp_scale * TAU
+            _, alpha = integrate_alpha(sched, 1.0, omega_k)
+            assert abs(endpoints[k] - alpha[-1]) <= 1e-10 * sched.amp_scale * TAU
 
 
 def test_motional_error_single_ion_flag(mode_data):
@@ -601,7 +612,7 @@ def test_gauge_shift_regression(mode_data):
     t = np.linspace(0.0, TAU, GRID + 1)
     dx = t[1] - t[0]
 
-    shifted = integrate_alpha(sched, 1.0, omega_k - shift)
+    _, shifted = integrate_alpha(sched, 1.0, omega_k - shift)
     theta = cumulative_simpson(np.full(GRID + 1, MU0 - omega_k), dx)
     ramped = cumulative_simpson(
         np.full(GRID + 1, sched.amp_scale)
@@ -609,7 +620,7 @@ def test_gauge_shift_regression(mode_data):
         * np.exp(1j * (theta + shift * t)),
         dx,
     )
-    assert abs(shifted.endpoint - ramped[-1]) < 1e-12 * sched.amp_scale * TAU
+    assert abs(shifted[-1] - ramped[-1]) < 1e-12 * sched.amp_scale * TAU
 
 
 def test_error_grid_self_convergence(mode_data, optimized_a):
@@ -669,30 +680,6 @@ def test_trajectory_file_round_trips_bitwise(tmp_path, mode_data, optimized_a, s
     assert t_s.tobytes() == report.trajectory_times.tobytes()
     assert stored.tobytes() == alpha.tobytes()
     assert mode.tolist() == [25]
-
-
-def test_trajectory_copies_writable_arrays():
-    times, alpha = np.linspace(0.0, 1.0, 5), np.zeros(5, complex)
-    traj = Trajectory(mode=1, times=times, alpha=alpha)
-    times[:] = 7.0
-    alpha[:] = 7.0
-    assert traj.times[-1] == 1.0 and traj.endpoint == 0.0
-    for name in ("times", "alpha"):
-        assert not getattr(traj, name).flags.writeable
-
-
-def test_trajectory_copies_frozen_arrays():
-    # read-only arrays, owned or views, are copied too, as every record's arrays are
-    times = np.arange(5.0)
-    times.setflags(write=False)
-    alpha = np.zeros(5, complex)
-    alpha.setflags(write=False)
-    view = alpha[:3]
-    for given, kept in ((times, Trajectory(mode=1, times=times, alpha=alpha).times),
-                        (alpha, Trajectory(mode=1, times=times, alpha=alpha).alpha),
-                        (view, Trajectory(mode=2, times=times[:3], alpha=view).alpha)):
-        assert kept is not given and not np.shares_memory(kept, given)
-        assert kept.tobytes() == given.tobytes() and not kept.flags.writeable
 
 
 def analysis_bytes(sched, mode_data, before_each=lambda: None):
