@@ -74,8 +74,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 PIPELINE = (("crystal", None), ("modes", None),
             *((command, shape) for shape in "AB" for command in ("optimize", "report", "sweep", "powermap")))
 # what a stage's manifest parameters say of its result, kept next to its timings
-RESULTS = ("final_cost", "evaluations", "rule_nodes", "rule_gap", "motional_error",
-           "baseline_error", "fitted_slope")
+RESULTS = ("final_cost", "evaluations", "rule_nodes", "rule_gap", "budget_exhausted",
+           "motional_error", "baseline_error", "fitted_slope")
 # The pipeline's cli.main calls in one interpreter: argv[1] is a JSON list of
 # [argv, manifest path]; each manifest is read after its call, and the last line
 # printed is the list of them

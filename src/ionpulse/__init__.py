@@ -46,6 +46,7 @@ from .optimizer import (
     BudgetExhausted,
     DegeneratePair,
     OptimizationProblem,
+    OptimizationResult,
     build_gate_report,
     calibrate_power,
     cost,

@@ -29,7 +29,7 @@ import os
 import sys
 import time
 import zipfile
-from dataclasses import make_dataclass, replace
+from dataclasses import make_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,10 +79,15 @@ from .pulse import (
     load_schedule,
     save_schedule,
     save_waveform_csv,
-    saved_form,
     with_amplitude,
 )
-from .trajectory import DEFAULT_TRAJECTORY_SAMPLES, max_offset, save_trajectories
+from .trajectory import (
+    DEFAULT_ALPHA_INTERVALS,
+    DEFAULT_BETA_INTERVALS,
+    DEFAULT_TRAJECTORY_SAMPLES,
+    max_offset,
+    save_trajectories,
+)
 
 EXIT_ERROR = 2
 EXIT_MISSING_PREREQ = 3
@@ -185,8 +190,10 @@ KEYS = (
     Key("analysis", "sweep_min_hz", "10", "sweep_min", _number(positive=True, hz=True)),
     Key("analysis", "sweep_max_hz", "2000", "sweep_max", _number(positive=True, hz=True)),
     Key("analysis", "powermap_pairs", "all", "powermap_pairs", _count_or("all")),  # None: all
-    Key("analysis", "alpha_intervals", "20000", "alpha_intervals", _integer(2, even=True)),
-    Key("analysis", "beta_intervals", "2000", "beta_intervals", _integer(2, even=True)),
+    Key("analysis", "alpha_intervals", str(DEFAULT_ALPHA_INTERVALS), "alpha_intervals",
+        _integer(2, even=True)),
+    Key("analysis", "beta_intervals", str(DEFAULT_BETA_INTERVALS), "beta_intervals",
+        _integer(2, even=True)),
     Key("analysis", "waveform_samples", "2001", "waveform_samples", _integer(2)),
     Key("analysis", "trajectory_samples", str(DEFAULT_TRAJECTORY_SAMPLES), "trajectory_samples",
         _integer(2)),
@@ -424,51 +431,48 @@ def cmd_modes(cfg, out_dir, crystal):
 
 
 def cmd_optimize(cfg, out_dir, modes):
-    """Optimize, then write the schedule, its eval/cost trace and its waveform.
+    """Optimize, then write the run's schedule, its eval/cost trace and its waveform.
 
-    A spent budget keeps the best point seen: it is written like a converged
-    result, and the BudgetExhausted is raised (exit code 2) once the manifest
-    is written. Either schedule is taken in its saved form (pulse.saved_form),
-    so the manifest's gate figures are the ones report computes from the file.
+    A spent budget keeps the run at the best point seen, which the
+    BudgetExhausted carries: it is written like a converged run, and the
+    exception is raised (exit code 2) once the manifest is written. The run's
+    schedule is in its saved form (pulse.saved_form), so the manifest's gate
+    figures are the ones report computes from the file.
     """
     problem = _make_problem(cfg, modes)
     t0 = time.perf_counter()
-    trace = []
     exhausted = None
-    rule = {}
     try:
-        schedule = optimize(problem, callback=lambda n, c, _x: trace.append((n, c)), _rule=rule)
+        run = optimize(problem)
     except BudgetExhausted as exc:
-        exhausted = exc
-        schedule = saved_form(replace(problem.base_schedule, fm_points=exc.best_fm_points))
+        exhausted, run = exc, exc.result
     sched_path = _hand_off(cfg, out_dir, "optimize")
-    save_schedule(schedule, sched_path)
+    save_schedule(run.schedule, sched_path)
     trace_path = os.path.join(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
-    write_text(trace_path, ["eval,cost\n", *(f"{n},{c!r}\n" for n, c in trace)])
+    write_text(trace_path, ["eval,cost\n", *(f"{n},{c!r}\n" for n, c in enumerate(run.costs, 1))])
     wave_path = os.path.join(out_dir, f"waveform_{cfg.shape_kind}.csv")
-    save_waveform_csv(schedule, wave_path, samples=cfg.waveform_samples)
+    save_waveform_csv(run.schedule, wave_path, samples=cfg.waveform_samples)
     t1 = time.perf_counter()
     report = build_gate_report(
-        schedule, modes, cfg.ion_i, cfg.ion_j,
+        run.schedule, modes, cfg.ion_i, cfg.ion_j,
         alpha_intervals=cfg.alpha_intervals, beta_intervals=cfg.beta_intervals,
         trajectory_modes=(),
     )
     t2 = time.perf_counter()
-    final_cost = rule["cost"]
     omega_max_hz = report.omega_max / (2 * np.pi)
     return StageResult(
-        f"optimize[{cfg.shape_kind}]: {len(trace)} evaluations, "
-        f"final cost {final_cost:.3e}, motional error {report.motional_error:.3e}, "
+        f"optimize[{cfg.shape_kind}]: {len(run.costs)} evaluations, "
+        f"final cost {run.final_cost:.3e}, motional error {report.motional_error:.3e}, "
         f"omega_max {omega_max_hz / 1e3:.1f} kHz",
         [sched_path, trace_path, wave_path],
         {
             "shape": cfg.shape_kind,
             "pair": [cfg.ion_i, cfg.ion_j],
             "target_modes": list(resolve_target_modes(problem)),
-            "evaluations": len(trace),
-            "final_cost": final_cost,
-            "rule_nodes": rule["nodes"],
-            "rule_gap": rule["gap"],
+            "evaluations": len(run.costs),
+            "final_cost": run.final_cost,
+            "rule_nodes": run.rule_nodes,
+            "rule_gap": run.rule_gap,
             "motional_error": report.motional_error,
             "beta_rad": report.beta,
             "omega_max_hz": omega_max_hz,

@@ -30,8 +30,9 @@ and the start continues from where it stopped.
 Power calibration exploits that the entangling angle is exactly quadratic in
 the peak Rabi frequency: the amplitude that yields |beta| = pi/4 follows from
 a single reference evaluation (calibrated_amplitudes, which the power map
-shares). The schedule optimize returns is in its saved form
-(pulse.saved_form), so a report of it equals a report of its file.
+shares). optimize returns its run as one OptimizationResult, whose schedule
+is in its saved form (pulse.saved_form), so a report of it equals a report
+of its file.
 """
 
 from dataclasses import dataclass, replace
@@ -71,16 +72,33 @@ COST_FLOOR = 1e-20  # the rule gap is taken relative to max(cost, COST_FLOOR): b
 
 
 class BudgetExhausted(Exception):
-    """The evaluation budget ran out before every start converged."""
+    """The evaluation budget ran out before every start converged; `result` is the
+    run's OptimizationResult at the best point seen."""
 
-    def __init__(self, message, best_fm_points=None, best_cost=None):
+    def __init__(self, message, result):
         super().__init__(message)
-        self.best_fm_points = best_fm_points
-        self.best_cost = best_cost
+        self.result = result
 
 
 class DegeneratePair(Exception):
     """|beta| at the reference amplitude is numerically zero for this pair."""
+
+
+@dataclass(frozen=True, eq=False)
+class OptimizationResult:
+    """One optimize run.
+
+    schedule is the base schedule at the best turning points found, in its saved
+    form (pulse.saved_form); costs holds every evaluation's cost, in order.
+    final_cost is the schedule's cost on the final panel rule of rule_nodes
+    nodes, and rule_gap that cost's relative gap to the doubled rule.
+    """
+
+    schedule: PulseSchedule
+    costs: tuple
+    final_cost: float
+    rule_nodes: int
+    rule_gap: float
 
 
 @dataclass(frozen=True)
@@ -241,26 +259,21 @@ def _rule_gap(value, finer):
     return abs(finer - value) / max(value, COST_FLOOR)
 
 
-def _levenberg_marquardt(objective, x0, budget, callback, eval_offset):
-    """Damped Gauss-Newton descent from x0 within `budget` evaluations.
+def _levenberg_marquardt(objective, x0, costs, max_evals):
+    """Damped Gauss-Newton descent from x0, appending each evaluation's cost to `costs`.
 
     The damping is scaled by the diagonal of J^T J (Marquardt) and adapted
     from the ratio of actual to predicted decrease (Nielsen). Trial points
     are clipped to the schedule's bound +/- FM_POINT_BOUND, and a coordinate
     held there by its gradient is left out of the step. Converged once the
-    next clipped step is within XTOL of |x|; returns (x, cost, evals,
-    converged).
+    next clipped step is within XTOL of |x|; stops unconverged once `costs`
+    holds max_evals. Returns (x, cost, converged).
     """
-    evals = 0
 
     def evaluate(point):
-        nonlocal evals
         r, jac = objective(point)
-        value = float(r @ r)
-        evals += 1
-        if callback is not None:
-            callback(eval_offset + evals, value, point.copy())
-        return r, jac, value
+        costs.append(float(r @ r))
+        return r, jac, costs[-1]
 
     x = x0.copy()
     r, jac, fx = evaluate(x)
@@ -278,9 +291,9 @@ def _levenberg_marquardt(objective, x0, budget, callback, eval_offset):
         trial = np.clip(x + delta, -FM_POINT_BOUND, FM_POINT_BOUND)
         step = trial - x
         if np.linalg.norm(step) <= XTOL * (np.linalg.norm(x) + XTOL):
-            return x, fx, evals, True
-        if evals >= budget:
-            return x, fx, evals, False
+            return x, fx, True
+        if len(costs) >= max_evals:
+            return x, fx, False
         r_new, jac_new, f_new = evaluate(trial)
         predicted = step @ (damping * scale * step - grad)
         if f_new < fx:
@@ -293,26 +306,23 @@ def _levenberg_marquardt(objective, x0, budget, callback, eval_offset):
             growth *= 2.0
 
 
-def optimize(problem, callback=None, *, _rule=None):
+def optimize(problem):
     """Minimize the residual-motion cost over the free FM turning points.
 
     Runs Levenberg-Marquardt from the flat pattern, plus n_starts - 1 seeded
-    jittered restarts, and returns the base schedule with the best turning
-    points found, in its saved form (pulse.saved_form): the schedule that
-    loading its saved file gives, so an analysis of the returned schedule and
-    one of its file agree bit for bit. One residual-plus-Jacobian
-    evaluation counts as one of max_evals; callback, when given, receives
-    (eval_index, cost, fm_points) for every evaluation. Each start ends with
-    the check against the doubled rule (see the module docstring), which
-    refines the rule and continues the start when it fails; the check's
-    evaluation counts against nothing. When a start refines the rule, the
-    best point of the earlier starts is re-costed on it, so starts are
-    compared on one rule. _rule, a dict when given, receives the final rule's
-    node count, the best point's cost on it and that cost's relative gap to
-    the doubled rule ("nodes", "cost", "gap"), for the CLI's manifest.
+    jittered restarts, and returns the run as an OptimizationResult. Its
+    schedule is in the saved form, so an analysis of it and one of its saved
+    file agree bit for bit. One residual-plus-Jacobian evaluation counts as
+    one of max_evals.
+    Each start ends with the check against the doubled rule (see the module
+    docstring), which refines the rule and continues the start when it fails;
+    the check's evaluation counts against nothing. When a start refines the
+    rule, the best point of the earlier starts is re-costed on it, so starts
+    are compared on one rule.
 
-    Raises BudgetExhausted when max_evals runs out before every start
-    converges; the exception carries the best point seen.
+    Raises BudgetExhausted, carrying the result at the best point seen, when
+    max_evals runs out before every start has converged and passed its rule
+    check.
     """
     objective = _Objective(problem)
     finer = objective.refined()
@@ -324,35 +334,36 @@ def optimize(problem, callback=None, *, _rule=None):
         starts.append(np.clip(jitter, -FM_POINT_BOUND, FM_POINT_BOUND))
 
     best_x, best_f = None, np.inf
-    used = 0
+    costs = []
     all_converged = True
     for x in starts:
         while True:
-            x, fx, evals, converged = _levenberg_marquardt(
-                objective, x, problem.max_evals - used, callback, used
-            )
-            used += evals
+            x, fx, converged = _levenberg_marquardt(objective, x, costs, problem.max_evals)
             refine = _rule_gap(fx, finer.cost(x)) > RULE_TOL
-            if not (converged and refine and used < problem.max_evals):
+            if not (converged and refine and len(costs) < problem.max_evals):
                 break
             objective, finer = finer, finer.refined()
             if best_x is not None:
                 best_f = objective.cost(best_x)
-        all_converged &= converged
+        # a budget spent at a failed rule check leaves the start unconverged
+        all_converged &= converged and not refine
         if fx < best_f:
             best_x, best_f = x, fx
-        if used >= problem.max_evals:
+        if len(costs) >= problem.max_evals:
             break
-    if _rule is not None:
-        gap = _rule_gap(best_f, finer.cost(best_x))
-        _rule.update(nodes=objective.nodes, cost=best_f, gap=gap)
+    result = OptimizationResult(
+        schedule=saved_form(replace(problem.base_schedule, fm_points=best_x)),
+        costs=tuple(costs),
+        final_cost=best_f,
+        rule_nodes=objective.nodes,
+        rule_gap=_rule_gap(best_f, finer.cost(best_x)),
+    )
     if not all_converged:
         raise BudgetExhausted(
-            f"stopped after {used} evaluations at cost {best_f:.3e} without converging",
-            best_fm_points=best_x,
-            best_cost=best_f,
+            f"stopped after {len(costs)} evaluations at cost {best_f:.3e} without converging",
+            result,
         )
-    return saved_form(replace(problem.base_schedule, fm_points=best_x))
+    return result
 
 
 def calibrate_power(sched, modes, ion_i, ion_j, n_intervals=DEFAULT_BETA_INTERVALS):

@@ -113,7 +113,7 @@ def make_problem(mode_data, schedule, seed=1):
 @pytest.fixture(scope="session")
 def optimized_a(mode_data, base_schedule_a, timings):
     start = time.perf_counter()
-    schedule = optimize(make_problem(mode_data, base_schedule_a))
+    schedule = optimize(make_problem(mode_data, base_schedule_a)).schedule
     timings["optimize_a"] = time.perf_counter() - start
     return schedule
 
@@ -121,6 +121,6 @@ def optimized_a(mode_data, base_schedule_a, timings):
 @pytest.fixture(scope="session")
 def optimized_b(mode_data, base_schedule_b, timings):
     start = time.perf_counter()
-    schedule = optimize(make_problem(mode_data, base_schedule_b))
+    schedule = optimize(make_problem(mode_data, base_schedule_b)).schedule
     timings["optimize_b"] = time.perf_counter() - start
     return schedule

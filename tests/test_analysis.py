@@ -9,6 +9,7 @@ from ionpulse import (
     InsufficientPoints,
     ModeData,
     OptimizationProblem,
+    OptimizationResult,
     PulseSchedule,
     RobustnessSweep,
     ShapeA,
@@ -269,6 +270,8 @@ def test_values_compare_by_identity(chain, mode_data, optimized_a):
         fourier_decompose(optimized_a, n_max=4, n_intervals=256),
         build_gate_report(optimized_a, mode_data, 25, 26, alpha_intervals=400,
                           trajectory_modes=(1, 2), trajectory_samples=11),
+        OptimizationResult(schedule=optimized_a, costs=(1.0, 0.5), final_cost=0.5, rule_nodes=24,
+                           rule_gap=0.0),
     ]
     for value in values:
         assert value == value

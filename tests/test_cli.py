@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from ionpulse.artifacts import write_npz
-from ionpulse.cli import _STAGES, KEYS, build_parser, main
+from ionpulse.cli import _STAGES, KEYS, _make_problem, build_parser, load_config, main, optimize
+from ionpulse.modes import load_modes
 from ionpulse.pulse import load_schedule, save_waveform_csv
 
 SMALL_CONFIG = """
@@ -232,6 +233,23 @@ def test_budget_exhausted_keeps_best_schedule(small_config, tmp_path, capsys):
     report = json.loads((out / "report_A.json").read_text())
     for key in ("motional_error", "beta_rad", "omega_max_hz"):
         assert manifest["parameters"][key] == report[key], key
+
+
+def test_optimize_writes_the_run_it_returns(small_config, tmp_path):
+    # the trace and the manifest hold the record optimize returns in process, value for value
+    out = tmp_path / "out"
+    assert run(["-c", small_config, "-o", str(out), "optimize", "--recompute"]) == 0
+    cfg = load_config(small_config)
+    result = optimize(_make_problem(cfg, load_modes(out / "modes.npz")))
+    with open(out / "optimize_trace_A.csv", newline="") as fh:
+        rows = [(int(row["eval"]), float(row["cost"])) for row in csv.DictReader(fh)]
+    assert rows == list(enumerate(result.costs, 1))
+    parameters = json.loads((out / "optimize_manifest.json").read_text())["parameters"]
+    assert parameters["evaluations"] == len(result.costs)
+    for key in ("final_cost", "rule_nodes", "rule_gap"):
+        assert parameters[key] == getattr(result, key), key
+    saved = load_schedule(out / "schedule_A.json")
+    assert saved.fm_points.tobytes() == result.schedule.fm_points.tobytes()
 
 
 def test_recompute_budget_exhausted_keeps_best_schedule(tmp_path, capsys):

@@ -182,7 +182,8 @@ def test_optimizer_determinism(mode_data):
     toy = toy_problem()
     a = optimize(toy)
     b = optimize(toy)
-    np.testing.assert_array_equal(a.fm_points, b.fm_points)
+    np.testing.assert_array_equal(a.schedule.fm_points, b.schedule.fm_points)
+    assert a.costs == b.costs
 
 
 def test_optimizer_blas_threads_invariant():
@@ -193,7 +194,7 @@ def test_optimizer_blas_threads_invariant():
         f"sys.path[:0] = [{str(root.parent / 'src')!r}, {str(root)!r}]\n"
         "from test_optimizer import toy_problem\n"
         "from ionpulse import optimize\n"
-        "sys.stdout.write(optimize(toy_problem()).fm_points.tobytes().hex())\n"
+        "sys.stdout.write(optimize(toy_problem()).schedule.fm_points.tobytes().hex())\n"
     )
     results = []
     for threads in ("1", "2"):
@@ -230,7 +231,7 @@ def test_toy_single_mode_closes_trajectory():
     # near-resonant single-mode toy: a closed trajectory exists, and the
     # optimizer should find it to high precision
     problem = toy_problem()
-    optimized = optimize(problem)
+    optimized = optimize(problem).schedule
     modes = problem.modes
 
     def endpoint(s):
@@ -291,12 +292,12 @@ def test_budget_exhausted(mode_data, base_schedule_a):
         base_schedule=base_schedule_a, modes=mode_data,
         ion_pair=DEFAULT_PAIR, max_evals=30, seed=0, n_starts=1,
     )
-    seen = []
     with pytest.raises(BudgetExhausted) as info:
-        optimize(problem, callback=lambda _n, c, _x: seen.append(c))
-    assert info.value.best_fm_points is not None
-    assert len(seen) == 30
-    assert info.value.best_cost == min(seen)
+        optimize(problem)
+    result = info.value.result
+    assert np.any(result.schedule.fm_points != 0.0)
+    assert len(result.costs) == 30
+    assert result.final_cost == min(result.costs)
 
 
 def test_calibrate_power_amplitude_invariant(mode_data, optimized_a):
@@ -510,7 +511,7 @@ def test_phase_basis_built_once_per_optimize(mode_data, base_schedule_a, monkeyp
         base_schedule=base_schedule_a, modes=mode_data, ion_pair=DEFAULT_PAIR,
         seed=2, n_starts=2,
     )
-    sched = optimize(problem)
+    sched = optimize(problem).schedule
     assert calls == [8, 8]
     calls.clear()
     motional_error(sched, mode_data, *DEFAULT_PAIR, n_intervals=4000)
@@ -560,11 +561,10 @@ def test_rule_converges_on_the_ci_config(ci_modes):
     # cost on the reference rule. The rule of 1,344 nodes ends 9e-10 of the cost from
     # its doubling and 1e-9 from the reference (x86-64)
     problem = ci_problem(ci_modes, ShapeA())
-    rule = {}
-    sched = optimize(problem, _rule=rule)
-    own = rule["cost"]
-    assert rule["gap"] <= RULE_TOL
-    assert abs(reference_cost(problem, sched.fm_points) - own) <= RULE_TOL * own
+    run = optimize(problem)
+    own = run.final_cost
+    assert run.rule_gap <= RULE_TOL
+    assert abs(reference_cost(problem, run.schedule.fm_points) - own) <= RULE_TOL * own
 
 
 def test_coarse_rule_is_refined(ci_modes, monkeypatch):
@@ -575,17 +575,41 @@ def test_coarse_rule_is_refined(ci_modes, monkeypatch):
     problem = ci_problem(ci_modes, ShapeB())
     monkeypatch.setattr(opt, "PANEL_RADIANS", 1e9)
     assert _Objective(problem).nodes == 240
-    rule = {}
-    sched = optimize(problem, _rule=rule)
-    assert rule["nodes"] > 240 and rule["gap"] <= RULE_TOL
+    run = optimize(problem)
+    assert run.rule_nodes > 240 and run.rule_gap <= RULE_TOL
     # the reported cost is the schedule's on the accepted rule (to the rounding of the
     # residuals' sum), whatever the rejected coarse rule's costs in the trace were
-    own = rule["cost"]
-    accepted = _Objective(problem, rule_sub_panels(problem, rule["nodes"]))
-    assert own == pytest.approx(accepted.cost(sched.fm_points), rel=1e-12, abs=0.0)
-    assert abs(reference_cost(problem, sched.fm_points) - own) <= RULE_TOL * own
+    own, fm = run.final_cost, run.schedule.fm_points
+    accepted = _Objective(problem, rule_sub_panels(problem, run.rule_nodes))
+    assert own == pytest.approx(accepted.cost(fm), rel=1e-12, abs=0.0)
+    assert abs(reference_cost(problem, fm) - own) <= RULE_TOL * own
     # cost() doubles its rule the same way, so it agrees with the reference too
-    assert abs(cost(problem, sched.fm_points) - own) <= RULE_TOL * own
+    assert abs(cost(problem, fm) - own) <= RULE_TOL * own
+
+
+def test_budget_spent_at_a_failed_rule_check_is_not_converged(ci_modes, monkeypatch):
+    # the coarse rule's first start converges, fails its rule check and is refined;
+    # a budget that ends exactly there leaves the start unconverged, so optimize
+    # raises, carrying the run with its failed rule gap
+    import ionpulse.optimizer as opt
+
+    problem = ci_problem(ci_modes, ShapeB())
+    monkeypatch.setattr(opt, "PANEL_RADIANS", 1e9)
+    returns, lm = [], opt._levenberg_marquardt
+
+    def counted(objective, x0, costs, max_evals):
+        out = lm(objective, x0, costs, max_evals)
+        returns.append(len(costs))
+        return out
+
+    monkeypatch.setattr(opt, "_levenberg_marquardt", counted)
+    optimize(problem)
+    assert len(returns) > 1  # the first rule was refined
+    with pytest.raises(BudgetExhausted, match=f"stopped after {returns[0]} evaluations") as info:
+        optimize(replace(problem, max_evals=returns[0]))
+    result = info.value.result
+    assert len(result.costs) == returns[0]
+    assert result.rule_nodes == 240 and result.rule_gap > RULE_TOL
 
 
 def rule_sub_panels(problem, nodes):
@@ -609,30 +633,29 @@ def test_later_start_compared_on_the_refined_rule(ci_modes, monkeypatch):
     ends, lm = [], opt._levenberg_marquardt
 
     def first_start_passes(*args):
-        x, fx, evals, converged = lm(*args)
+        x, fx, converged = lm(*args)
         ends.append(x)
         if len(ends) > 1:
             opt.RULE_TOL = RULE_TOL  # from the second start's check on
-        return x, fx, evals, converged
+        return x, fx, converged
 
     monkeypatch.setattr(opt, "_levenberg_marquardt", first_start_passes)
-    rule = {}
-    sched = optimize(problem, _rule=rule)
+    run = optimize(problem)
     assert len(ends) > 2  # the second start was refined
-    accepted = _Objective(problem, rule_sub_panels(problem, rule["nodes"]))
+    accepted = _Objective(problem, rule_sub_panels(problem, run.rule_nodes))
     flat, jittered = accepted.cost(ends[0]), accepted.cost(ends[-1])
     winner = ends[-1] if jittered < flat else ends[0]
     # optimize returns the winner in its saved form, an ulp or so from the point itself
     expected = saved_form(replace(problem.base_schedule, fm_points=winner))
-    np.testing.assert_array_equal(sched.fm_points, expected.fm_points)
-    assert rule["cost"] == pytest.approx(min(flat, jittered), rel=1e-12, abs=0.0)
-    assert rule["gap"] <= RULE_TOL
+    np.testing.assert_array_equal(run.schedule.fm_points, expected.fm_points)
+    assert run.final_cost == pytest.approx(min(flat, jittered), rel=1e-12, abs=0.0)
+    assert run.rule_gap <= RULE_TOL
 
 
 def test_optimized_schedule_is_its_saved_form(ci_modes, tmp_path):
     # the schedule optimize returns is the one its file loads back to, bit for bit, so a
     # report of either agrees exactly, and saving it again writes the same bytes
-    sched = optimize(ci_problem(ci_modes, ShapeB()))
+    sched = optimize(ci_problem(ci_modes, ShapeB())).schedule
     path = tmp_path / "schedule.json"
     save_schedule(sched, path)
     loaded = load_schedule(path)
@@ -652,7 +675,7 @@ def test_one_oscillation_covers_the_whole_gate(ci_modes, shape):
     problem = replace(ci_problem(ci_modes, shape), base_schedule=base)
     fm = np.array([2 * np.pi * 1.5e3])
     assert cost(problem, fm) == pytest.approx(reference_cost(problem, fm), rel=RULE_TOL, abs=0.0)
-    rule = {}
-    sched = optimize(problem, _rule=rule)
-    assert rule["gap"] <= RULE_TOL
-    assert rule["cost"] == pytest.approx(reference_cost(problem, sched.fm_points), rel=RULE_TOL, abs=0.0)
+    run = optimize(problem)
+    assert run.rule_gap <= RULE_TOL
+    assert run.final_cost == pytest.approx(reference_cost(problem, run.schedule.fm_points),
+                                           rel=RULE_TOL, abs=0.0)
