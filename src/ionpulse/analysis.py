@@ -48,9 +48,10 @@ class RobustnessSweep:
     def __post_init__(self):
         offsets = np.array(self.offsets, dtype=float)  # copy: freezing must not leak
         errors = np.array(self.errors, dtype=float)
-        if np.any(offsets <= 0) or np.any(np.diff(offsets) <= 0):
-            raise ValueError("offsets must be positive and ascending")
-        if np.any(errors < 0) or self.baseline < 0:
+        # written so that nan fails each check
+        if not (np.all((0 < offsets) & (offsets < np.inf)) and np.all(np.diff(offsets) > 0)):
+            raise ValueError("offsets must be finite, positive and ascending")
+        if not (np.all(errors >= 0) and self.baseline >= 0):
             raise ValueError("errors must be non-negative")
         offsets.setflags(write=False)
         errors.setflags(write=False)

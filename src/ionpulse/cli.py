@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Wires a structured key-value config file (INI sections: trap, pulse,
-optimize, analysis, output) to the pipeline and emits plot-ready CSV/JSON
-artifacts, the crystal and the modes as one exact .npz file each, one .npz of
-the report's trajectories per shape, and a manifest per command. All
-frequencies at this interface are ordinary frequencies in Hz; the library
-converts to rad/s internally.
+optimize, analysis, output; values read literally, so `%` is an ordinary
+character) to the pipeline and emits plot-ready CSV/JSON artifacts, the
+crystal and the modes as one exact .npz file each, one .npz of the optimized
+waveform and one of the report's trajectories per shape, and a manifest per
+command. All frequencies at this interface are ordinary frequencies in Hz; the
+library converts to rad/s internally.
 
 Subcommands: crystal, modes, optimize, report, sweep, powermap. One table,
 _STAGES, declares each: its command, the stages whose files it loads, the ion
@@ -78,7 +79,7 @@ from .pulse import (
     ShapeB,
     load_schedule,
     save_schedule,
-    save_waveform_csv,
+    save_waveform,
     with_amplitude,
 )
 from .trajectory import (
@@ -226,8 +227,9 @@ def load_config(path=None, overrides=None):
     """Read the INI config (every section and key optional) under CLI overrides.
 
     Every value is parsed and checked here, so a bad one fails every command.
+    Values are read literally: no `%` interpolation, so `%%` is two characters.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -433,6 +435,9 @@ def cmd_modes(cfg, out_dir, crystal):
 def cmd_optimize(cfg, out_dir, modes):
     """Optimize, then write the run's schedule, its eval/cost trace and its waveform.
 
+    The waveform is waveform_<shape>.npz (pulse.save_waveform): the saved
+    schedule sampled at [analysis] waveform_samples times, its floats unrounded.
+
     A spent budget keeps the run at the best point seen, which the
     BudgetExhausted carries: it is written like a converged run, and the
     exception is raised (exit code 2) once the manifest is written. The run's
@@ -450,8 +455,8 @@ def cmd_optimize(cfg, out_dir, modes):
     save_schedule(run.schedule, sched_path)
     trace_path = os.path.join(out_dir, f"optimize_trace_{cfg.shape_kind}.csv")
     write_text(trace_path, ["eval,cost\n", *(f"{n},{c!r}\n" for n, c in enumerate(run.costs, 1))])
-    wave_path = os.path.join(out_dir, f"waveform_{cfg.shape_kind}.csv")
-    save_waveform_csv(run.schedule, wave_path, samples=cfg.waveform_samples)
+    wave_path = os.path.join(out_dir, f"waveform_{cfg.shape_kind}.npz")
+    save_waveform(run.schedule, wave_path, samples=cfg.waveform_samples)
     t1 = time.perf_counter()
     report = build_gate_report(
         run.schedule, modes, cfg.ion_i, cfg.ion_j,

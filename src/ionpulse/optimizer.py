@@ -22,10 +22,11 @@ stacked real and imaginary parts converges in tens to hundreds of
 evaluations per start.
 
 The node count follows from the target modes' largest detuning phase
-|mu_ref - omega_k| tau: no panel spans more than PANEL_RADIANS of it. At the
-end of each start the cost is compared with a rule of twice the sub-panels;
-if they differ by more than RULE_TOL of the cost, the finer rule takes over
-and the start continues from where it stopped.
+|mu_ref - omega_k| tau: no panel spans more than PANEL_RADIANS of it, and a
+rule of more than MAX_RULE_NODES nodes is refused (ValueError) before it is
+built. At the end of each start the cost is compared with a rule of twice the
+sub-panels; if they differ by more than RULE_TOL of the cost, the finer rule
+takes over and the start continues from where it stopped.
 
 Power calibration exploits that the entangling angle is exactly quadratic in
 the peak Rabi frequency: the amplitude that yields |beta| = pi/4 follows from
@@ -69,6 +70,9 @@ GAUSS_ORDER = 12  # Gauss-Legendre nodes per panel of the objective's rule
 PANEL_RADIANS = 8.0  # a panel spans at most this much of the fastest target mode's phase
 RULE_TOL = 1e-6  # a start's cost and the doubled rule's may differ by this much of the cost
 COST_FLOOR = 1e-20  # the rule gap is taken relative to max(cost, COST_FLOOR): below it is rounding
+# A rule holds nodes x (modes complex phasors + n_oscillations basis rows + 1 + n_oscillations
+# complex drives): at this cap, with 10 target modes and 8 oscillations, 37 MB
+MAX_RULE_NODES = 100_000
 
 
 class BudgetExhausted(Exception):
@@ -185,12 +189,20 @@ class _Objective:
         idx = np.array(resolve_target_modes(problem)) - 1
         detunings = sched.mu_ref - problem.modes.frequencies[idx]
         edges = breakpoints(sched)
+        fastest = np.abs(detunings).max()
         if sub_panels is None:
-            fastest = np.abs(detunings).max()
-            sub_panels = np.maximum(np.ceil(np.diff(edges) * fastest / PANEL_RADIANS), 1).astype(int)
-        self.problem, self.sub_panels = problem, sub_panels
+            sub_panels = np.maximum(np.ceil(np.diff(edges) * fastest / PANEL_RADIANS), 1)
+        nodes = GAUSS_ORDER * np.sum(sub_panels, dtype=float)  # a float: no int overflow
+        if not nodes <= MAX_RULE_NODES:
+            raise ValueError(
+                f"the optimizer's panel rule would take {nodes:.4g} nodes, above its cap of "
+                f"{MAX_RULE_NODES}: the fastest target mode turns through |delta| tau = "
+                f"{fastest * sched.gate_time:.3g} rad, which [trap] omega_x_hz, "
+                "[pulse] mu_offset_hz and [pulse] gate_time_s set"
+            )
+        self.problem, self.sub_panels = problem, sub_panels.astype(int)
         t, weighted = gauss_legendre_panels(
-            edges, sub_panels, GAUSS_ORDER, graded_ends=isinstance(sched.amp_shape, ShapeA)
+            edges, self.sub_panels, GAUSS_ORDER, graded_ends=isinstance(sched.amp_shape, ShapeA)
         )
         self.basis = phase_basis(sched, t)
         weighted *= (1.0 - t / sched.gate_time) * amplitude(t, sched)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .artifacts import write_csv, write_json
+from .artifacts import write_json, write_npz
 from .quadrature import simpson
 
 
@@ -377,11 +377,13 @@ def saved_form(sched):
     return _schedule_from_payload(_schedule_payload(sched))
 
 
-def save_waveform_csv(sched, csv_path, samples=2001):
-    """Sampled waveform CSV (t_s, omega_hz, mu_offset_hz) for plotting."""
+def save_waveform(sched, path, samples=2001):
+    """The sampled pulse, for plotting: an npz (artifacts.write_npz) of three float64
+    (samples,) arrays, t_s on np.linspace(0, tau, samples) and omega_hz and
+    mu_offset_hz, amplitude and fm_offset over 2 pi there, each as computed."""
     t = np.linspace(0.0, sched.gate_time, samples)
-    rows = np.column_stack([t, amplitude(t, sched) / (2 * np.pi), fm_offset(t, sched) / (2 * np.pi)])
-    write_csv(csv_path, ["t_s", "omega_hz", "mu_offset_hz"], rows.tolist())
+    write_npz(path, t_s=t, omega_hz=amplitude(t, sched) / (2 * np.pi),
+              mu_offset_hz=fm_offset(t, sched) / (2 * np.pi))
 
 
 def with_amplitude(sched, amp_scale):

@@ -428,10 +428,10 @@ def mode_displacement_integrals(sched, omega_ks, n_intervals=DEFAULT_ALPHA_INTER
     offsets = np.asarray(offsets, dtype=float)
     tau = sched.gate_time
     limit = max_offset(tau, n_intervals)
-    if offsets.size and np.abs(offsets).max() > limit:
+    if not np.all(np.isfinite(offsets) & (np.abs(offsets) <= limit)):  # nan fails it too
         raise ValueError(
-            f"offsets beyond {limit / (2 * np.pi):.6g} Hz leave the within-block series' "
-            f"range on the grid of {n_intervals} intervals over {tau:.6g} s"
+            f"offsets must be finite, and those beyond {limit / (2 * np.pi):.6g} Hz leave the "
+            f"within-block series' range on the grid of {n_intervals} intervals over {tau:.6g} s"
         )
     drive = _unit_drive(sched, n_intervals)
     coarse, fine = _tables(sched, omega_ks, n_intervals)

@@ -80,6 +80,26 @@ def test_sweep_validation():
         RobustnessSweep(
             offsets=np.array([1.0, 2.0]), errors=np.array([-1.0, 0.0]), baseline=0.0
         )
+    # each check is written so that nan fails it
+    for offsets, errors in (([1.0, np.nan, 3.0], [0.0] * 3), ([1.0, np.inf], [0.0] * 2),
+                            ([1.0, 2.0], [0.0, np.nan])):
+        with pytest.raises(ValueError):
+            RobustnessSweep(offsets=np.array(offsets), errors=np.array(errors), baseline=0.0)
+
+
+def test_sweep_refuses_nan_offset_before_any_kernel(mode_data, optimized_a, monkeypatch):
+    # comparisons with nan are false, so a nan offset passed the range and order
+    # checks and the sweep returned a nan error for it
+    import ionpulse.trajectory as traj
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(traj, "_unit_drive", kernel)
+    monkeypatch.setattr(traj, "_tables", kernel)
+    offsets = 2 * np.pi * np.array([1.0, np.nan, 3.0, 4.0])
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        offset_sweep(optimized_a, mode_data, DEFAULT_PAIR, offsets)
 
 
 def test_offset_zero_equals_baseline(mode_data, optimized_a):

@@ -13,7 +13,7 @@ import pytest
 from ionpulse.artifacts import write_npz
 from ionpulse.cli import _STAGES, KEYS, _make_problem, build_parser, load_config, main, optimize
 from ionpulse.modes import load_modes
-from ionpulse.pulse import load_schedule, save_waveform_csv
+from ionpulse.pulse import load_schedule, save_waveform
 
 SMALL_CONFIG = """
 [trap]
@@ -92,7 +92,7 @@ def test_sweep_recompute_matches_staged_run(small_config, tmp_path, capsys):
     assert capsys.readouterr().out == lines
     assert sorted(p.name for p in direct.iterdir()) == sorted(p.name for p in staged.iterdir())
     for name in ("crystal.npz", "positions.csv", "modes.npz", "spectrum.csv",
-                 "schedule_A.json", "optimize_trace_A.csv", "waveform_A.csv", "sweep_A.csv"):
+                 "schedule_A.json", "optimize_trace_A.csv", "sweep_A.csv", "waveform_A.npz"):
         assert (direct / name).read_bytes() == (staged / name).read_bytes(), name
 
 
@@ -175,14 +175,15 @@ def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     assert manifest["parameters"]["motional_error"] < 1e-3
     assert manifest["parameters"]["budget_exhausted"] is False
     assert (out / "optimize_trace_A.csv").exists()
-    assert (out / "waveform_A.csv").exists()
+    assert (out / "waveform_A.npz").exists()
 
     # rerun with the same seed: byte-identical schedule
     assert run(["-c", small_config, "-o", str(out), "optimize"]) == 0
     assert (out / "schedule_A.json").read_bytes() == first
-    # the waveform is the one of the schedule the file holds
-    save_waveform_csv(load_schedule(out / "schedule_A.json"), tmp_path / "waveform.csv")
-    assert (tmp_path / "waveform.csv").read_bytes() == (out / "waveform_A.csv").read_bytes()
+    # the waveform is the one of the schedule the file holds; np.savez stamps every
+    # member 1980-01-01, so equal arrays give equal bytes
+    save_waveform(load_schedule(out / "schedule_A.json"), tmp_path / "waveform.npz")
+    assert (tmp_path / "waveform.npz").read_bytes() == (out / "waveform_A.npz").read_bytes()
 
     assert run(["-c", small_config, "-o", str(out), "report"]) == 0
     report = json.loads((out / "report_A.json").read_text())
@@ -208,7 +209,7 @@ def test_pipeline_and_determinism(small_config, tmp_path, capsys):
     assert not [path for path in written if path.suffix == ".tmp"]
     assert {path.suffix for path in written} == {".csv", ".json", ".npz"}
     assert [path.name for path in written if path.suffix == ".npz"] == [
-        "crystal.npz", "modes.npz", "trajectories_A.npz"]
+        "crystal.npz", "modes.npz", "trajectories_A.npz", "waveform_A.npz"]
     for path in written:
         if path.suffix != ".npz":
             assert path.read_bytes() == reencoded(path), path.name
@@ -264,7 +265,7 @@ def test_recompute_budget_exhausted_keeps_best_schedule(tmp_path, capsys):
     assert rows[0] == "eval,cost" and len(rows) == 4
     schedule = json.loads((out / "schedule_A.json").read_text())
     assert any(v != 0.0 for v in schedule["fm_points_hz"])
-    assert (out / "waveform_A.csv").exists()
+    assert (out / "waveform_A.npz").exists()
     assert not (out / "report_A.json").exists()
 
 
@@ -389,6 +390,23 @@ def test_config_sha256_hashes_resolved_values(small_config, tmp_path):
     assert recorded("commented", str(commented), "--seed", "2") == seed_2
 
 
+def test_config_values_are_read_literally(tmp_path, capsys):
+    # configparser's % interpolation raised InterpolationSyntaxError (a traceback,
+    # exit 1) for a % anywhere in a value; values are now text as written
+    out = tmp_path / "out%1"
+    path = tmp_path / "percent.ini"
+    path.write_text(SMALL_CONFIG.replace("threads = 2", f"threads = 2\ndir = {out}"))
+    assert run(["-c", str(path), "crystal"]) == 0
+    assert (out / "crystal.npz").exists()
+    path.write_text("[output]\ndir = out%%1\n")
+    assert load_config(str(path)).output_dir == "out%%1"  # two characters, not one
+    path.write_text("[trap]\nn_ions = 1%2\n")
+    capsys.readouterr()
+    assert run(["-c", str(path), "-o", str(tmp_path / "bad"), "crystal"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad value for [trap] n_ions: '1%2' (an integer >= 2)\n")
+
+
 def test_readme_config_block_matches_keys():
     # the README shows every key with its default, so the two cannot drift apart
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -506,7 +524,7 @@ _STAGE_SCHEMA = {
          "beta_rad", "omega_max_hz", "seed", "budget_exhausted", "rule_nodes", "rule_gap"},
         {"optimize", "report"},
         {"modes.npz"},
-        ["optimize_trace_A.csv", "schedule_A.json", "waveform_A.csv"],
+        ["optimize_trace_A.csv", "schedule_A.json", "waveform_A.npz"],
     ),
     "report": (
         rf"report\[A\]: pair \(5,6\) beta [+-]\d\.\d{{6}} rad, "

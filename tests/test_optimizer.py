@@ -612,6 +612,31 @@ def test_budget_spent_at_a_failed_rule_check_is_not_converged(ci_modes, monkeypa
     assert result.rule_nodes == 240 and result.rule_gap > RULE_TOL
 
 
+@pytest.mark.parametrize("offset_hz", [1e12, 1e30])
+def test_panel_rule_above_the_cap_is_refused_before_it_is_built(ci_modes, monkeypatch, offset_hz):
+    # a drive 1e12 Hz off its modes asked for billions of nodes; at 1e30 Hz the
+    # sub-panel count overflowed int64 into a negative linspace count
+    import ionpulse.optimizer as opt
+
+    def build(*args, **kwargs):
+        raise AssertionError("the panel rule was built")
+
+    problem = ci_problem(ci_modes, ShapeA())
+    coarse = _Objective(problem)
+    far = replace(problem, base_schedule=replace(
+        problem.base_schedule, mu_ref=problem.base_schedule.mu_ref + 2 * np.pi * offset_hz))
+    monkeypatch.setattr(opt, "gauss_legendre_panels", build)
+    named = (rf"above its cap of {opt.MAX_RULE_NODES}: .* \|delta\| tau = .* rad, which "
+             r"\[trap\] omega_x_hz, \[pulse\] mu_offset_hz and \[pulse\] gate_time_s set")
+    for call in (lambda: optimize(far), lambda: cost(far, np.zeros(8))):
+        with pytest.raises(ValueError, match=named):
+            call()
+    # the doubled rule goes through the same check
+    monkeypatch.setattr(opt, "MAX_RULE_NODES", coarse.nodes)
+    with pytest.raises(ValueError, match=f"{2 * coarse.nodes} nodes, above its cap of {coarse.nodes}"):
+        coarse.refined()
+
+
 def rule_sub_panels(problem, nodes):
     """The sub-panels of the first rule, doubled until the rule holds `nodes` nodes."""
     objective = _Objective(problem)

@@ -16,7 +16,7 @@ from ionpulse import (
     turning_points,
     turning_times,
 )
-from ionpulse.pulse import breakpoints, fm_phase_closed_form
+from ionpulse.pulse import breakpoints, fm_phase_closed_form, save_waveform
 from ionpulse.quadrature import cumulative_simpson, simpson
 
 TAU = 500e-6
@@ -337,19 +337,20 @@ def test_saved_form_is_what_the_file_loads(tmp_path):
     assert moved >= 20  # 41 of the 400 values move
 
 
-def test_waveform_csv(tmp_path):
-    from ionpulse.pulse import save_waveform_csv
-
-    sched = schedule(fm=np.full(8, 2 * np.pi * 500.0))
-    path = tmp_path / "waveform.csv"
-    save_waveform_csv(sched, path, samples=11)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "t_s,omega_hz,mu_offset_hz"
-    assert len(rows) == 12
-    mid = rows[6].split(",")
-    assert float(mid[0]) == pytest.approx(TAU / 2, rel=1e-12)
-    assert float(mid[1]) == pytest.approx(sched.amp_scale / (2 * np.pi), rel=1e-12)
-    assert float(mid[2]) == pytest.approx(500.0, rel=1e-12)
+@pytest.mark.parametrize("shape, samples", [(ShapeA(), 2001), (ShapeB(), 11)], ids=["A", "B"])
+def test_waveform_npz(tmp_path, shape, samples):
+    # the file holds the sampled pulse as computed: no text round trip rounds a value
+    sched = schedule(shape, fm=2 * np.pi * np.linspace(-900.0, 700.0, 8))
+    path = tmp_path / "waveform.npz"
+    save_waveform(sched, path, samples=samples)
+    t = np.linspace(0.0, TAU, samples)
+    expected = {"t_s": t, "omega_hz": amplitude(t, sched) / (2 * np.pi),
+                "mu_offset_hz": fm_offset(t, sched) / (2 * np.pi)}
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data.files) == sorted(expected)
+        for name, values in expected.items():
+            assert (data[name].dtype, data[name].shape) == (np.float64, (samples,)), name
+            assert data[name].tobytes() == values.tobytes(), name
 
 
 def test_fm_phase_closed_form_matches_fine_simpson():
