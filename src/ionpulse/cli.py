@@ -216,11 +216,30 @@ config_sha256 hashes the resolved text of every key, so two runs with the same
 hash ran with the same settings."""
 
 
-def _build(cls, section, kwargs):
+def _build(cls, owner, values, texts):
+    """cls(**values), `values` holding what the `<owner>.` KEYS read (None: the
+    field's default) and `texts` every key's text.
+
+    On a refusal only, each value is built alone to find the key it refuses: the
+    message names that key and quotes its text as written, in place of the field's
+    name and its value in library units.
+    """
+    given = {name: value for name, value in values.items() if value is not None}
     try:
-        return cls(**{name: value for name, value in kwargs.items() if value is not None})
+        return cls(**given)
     except ValueError as exc:
-        raise ConfigError(f"bad [{section}] configuration: {exc}") from exc
+        keys = [key for key in KEYS if key.field.startswith(f"{owner}.")]
+        for key in keys:
+            name = key.field.partition(".")[2]
+            if name not in given:
+                continue
+            try:
+                cls(**{name: given[name]})
+            except ValueError as alone:
+                reason = str(alone).removeprefix(f"{name} ").split(", got ")[0]
+                raise ConfigError(f"bad value for [{key.section}] {key.name}: "
+                                  f"{texts[key.section, key.name]!r} ({reason})") from exc
+        raise ConfigError(f"bad [{keys[0].section}] configuration: {exc}") from exc
 
 
 def load_config(path=None, overrides=None):
@@ -281,8 +300,8 @@ def load_config(path=None, overrides=None):
                           f"{limit / (2 * np.pi):.6g} Hz, the largest offset the sweep takes on "
                           f"alpha_intervals = {fields['alpha_intervals']} over gate_time_s = "
                           f"{texts['pulse', 'gate_time_s']}")
-    trap = _build(TrapConfig, "trap", values["trap"])
-    shape_b = _build(ShapeB, "pulse", values["shape_b"])  # checked for shape A too
+    trap = _build(TrapConfig, "trap", values["trap"], texts)
+    shape_b = _build(ShapeB, "shape_b", values["shape_b"], texts)  # checked for shape A too
     resolved = json.dumps([[*name, text] for name, text in texts.items()])
     return RunConfig(
         **fields,

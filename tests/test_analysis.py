@@ -191,7 +191,7 @@ def test_power_map_matches_calibrate_power(mode_data, optimized_a):
     for pair in ((25, 26), (3, 41)):
         direct = calibrate_power(optimized_a, mode_data, *pair)
         assert pmap.omega_max[pair[0] - 1, pair[1] - 1] == pytest.approx(
-            direct, rel=1e-9
+            direct, rel=1e-12
         )
 
 

@@ -370,9 +370,36 @@ def test_bad_analysis_grid_or_range(tmp_path, capsys, section, key, value):
     path.write_text(f"[{section}]\n{key} = {value}\n")
     out = tmp_path / "out"
     assert run(["-c", str(path), "-o", str(out), "crystal"]) == 2
-    err = capsys.readouterr().err
-    # ShapeB refuses the levels under the name of the field they fill
-    assert f"[{section}]" in err and {"shape_b_levels": "step_levels"}.get(key, key) in err
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a finite value of each key whose range TrapConfig or ShapeB checks, and the reason
+# it gives; the message names the key and quotes the text, never the field it fills
+# (delta_z) or the value in library units (omega_x in rad/s)
+_RANGE_REFUSALS = [
+    ("trap", "delta_z_m", "0", "must be positive and finite"),
+    ("trap", "scale_r", "2", "must lie in [0.5, 1.5]"),
+    ("trap", "cutoff_s", "1", "must lie in (0, 1)"),
+    ("trap", "omega_x_hz", "-1", "must be positive and finite"),
+    ("trap", "ion_mass_kg", "0", "must be positive and finite"),
+    ("trap", "charge_c", "-1.6e-19", "must be positive and finite"),
+    ("trap", "raman_wavevector_per_m", "0", "must be positive and finite"),
+    ("pulse", "shape_b_levels", "1,2,3", "outer plateau levels must match for a time-symmetric envelope"),
+    ("pulse", "shape_b_levels", "1,2", "must hold exactly 3 values"),
+    ("pulse", "shape_b_ramp_fraction", "0.3", "must lie in (0, 0.25)"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, reason", [
+    pytest.param(*case, id=f"{case[1]}-{case[2]}") for case in _RANGE_REFUSALS
+])
+def test_range_refusals_name_the_config_key(tmp_path, capsys, section, key, value, reason):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert run(["-c", str(path), "-o", str(out), "crystal"]) == 2
+    assert capsys.readouterr().err == f"error: bad value for [{section}] {key}: {value!r} ({reason})\n"
     assert not out.exists()
 
 
