@@ -6,18 +6,22 @@
 Each tree runs SCENARIOS through `ionpulse.cli.main` in one fresh child
 interpreter (PYTHONPATH=<tree>/src, BLAS on one thread) in a new temporary
 directory. Per call the child keeps the exit code, stdout and stderr (with the
-temporary directory written as <work> and the tree as <tree>) and a copy of
-every file the call wrote, so a file that a later call overwrites is still
-compared. A call whose exit code is not the one its scenario states fails the
-run, in either tree, so a broken scenario cannot compare two errors.
+temporary directory written as <work> and the tree as <tree>), a copy of every
+file the call wrote, so a file that a later call overwrites is still compared,
+and the names of all files in the output directories after the call, so a file
+that one tree leaves behind or deletes and the other does not is reported. A
+call whose exit code is not the one its scenario states fails the run, in
+either tree, so a broken scenario cannot compare two errors.
 
 It prints each differing stream and file. For a JSON or CSV file it prints
 every numeric field that moved, with its old and new value and relative
 change; for an .npz array, the count of moved elements and the largest
-relative change with its index. Manifests are compared without `timings_s`.
-It exits 1 on any difference and 0 when nothing differs. Run on one tree
-twice (`python3 bench/outputs.py . .`), it checks that every output is
-reproduced in another process. Standard library and numpy only.
+relative change with its index. A number that changes type or sign (1 to 1.0,
+0.0 to -0.0) counts as moved. Manifests are compared byte for byte with the
+value of their `timings_s` left out. It exits 1 on any difference and 0 when
+nothing differs. Run on one tree twice (`python3 bench/outputs.py . .`), it
+checks that every output is reproduced in another process. Standard library
+and numpy only.
 """
 
 import csv
@@ -75,7 +79,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # The child: argv[1] is the work directory, argv[2] the tree, argv[3] a JSON list of
 # calls ({"label", "argv", "expected"}). Before each call every file under out/ gets
 # mtime 0, so the files the call wrote are the ones with another mtime; their copies
-# go to versions/<call index>/, and the records to calls.json
+# go to versions/<call index>/, and the records, with the names of every file under
+# out/ after the call, to calls.json
 CHILD = """
 import contextlib, io, json, os, shutil, sys, traceback
 work, tree, calls = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
@@ -111,7 +116,8 @@ for index, call in enumerate(calls):
         shutil.copyfile(os.path.join(out, name), copy)
     records.append({"label": call["label"], "expected": call["expected"], "exit": code,
                     "stdout": normalised(stdout.getvalue()),
-                    "stderr": normalised(stderr.getvalue()), "files": written})
+                    "stderr": normalised(stderr.getvalue()), "files": written,
+                    "present": sorted(os.path.relpath(path, out) for path in files())})
 with open(os.path.join(work, "calls.json"), "w") as fh:
     json.dump(records, fh)
 """
@@ -146,6 +152,8 @@ def run_tree(tree, work):
 
 
 def relative(old, new):
+    if new == old:
+        return "0"
     return f"{(new - old) / abs(old):+.2e}" if old else "inf"
 
 
@@ -169,11 +177,13 @@ def field_lines(path, old, new):
         for index, (a, b) in enumerate(zip(old, new)):
             lines += field_lines(f"{path}[{index}]", a, b)
         return lines
+    # repr is exact for a float and tells 1 from 1.0, 0 from False, 0.0 from -0.0 and
+    # NaN from NaN equal
+    if type(old) is type(new) and repr(old) == repr(new):
+        return []
     if is_number(old) and is_number(new):
-        if old == new or (old != old and new != new):  # NaN reads back as NaN
-            return []
         return [f"{path}: {old!r} -> {new!r} (rel {relative(old, new)})"]
-    return [] if old == new else [f"{path}: {old!r} -> {new!r}"]
+    return [f"{path}: {old!r} -> {new!r}"]
 
 
 def csv_rows(data):
@@ -226,28 +236,40 @@ def npz_lines(old_path, new_path):
         return lines
 
 
+def without_timings(data):
+    """A manifest's bytes with the value of its "timings_s" key written as null."""
+    text = data.decode()
+    key = text.find('"timings_s"')
+    if key < 0:
+        return data
+    start = text.index(":", key) + 1
+    while text[start].isspace():
+        start += 1
+    _, end = json.JSONDecoder().raw_decode(text, start)
+    return (text[:start] + "null" + text[end:]).encode()
+
+
 def file_lines(name, old_path, new_path):
-    """What moved between two versions of file `name`: [] when they are equal (a
-    manifest without its timings_s), else at least one line."""
+    """What moved between two versions of file `name`: [] when their bytes are equal
+    (a manifest's apart from its timings_s value), else at least one line."""
     old, new = Path(old_path).read_bytes(), Path(new_path).read_bytes()
     if old == new:
         return []
-    lines = []
+    sizes, lines = (len(old), len(new)), []
     try:
+        if name.endswith("_manifest.json"):
+            old, new = without_timings(old), without_timings(new)
+            if old == new:
+                return []
         if name.endswith(".json"):
-            a, b = json.loads(old), json.loads(new)
-            if name.endswith("_manifest.json"):
-                for manifest in (a, b):
-                    manifest.pop("timings_s", None)
-                return field_lines("", a, b)
-            lines = field_lines("", a, b)
+            lines = field_lines("", json.loads(old), json.loads(new))
         elif name.endswith(".csv"):
             lines = csv_lines(old, new)
         elif name.endswith(".npz"):
             lines = npz_lines(old_path, new_path)
-    except (ValueError, EOFError, zipfile.BadZipFile):  # a file that does not parse
+    except (ValueError, EOFError, IndexError, zipfile.BadZipFile):  # a file that does not parse
         pass
-    return lines or [f"bytes differ ({len(old)} -> {len(new)} bytes)"]
+    return lines or ["bytes differ ({} -> {} bytes)".format(*sizes)]
 
 
 def compare(old_work, new_work):
@@ -282,6 +304,11 @@ def compare(old_work, new_work):
             lines = file_lines(name, *paths)
             if lines:
                 report(label, f"{name} differs", lines)
+        # a file one tree leaves behind or deletes, beyond those written in one tree only
+        left = (set(old["present"]) ^ set(new["present"])) - (set(old["files"]) ^ set(new["files"]))
+        if left:
+            report(label, "the files present after the call differ", [
+                f"{name} only in {'old' if name in old['present'] else 'new'}" for name in sorted(left)])
     versions = [sum(len(call["files"]) for call in run) for run in runs]
     print(f"{len(runs[0])} calls, {versions[0]} file versions in old and {versions[1]} in new: "
           f"{differ} {'difference' if differ == 1 else 'differences'}")

@@ -32,8 +32,9 @@ OLD_FILES = {
 }
 
 
-def work_dir(root, files, exit_code=0, expected=0, stderr=""):
-    """A directory as run_tree leaves it: one call that wrote `files` (name: bytes)."""
+def work_dir(root, files, exit_code=0, expected=0, stderr="", kept=()):
+    """A directory as run_tree leaves it: one call that wrote `files` (name: bytes),
+    after which the output directories hold those and the names in `kept`."""
     root.mkdir()
     for name, data in files.items():
         path = root / "versions" / "0" / name
@@ -41,7 +42,8 @@ def work_dir(root, files, exit_code=0, expected=0, stderr=""):
         path.write_bytes(data)
     (root / "calls.json").write_text(json.dumps([{
         "label": "small: ionpulse report", "expected": expected, "exit": exit_code,
-        "stdout": "report[A]: pair (5,6)\n", "stderr": stderr, "files": sorted(files)}]))
+        "stdout": "report[A]: pair (5,6)\n", "stderr": stderr, "files": sorted(files),
+        "present": sorted({*files, *kept})}]))
     return root
 
 
@@ -77,6 +79,45 @@ def test_manifests_are_compared_without_timings(tmp_path, capsys):
     new = work_dir(tmp_path / "new", {**OLD_FILES, "small/optimize_manifest.json": manifest(1e-8, 0.2)})
     assert outputs.compare(old, new) == 0
     assert capsys.readouterr().out == "1 calls, 4 file versions in old and 4 in new: 0 differences\n"
+
+
+def test_a_changed_type_or_sign_is_printed(tmp_path, capsys):
+    # equal under ==, but not the same number in the file
+    def parameters(evaluations, exhausted, gap):
+        return json.dumps({"parameters": {"evaluations": evaluations, "budget_exhausted": exhausted,
+                                          "rule_gap": gap}, "timings_s": {"optimize": 0.1}}).encode()
+
+    old = work_dir(tmp_path / "old", {"small/optimize_manifest.json": parameters(3, False, 0.0)})
+    new = work_dir(tmp_path / "new", {"small/optimize_manifest.json": parameters(3.0, 0, -0.0)})
+    assert outputs.compare(old, new) == 1
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "small: ionpulse report: small/optimize_manifest.json differs",
+        "  parameters.budget_exhausted: False -> 0",
+        "  parameters.evaluations: 3 -> 3.0 (rel 0)",
+        "  parameters.rule_gap: 0.0 -> -0.0 (rel 0)",
+    ]
+
+
+def test_a_reformatted_manifest_differs(tmp_path, capsys):
+    old = work_dir(tmp_path / "old", OLD_FILES)
+    reformatted = json.dumps(json.loads(manifest(1e-8, 0.1)), indent=2).encode()
+    new = work_dir(tmp_path / "new", {**OLD_FILES, "small/optimize_manifest.json": reformatted})
+    assert outputs.compare(old, new) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "small: ionpulse report: small/optimize_manifest.json differs",
+        f"  bytes differ ({len(manifest(1e-8, 0.1))} -> {len(reformatted)} bytes)",
+    ]
+
+
+def test_a_file_left_behind_in_one_tree_is_printed(tmp_path, capsys):
+    # written by no call, so only the listing of the output directories shows it
+    old = work_dir(tmp_path / "old", OLD_FILES, kept=["small/waveform_A.csv"])
+    new = work_dir(tmp_path / "new", OLD_FILES)
+    assert outputs.compare(old, new) == 1
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "small: ionpulse report: the files present after the call differ",
+        "  small/waveform_A.csv only in old",
+    ]
 
 
 def test_equal_runs_exit_0(tmp_path, capsys):
